@@ -12,7 +12,7 @@ Run:  python demos/03_closed_forms_and_banded_family.py
 
 from fractions import Fraction as F
 
-from bispectral import (BesselIndex, bessel_op, beta_prime,
+from bispectral import (BesselIndex, banded_rows, bessel_op, beta_prime,
                         build_certificate, closed_form_monomial, make_pair,
                         monomial_kernel, spectral_algebra)
 
@@ -22,25 +22,9 @@ d = 2
 gammas = bi.power(d)
 print("ladder exponents:", [str(g) for g in gammas])
 
-# recurrence-normalized basis weights for the banded matrix
-mus = {}
-for k, bk in enumerate(bi.beta):
-    m = F(1)
-    mus[(k, 1)] = m
-    for j in range(2, d + 1):
-        for b in bi.beta:
-            m = m / (b - bk - (j - 1) * bi.N)
-        mus[(k, j)] = m
-
+# banded kernel matrix in the recurrence-normalized ladder basis
 t = {(0, 0): F(1), (0, 1): F(2), (1, 0): F(1), (1, 1): F(-1)}
-rows = []
-for r in range(d):
-    row = [F(0)] * (d * bi.N)
-    for k in range(bi.N):
-        for j in range(1, d + 1):
-            if 0 <= r - (j - 1) <= d - 1:
-                row[k * d + (j - 1)] = t[(k, r - (j - 1))] * mus[(k, j)]
-    rows.append(row)
+rows = banded_rows(bi, d, t)
 print("kernel matrix:", [[str(c) for c in row] for row in rows])
 
 spec = monomial_kernel(bi, [[(gammas[i], c) for i, c in enumerate(row) if c]

@@ -11,10 +11,10 @@ from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
                      exp_wave, indicial_poly, kernel_basis, ladder_op,
                      wave_coeffs, wave_jet_at, zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
-                      KernelSpec, build_P_general, build_P_monomial,
-                      build_certificate, certify, cleared_coefficients,
-                      compute_Q, kernel_matrix, monomial_kernel,
-                      validate_spec)
+                      KernelSpec, banded_rows, build_P_general,
+                      build_P_monomial, build_certificate, certify,
+                      cleared_coefficients, compute_Q, kernel_matrix,
+                      monomial_kernel, validate_spec)
 from .errors import (AssociationError, BispectralError, CertificationError,
                      DomainError, InconsistentSpecError, RankDeficiencyError,
                      ShapeError, SpecInvalidError, TruncationError,

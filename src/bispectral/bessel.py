@@ -89,9 +89,12 @@ def indicial_poly(entries, var="y") -> Poly:
 
 def ladder_op(entries, var="x") -> DiffOp:
     """x^{-L} prod (D - g) for any exponent list of length L."""
-    entries = tuple(Fraction(g) for g in entries)
-    p = indicial_poly(entries)
-    xl = Poly.monomial(var, len(entries))
+    return poly_ladder_op(indicial_poly(entries), var)
+
+
+def poly_ladder_op(p: Poly, var="x") -> DiffOp:
+    """x^{-deg p} p(D) as an operator."""
+    xl = Poly.monomial(var, p.degree)
     coeffs = [RationalFunction(Poly.const(var, c), xl) for c in p.coeffs]
     return DiffOp(var, DFORM, coeffs)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -17,14 +18,14 @@ from pathlib import Path
 
 from . import __version__, jsonio
 from .bessel import BesselIndex, bessel_op, bessel_poly, wave_coeffs
-from .darboux import (AtPointGroup, KernelSpec, build_certificate, certify,
-                      cleared_coefficients, kernel_matrix, monomial_kernel)
+from .darboux import (AtPointGroup, KernelSpec, banded_rows,
+                      build_certificate, certify, cleared_coefficients,
+                      kernel_matrix, monomial_kernel)
 from .errors import (BispectralError, CertificationError, ShapeError,
                      TruncationError, UsageError, VerificationError)
 from .involution import (beta_prime, bessel_plane_report, closed_form_monomial,
                          involute_P, involute_Q, make_pair, spectral_algebra,
                          verify_pair)
-from .poly import Poly
 from .scalars import parse_rational
 
 EXIT_OK = 0
@@ -39,10 +40,6 @@ def _emit(document, out):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _eigen_str(p: Poly, N: int, var: str) -> str:
-    return p.expand_arg_power(N, var=var).to_str(var)
 
 
 def cmd_bessel(args):
@@ -71,10 +68,11 @@ def _build_one(path, depth):
 def cmd_build(args):
     if len(args.spec) > 1 and args.out and not Path(args.out).is_dir():
         raise UsageError("--out must be a directory for multiple specs")
-    jobs = max(1, args.jobs)
-    results = []
-    if jobs > 1 and len(args.spec) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    workers = min(args.jobs, len(args.spec), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_one, args.spec,
                                     [args.depth] * len(args.spec)))
     else:
@@ -224,31 +222,7 @@ def _example4(nu, a, lam):
             "cleared_p": [p.to_json() for p in pks]}
 
 
-def _dg_even_rows(bi, d, tparams):
-    """Banded kernel matrix in the recurrence-normalized ladder basis."""
-    mus = {}
-    for k, bk in enumerate(bi.beta):
-        m = Fraction(1)
-        mus[(k, 1)] = m
-        for j in range(2, d + 1):
-            prod = Fraction(1)
-            for b in bi.beta:
-                prod *= b - bk - (j - 1) * bi.N
-            if prod == 0:
-                raise UsageError(
-                    "ladder collision: pick weights whose power has "
-                    "distinct entries")
-            m = m / prod
-            mus[(k, j)] = m
-    rows = []
-    for r in range(d):
-        row = [Fraction(0)] * (d * bi.N)
-        for k in range(bi.N):
-            for j in range(1, d + 1):
-                if 0 <= r - (j - 1) <= d - 1:
-                    row[k * d + (j - 1)] = tparams[(k, r - (j - 1))] * mus[(k, j)]
-        rows.append(row)
-    return rows
+_dg_even_rows = banded_rows  # read by perfbench/test_perfbench.py
 
 
 def _example_dg_even(beta_text, d, tvalues):
@@ -257,7 +231,7 @@ def _example_dg_even(beta_text, d, tvalues):
     if len(flat) != bi.N * d:
         raise UsageError(f"need {bi.N * d} band parameters, got {len(flat)}")
     tparams = {(k, r): flat[k * d + r] for k in range(bi.N) for r in range(d)}
-    rows = _dg_even_rows(bi, d, tparams)
+    rows = banded_rows(bi, d, tparams)
     gammas = bi.power(d)
     spec = monomial_kernel(
         bi, [[(gammas[i], c) for i, c in enumerate(row) if c] for row in rows])

@@ -305,13 +305,7 @@ def _point_condition_rows(beta, group_data, n, N, bound, depth):
     rows = []
     slots = 0
     for jet in jets:
-        series = None
-        for k, c in enumerate(avec):
-            if not c:
-                continue
-            piece = jet.series[k].scale(c)
-            series = piece if series is None else series + piece
-        powers = [series]
+        powers = [jet.combine(avec)]
         for _ in range(n):
             prev = powers[-1]
             powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
@@ -347,11 +341,7 @@ def _assemble(beta, n, N, solution, bound):
     pks = []
     for k in range(n + 1):
         pks.append(Poly("y", solution[k * (bound + 1):(k + 1) * (bound + 1)]))
-    content = Poly.zero("y")
-    for p in pks:
-        content = Poly.gcd(content, p) if not content.is_zero else p
-    if content.degree > 0:
-        pks = [p // content for p in pks]
+    pks = Poly.primitive_parts(pks)
     if pks[-1].is_zero:
         return None
     xn = Poly.monomial("x", n)
@@ -361,42 +351,37 @@ def _assemble(beta, n, N, solution, bound):
     return op.lmul_fn(1 / (lead * RationalFunction(xn)))
 
 
-def _structured(P: DiffOp, N: int):
-    """(n, [p_k as Poly in y]) from the D-form coefficients, or ShapeError."""
+def cleared_coefficients(P: DiffOp, N: int):
+    """(n, [p_k in y]) with P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k.
+
+    The p_k have no common polynomial factor and p_n is monic.  A
+    coefficient that does not live in x^N raises ShapeError.
+    """
     d = P.convert(DFORM)
     if d.is_zero:
         raise ShapeError("zero operator has no structured form")
     n = d.order
-    xn = Poly.monomial(d.var, n)
-    parts = []
-    for c in d.coeffs:
-        r = c * RationalFunction(xn)
+    xn = RationalFunction(Poly.monomial(d.var, n))
+    nums, dens = [], []
+    for k, c in enumerate(d.coeffs):
+        r = c * xn
         if not (r.num.is_power_pattern(N) and r.den.is_power_pattern(N)):
             raise ShapeError(
-                f"coefficient {c} of D^{len(parts)} does not live in x^{N}")
-        parts.append((r.num.contract_arg_power(N, var="y"),
-                      r.den.contract_arg_power(N, var="y")))
-    den = Poly.const("y", 1)
-    for _, dd in parts:
-        g = Poly.gcd(den, dd)
-        den = den * (dd // g)
-    pks = []
-    for num, dd in parts:
-        pks.append(num * (den // dd))
-    content = Poly.zero("y")
-    for p in pks:
-        content = Poly.gcd(content, p) if not content.is_zero else p
-    if content.degree > 0:
-        pks = [p // content for p in pks]
+                f"coefficient {c} of D^{k} does not live in x^{N}")
+        nums.append(r.num.contract_arg_power(N, var="y"))
+        dens.append(r.den.contract_arg_power(N, var="y"))
+    den = Poly.lcm("y", dens)
+    pks = Poly.primitive_parts(
+        [num * (den // dd) for num, dd in zip(nums, dens)])
     lead = pks[-1].leading
     if lead != 1:
         pks = [p.scale(1 / lead) for p in pks]
     return n, pks
 
 
-def cleared_coefficients(P: DiffOp, N: int):
-    """Public name for the cleared polynomial coefficients (p_n monic)."""
-    return _structured(P, N)
+def default_depth(h_degree: int, N: int, n: int) -> int:
+    """Series depth that covers the windows of an order-n factor of h(L)."""
+    return 2 * (h_degree * N + n) + 8
 
 
 def _solve_annihilator(val: ValidatedSpec, depth=None):
@@ -405,7 +390,6 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
     n, N = val.n, beta.N
     d = max(1, val.h.degree)
     base_bound = max(1, n * d)
-    default_depth = 2 * (d * N + n) + 8
     outer = base_bound
     tried = 0
     bound_start = 0
@@ -416,7 +400,8 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
             ncols = (n + 1) * (bound + 1)
             rows = _zero_condition_rows(val.elements_at_zero, n, N, bound)
             if val.point_groups:
-                K = max(depth or default_depth, 2 * ncols + 2 * n + 10)
+                K = max(depth or default_depth(d, N, n),
+                        2 * ncols + 2 * n + 10)
                 jets_cache = {}
                 slots = 0
                 for lam, avec, drequired in val.point_groups:
@@ -547,13 +532,13 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
         raise CertificationError("product disagrees between coordinate forms")
     witnesses["product_dual_form"] = True
 
-    n, pks = _structured(P, beta.N)
+    n, _ = cleared_coefficients(P, beta.N)
     if n != P.order or g.degree != n:
         raise CertificationError(
             f"degree of g ({g.degree}) does not match the order of P ({n})")
     witnesses["shape"] = True
 
-    K = depth if depth is not None else 2 * (h.degree * beta.N + n) + 8
+    K = depth if depth is not None else default_depth(h.degree, beta.N, n)
     if spec is not None:
         val = validate_spec(spec)
         if val.g != g or val.f != f or val.h != h:
@@ -568,13 +553,7 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
         for lam, avec, _d in val.point_groups:
             for branch in range(beta.N):
                 jet = wave_jet_at(beta, lam, branch, len(avec) - 1, K)
-                element = None
-                for k, c in enumerate(avec):
-                    if not c:
-                        continue
-                    piece = jet.series[k].scale(c)
-                    element = piece if element is None else element + piece
-                if element.apply(cleared).coeffs:
+                if jet.combine(avec).apply(cleared).coeffs:
                     raise CertificationError(
                         f"orbit kernel element at {lam} (branch {branch}) "
                         f"is not annihilated by P")
@@ -634,3 +613,35 @@ def kernel_matrix(spec: KernelSpec):
                 row[index[b0 + k * beta.N]] = brow[0]
         rows.append(row)
     return d, gammas, rows
+
+
+def banded_rows(bi: BesselIndex, d: int, tparams):
+    """Banded kernel matrix in the recurrence-normalized ladder basis.
+
+    Columns follow ``bi.power(d)``; ``tparams[(k, r)]`` is the band
+    parameter of weight k on diagonal r.  Weights whose depth-d ladder
+    collides are rejected.
+    """
+    mus = {}
+    for k, bk in enumerate(bi.beta):
+        m = Fraction(1)
+        mus[(k, 1)] = m
+        for j in range(2, d + 1):
+            prod = Fraction(1)
+            for b in bi.beta:
+                prod *= b - bk - (j - 1) * bi.N
+            if prod == 0:
+                raise UsageError(
+                    "ladder collision: pick weights whose power has "
+                    "distinct entries")
+            m = m / prod
+            mus[(k, j)] = m
+    rows = []
+    for r in range(d):
+        row = [Fraction(0)] * (d * bi.N)
+        for k in range(bi.N):
+            for j in range(1, d + 1):
+                if 0 <= r - (j - 1) <= d - 1:
+                    row[k * d + (j - 1)] = tparams[(k, r - (j - 1))] * mus[(k, j)]
+        rows.append(row)
+    return rows

@@ -17,55 +17,44 @@ truncated series identities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import BesselIndex, bessel_op, bessel_wave, exp_wave, ladder_op
-from .darboux import (DarbouxCertificate, _structured, certify,
-                      validate_spec)
+from .bessel import (BesselIndex, bessel_op, bessel_wave, exp_wave, ladder_op,
+                     poly_ladder_op)
+from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
+                      default_depth, validate_spec)
 from .errors import (AssociationError, RankDeficiencyError, ShapeError,
                      UsageError, VerificationError)
 from .poly import Poly, RationalFunction
 from .weyl import DEL, DFORM, DiffOp, poly_at_operator
 
 
-def _monicized(op: DiffOp, poly: Poly):
+def _reduced(op: DiffOp, poly: Poly, beta: BesselIndex, right: bool):
+    """Peel base-operator factors off one side, then make poly monic.
+
+    Each step takes op = op' L (right) or op = L op' (not right) together
+    with poly = z^N poly'.  Returns op' in DEL form and poly'.
+    """
+    lbeta = bessel_op(beta, op.var)
+    zN = Poly.monomial("z", beta.N)
+    while poly.valuation() >= beta.N:
+        quot, rem = op.left_divide(lbeta) if right else op.right_divide(lbeta)
+        if not rem.is_zero:
+            break
+        op = quot
+        poly = poly // zN
     lead = poly.leading
-    if lead == 1:
-        return op, poly
-    return op.scale(Fraction(1) / lead), poly.scale(1 / lead)
-
-
-def _peel_right(op: DiffOp, poly: Poly, beta: BesselIndex):
-    """Remove trailing base-operator factors: op = op' L, poly = z^N poly'."""
-    lbeta = bessel_op(beta, op.var)
-    zN = Poly.monomial("z", beta.N)
-    while poly.valuation() >= beta.N:
-        quot, rem = op.left_divide(lbeta)
-        if not rem.is_zero:
-            break
-        op = quot
-        poly = poly // zN
-    return op, poly
-
-
-def _peel_left(op: DiffOp, poly: Poly, beta: BesselIndex):
-    """Remove leading base-operator factors: op = L op', poly = z^N poly'."""
-    lbeta = bessel_op(beta, op.var)
-    zN = Poly.monomial("z", beta.N)
-    while poly.valuation() >= beta.N:
-        quot, rem = op.right_divide(lbeta)
-        if not rem.is_zero:
-            break
-        op = quot
-        poly = poly // zN
-    return op, poly
+    if lead != 1:
+        op, poly = op.scale(Fraction(1) / lead), poly.scale(1 / lead)
+    return op.convert(DEL), poly
 
 
 def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
     """(P_b, g_b): the involuted left factor and its spectral polynomial."""
-    n, pks = _structured(P, beta.N)
+    n, pks = cleared_coefficients(P, beta.N)
     lbeta = bessel_op(beta, P.var)
     dee = DiffOp.dee(P.var)
     out = DiffOp.zero(P.var, DFORM)
@@ -76,9 +65,7 @@ def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
     gx = Poly(P.var, g.coeffs)
     out = out.lmul_fn(RationalFunction(Poly.const(P.var, 1), gx))
     g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
-    out, g_b = _peel_right(out, g_b, beta)
-    out, g_b = _monicized(out, g_b)
-    return out.convert(DEL), g_b
+    return _reduced(out, g_b, beta, right=True)
 
 
 def _right_form(Q: DiffOp):
@@ -101,28 +88,10 @@ def _right_form(Q: DiffOp):
 
 def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
     """(Q_b, f_b): the involuted right factor and its spectral polynomial."""
-    es = _right_form(Q)
-    m = len(es) - 1
     var = Q.var
-    xm = RationalFunction(Poly.monomial(var, m))
-    parts = []
-    for e in es:
-        r = e * xm
-        if not (r.num.is_power_pattern(beta.N) and r.den.is_power_pattern(beta.N)):
-            raise ShapeError(
-                f"right coefficient {e} does not reduce to the x^{beta.N} form")
-        parts.append((r.num.contract_arg_power(beta.N, var="y"),
-                      r.den.contract_arg_power(beta.N, var="y")))
-    den = Poly.const("y", 1)
-    for _, dd in parts:
-        gcd = Poly.gcd(den, dd)
-        den = den * (dd // gcd)
-    qs = [num * (den // dd) for num, dd in parts]
-    content = Poly.zero("y")
-    for p in qs:
-        content = Poly.gcd(content, p) if not content.is_zero else p
-    if content.degree > 0:
-        qs = [p // content for p in qs]
+    # sum_s e_s D^s carries the right coefficients of Q = sum_s D^s e_s,
+    # so they clear exactly as the left coefficients of P do
+    m, qs = cleared_coefficients(DiffOp(var, DFORM, _right_form(Q)), beta.N)
 
     lbeta = bessel_op(beta, var)
     dee = DiffOp.dee(var)
@@ -134,9 +103,7 @@ def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
             continue
         out = out + poly_at_operator(q, lbeta) * (dee ** s) * inv_f
     f_b = qs[-1].expand_arg_power(beta.N, var="z").shift_mul(m)
-    out, f_b = _peel_left(out, f_b, beta)
-    out, f_b = _monicized(out, f_b)
-    return out.convert(DEL), f_b
+    return _reduced(out, f_b, beta, right=False)
 
 
 @dataclass(frozen=True)
@@ -185,7 +152,12 @@ class BispectralPair:
 
 
 def make_pair(cert: DarbouxCertificate) -> BispectralPair:
-    """Assemble (L, Lambda, h, theta) and re-certify both sides."""
+    """Assemble (L, Lambda, h, theta) and certify both sides.
+
+    No certificate is trusted: the x side is certified again here, so a
+    certificate built by hand or parsed by DarbouxCertificate.from_json is
+    checked before it is involuted.
+    """
     beta = cert.beta
     certify(beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
     P_b, g_b = involute_P(cert.P, cert.g, beta)
@@ -215,7 +187,7 @@ def verify_pair(pair: BispectralPair, depth: int = None) -> dict:
     beta = pair.beta
     n = pair.certificate.P.order
     if depth is None:
-        depth = 2 * (pair.h.degree * beta.N + n) + 8
+        depth = default_depth(pair.h.degree, beta.N, n)
     psi = bessel_wave(beta, depth)
     h_z = pair.h.expand_arg_power(beta.N, var="z")
     theta_z = pair.theta.expand_arg_power(beta.N, var="z")
@@ -332,12 +304,10 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
                           for k in range(max(w_terms) + 1)])
     g_b = spectral.shift_mul(n)
     f_b = spectral.shift_mul(dN - n)
-    P_b, g_b = _peel_right(P_b, g_b, beta)
-    P_b, g_b = _monicized(P_b, g_b)
-    Q_b, f_b = _peel_left(Q_b, f_b, beta)
-    Q_b, f_b = _monicized(Q_b, f_b)
+    P_b, g_b = _reduced(P_b, g_b, beta, right=True)
+    Q_b, f_b = _reduced(Q_b, f_b, beta, right=False)
     return {"P": P.convert(DEL), "Q": Q.convert(DEL),
-            "P_b": P_b.convert(DEL), "Q_b": Q_b.convert(DEL),
+            "P_b": P_b, "Q_b": Q_b,
             "f": f, "g": g, "f_b": f_b, "g_b": g_b, "h": h}
 
 
@@ -409,16 +379,10 @@ def _report(degrees, bound, N):
         return SpectralAlgebraReport((), (), 0, bound, True)
     rank = 0
     for dgr in degrees:
-        rank = _gcd(rank, dgr)
+        rank = math.gcd(rank, dgr)
     return SpectralAlgebraReport(degrees, _semigroup_generators(degrees),
                                  rank, bound,
                                  all(dgr % N == 0 for dgr in degrees))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def spectral_algebra(cert: DarbouxCertificate, degree_bound: int) -> SpectralAlgebraReport:
@@ -455,31 +419,17 @@ def _division_degrees(cert: DarbouxCertificate, degree_bound: int):
 def _remainder_combination_exists(lower, top):
     """Is -top a rational combination of the lower remainders?"""
     cols = len(lower)
-    entries = {}
-    polys = []
-    for idx, op in enumerate(lower + [top]):
-        a = op.convert(DEL)
-        den = Poly.const(a.var, 1)
-        for c in a.coeffs:
-            g = Poly.gcd(den, c.den)
-            den = den * (c.den // g)
-        cleared = [(k, (c * RationalFunction(den)).as_poly())
-                   for k, c in enumerate(a.coeffs)]
-        polys.append((den, cleared))
-    # common denominator across all operators, per derivative order
-    wall = Poly.const("x", 1)
-    for den, _ in polys:
-        g = Poly.gcd(wall, den)
-        wall = wall * (den // g)
+    ops = [op.convert(DEL) for op in lower + [top]]
+    # one common denominator for every coefficient of every operator
+    wall = RationalFunction(
+        Poly.lcm(ops[0].var, (c.den for a in ops for c in a.coeffs)))
     rows = {}
-    for idx, (den, cleared) in enumerate(polys):
-        lift = wall // den
-        for k, p in cleared:
-            q = p * lift
-            for deg, c in enumerate(q.coeffs):
-                if c:
+    for idx, a in enumerate(ops):
+        for k, c in enumerate(a.coeffs):
+            for deg, v in enumerate((c * wall).as_poly().coeffs):
+                if v:
                     rows.setdefault((k, deg), [Fraction(0)] * (cols + 1))
-                    rows[(k, deg)][idx] = c
+                    rows[(k, deg)][idx] = v
     if not rows:
         return True
     matrix = []
@@ -544,18 +494,11 @@ def bessel_plane_report(beta: BesselIndex, degree_bound: int,
         sol = _profile_eigen_poly(profile, deg)
         if sol is None:
             continue
-        candidate = ladder_op_from_poly(sol, deg)
+        candidate = poly_ladder_op(sol)
         commutator = candidate * lbeta - lbeta * candidate
         if commutator.is_zero:
             found.append(deg)
     return _report(found, degree_bound, beta.N)
-
-
-def ladder_op_from_poly(p: Poly, deg: int, var="x") -> DiffOp:
-    """x^{-deg} p(D) as an operator."""
-    xl = Poly.monomial(var, deg)
-    coeffs = [RationalFunction(Poly.const(var, c), xl) for c in p.coeffs]
-    return DiffOp(var, DFORM, coeffs)
 
 
 def _profile_eigen_poly(profile, deg):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .darboux import DarbouxCertificate, KernelSpec
+from .darboux import DarbouxCertificate, KernelSpec, certify
 from .errors import UsageError
 from .involution import BispectralPair
 
@@ -32,11 +32,6 @@ def read(path):
         return json.load(fh)
 
 
-def spec_document(spec: KernelSpec, **params):
-    return {"tool": tool_block(**params), "kind": "kernel-spec",
-            **spec.to_json()}
-
-
 def load_spec(data) -> KernelSpec:
     try:
         return KernelSpec.from_json(data)
@@ -50,10 +45,16 @@ def certificate_document(cert: DarbouxCertificate, **params):
 
 
 def load_certificate(data) -> DarbouxCertificate:
+    """Parse a certificate document and certify it at the default depth.
+
+    The parsed certificate is returned as stored; a failed witness raises.
+    """
     try:
-        return DarbouxCertificate.from_json(data)
+        cert = DarbouxCertificate.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed certificate: {exc}") from exc
+    certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
+    return cert
 
 
 def pair_document(pair: BispectralPair, **params):

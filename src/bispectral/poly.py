@@ -8,6 +8,7 @@ and operators can be compared structurally.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedInputError, UsageError
@@ -181,6 +182,22 @@ class Poly:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
 
+    @staticmethod
+    def lcm(var, polys):
+        """Least common multiple of monic polynomials (1 when there are none)."""
+        out = Poly.const(var, 1)
+        for p in polys:
+            out = out * (p // Poly.gcd(out, p))
+        return out
+
+    @staticmethod
+    def primitive_parts(polys):
+        """The polynomials divided by their common polynomial factor."""
+        content = functools.reduce(Poly.gcd, polys)
+        if content.degree <= 0:
+            return list(polys)
+        return [p // content for p in polys]
+
     def derivative(self):
         return Poly(self.var, tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
 
@@ -196,9 +213,6 @@ class Poly:
             else:
                 acc = acc * v + c
         return acc
-
-    def compose(self, inner: "Poly") -> "Poly":
-        return self.evaluate(inner)
 
     def expand_arg_power(self, n: int, var=None) -> "Poly":
         """p(y) -> p(x^n) as a polynomial in x."""

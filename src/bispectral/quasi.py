@@ -27,10 +27,6 @@ from .scalars import format_rational, parse_rational
 from .weyl import DEL, DiffOp
 
 
-def _is_zero(c):
-    return not c
-
-
 class QuasiPolynomial:
     """Finite map (exponent, log power) -> coefficient."""
 
@@ -468,13 +464,11 @@ class PointJet:
     def jet_order(self):
         return len(self.series) - 1
 
-
-def annihilates(op: DiffOp, q: QuasiPolynomial) -> bool:
-    """Exact kernel test, valid for any rational coefficients.
-
-    Multiplication by the denominator lcm is injective on quasi-polynomials,
-    so clearing it first reduces to the Laurent-coefficient action.
-    """
-    from .weyl import common_denominator
-    _, cleared = common_denominator(op.convert("D"))
-    return q.apply(cleared).is_zero
+    def combine(self, a):
+        """sum_k a_k series[k]: the jet of the condition sum_k a_k D_z^k."""
+        out = None
+        for k, c in enumerate(a):
+            if c:
+                piece = self.series[k].scale(c)
+                out = piece if out is None else out + piece
+        return out

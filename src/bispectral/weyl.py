@@ -213,22 +213,13 @@ class DiffOp:
 
     def left_divide(self, divisor: "DiffOp"):
         """Q, R with self = Q * divisor + R and order(R) < order(divisor)."""
-        self._check(divisor)
-        if divisor.is_zero:
-            raise DomainError("division by the zero operator")
-        d = divisor.convert(self.form)
-        rem = self
-        quot = DiffOp.zero(self.var, self.form)
-        while not rem.is_zero and rem.order >= d.order:
-            k = rem.order - d.order
-            c = rem.leading / d.leading
-            term = DiffOp.monomial(self.var, self.form, k, c)
-            quot = quot + term
-            rem = rem - term * d
-        return quot, rem
+        return self._divide(divisor, divisor_first=False)
 
     def right_divide(self, divisor: "DiffOp"):
         """Q, R with self = divisor * Q + R and order(R) < order(divisor)."""
+        return self._divide(divisor, divisor_first=True)
+
+    def _divide(self, divisor, divisor_first):
         self._check(divisor)
         if divisor.is_zero:
             raise DomainError("division by the zero operator")
@@ -240,7 +231,7 @@ class DiffOp:
             c = rem.leading / d.leading
             term = DiffOp.monomial(self.var, self.form, k, c)
             quot = quot + term
-            rem = rem - d * term
+            rem = rem - (d * term if divisor_first else term * d)
         return quot, rem
 
     # -- miscellany -----------------------------------------------------------
@@ -320,8 +311,5 @@ def poly_at_operator(p: Poly, a: DiffOp) -> DiffOp:
 
 def common_denominator(a: DiffOp):
     """w(x) monic and an operator with polynomial coefficients w . a."""
-    w = Poly.const(a.var, 1)
-    for c in a.coeffs:
-        g = Poly.gcd(w, c.den)
-        w = w * (c.den // g)
+    w = Poly.lcm(a.var, (c.den for c in a.coeffs))
     return w, a.lmul_fn(w)

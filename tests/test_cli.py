@@ -63,6 +63,47 @@ def test_build_multiple_specs_with_jobs(tmp_path):
     assert (outdir / "b.cert.json").exists()
 
 
+def test_build_jobs_are_bounded(tmp_path, monkeypatch, capsys):
+    spec = write(tmp_path, "spec.json", RANK1_SPEC)
+    outdir = tmp_path / "outs"
+    outdir.mkdir()
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
+    def build(count, jobs):
+        return main(["build", *[spec] * count, "--jobs", str(jobs),
+                     "--out", str(outdir)])
+
+    assert build(3, 1000) == 0      # bounded by the number of specs
+    assert build(6, 1000) == 0      # bounded by the CPU count
+    assert build(6, 2) == 0         # as asked
+    assert build(6, 1) == 0         # no pool
+    assert pools == [3, 4, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert build(6, 8) == 0         # unknown CPU count: no pool
+    assert pools == [3, 4, 2]
+    capsys.readouterr()
+    assert build(2, 0) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert build(2, -3) == 2
+    assert pools == [3, 4, 2]
+
+
 def test_involute_command(tmp_path):
     spec = write(tmp_path, "spec.json", ORDER2_SPEC)
     cert_path = str(tmp_path / "cert.json")
@@ -91,6 +132,8 @@ def test_tampered_certificate_exits_three(tmp_path):
     cert["Q"]["coeffs"][0]["num"] = ["7"]
     bad = write(tmp_path, "bad.json", cert)
     assert main(["pair", bad]) == 3
+    assert main(["involute", bad]) == 3
+    assert main(["rank", bad]) == 3
 
 
 def test_perturbed_pair_exits_four(tmp_path):

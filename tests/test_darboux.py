@@ -7,10 +7,11 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         CertificationError, DarbouxCertificate, DiffOp,
                         KernelSpec, Poly, RankDeficiencyError,
                         RationalFunction, SpecInvalidError,
-                        UnsupportedInputError, UsageError, bessel_op,
-                        build_P_general, build_P_monomial, build_certificate,
-                        certify, cleared_coefficients, compute_Q,
-                        kernel_matrix, monomial_kernel, validate_spec)
+                        UnsupportedInputError, UsageError, banded_rows,
+                        bessel_op, build_P_general, build_P_monomial,
+                        build_certificate, certify, cleared_coefficients,
+                        compute_Q, kernel_matrix, monomial_kernel,
+                        validate_spec)
 
 F = Fraction
 
@@ -278,6 +279,15 @@ def test_kernel_matrix_round_trip():
     d, gammas, rows = kernel_matrix(spec)
     assert d == 2 and gammas == (0, 2, 1, 3)
     assert rows == [[F(1), F(3), F(0), F(0)]]
+
+
+def test_banded_rows_reference_values_and_collision():
+    t = {(0, 0): F(1), (0, 1): F(2), (1, 0): F(1), (1, 1): F(-1)}
+    assert banded_rows(BesselIndex.parse("5/2,-3/2"), 2, t) == [
+        [1, 0, 1, 0], [2, F(1, 12), -1, F(-1, 4)]]
+    # 3/2 = -1/2 + N: the depth-2 ladder of -1/2 runs into the other weight
+    with pytest.raises(UsageError, match="ladder collision"):
+        banded_rows(BesselIndex.parse("-1/2,3/2"), 2, t)
 
 
 def test_spec_json_round_trip():

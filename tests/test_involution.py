@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import (AtPointGroup, BesselIndex, DiffOp, KernelSpec, Poly,
-                        RationalFunction, VerificationError, bessel_op,
-                        bessel_plane_report, beta_prime, build_certificate,
+from bispectral import (AtPointGroup, BesselIndex, CertificationError, DiffOp,
+                        KernelSpec, Poly, RationalFunction, VerificationError,
+                        bessel_op, bessel_plane_report, beta_prime,
+                        build_certificate,
                         closed_form_monomial, involute_P, involute_Q,
                         kernel_matrix, make_pair, monomial_kernel,
                         spectral_algebra, verify_pair)
@@ -96,6 +97,22 @@ def test_make_pair_operator_identities():
         hofl = poly_at_operator(cert.h, bessel_op(cert.beta))
         assert cert.Q * pair.L == hofl * cert.Q
         assert pair.Lambda.relabel("x") == pair.P_b * pair.Q_b
+
+
+def test_certificates_from_documents_are_certified():
+    from bispectral import jsonio
+    from bispectral.darboux import DarbouxCertificate
+    cert = order2_cert()
+    doc = jsonio.certificate_document(cert)
+    assert jsonio.load_certificate(doc) == cert
+    # P, Q, f and g stay consistent; only the kernel check sees the new jet
+    doc["spec"]["at_points"][0]["a"] = ["1", "2"]
+    with pytest.raises(CertificationError, match="not annihilated"):
+        jsonio.load_certificate(doc)
+    forged = DarbouxCertificate.from_json(doc)   # parses only
+    assert forged.witnesses == cert.witnesses
+    with pytest.raises(CertificationError, match="not annihilated"):
+        make_pair(forged)
 
 
 def test_verify_pair_and_negative_control():
