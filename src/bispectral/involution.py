@@ -244,7 +244,7 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
         dN = len(gammas)
     subsets = []
     for comb in itertools.combinations(range(dN), n):
-        minor = _det([[rows[k][i] for i in comb] for k in range(n)])
+        minor = linalg.det([[rows[k][i] for i in comb] for k in range(n)])
         if not minor:
             continue
         delta = Fraction(1)
@@ -309,30 +309,6 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
     return {"P": P.convert(DEL), "Q": Q.convert(DEL),
             "P_b": P_b, "Q_b": Q_b,
             "f": f, "g": g, "f_b": f_b, "g_b": g_b, "h": h}
-
-
-def _det(matrix):
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for c in range(size):
-        pivot = None
-        for r in range(c, size):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, size):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------

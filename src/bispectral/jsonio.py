@@ -28,8 +28,13 @@ def write(path, document):
 
 
 def read(path):
+    """Parse a document file; every document the tool reads is an object."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
 
 
 def load_spec(data) -> KernelSpec:

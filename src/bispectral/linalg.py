@@ -35,6 +35,27 @@ def rref(rows):
     return m[:r], pivots
 
 
+def det(rows):
+    """Determinant of a square matrix, by elimination with row swaps."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    out = Fraction(1)
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, size):
+            if m[r][c]:
+                f = m[r][c] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return out
+
+
 def nullspace(rows, ncols=None):
     """Basis of the solution space of rows * v = 0.
 

@@ -145,11 +145,17 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
+        lead = other.leading
+        db = other.degree
+        if other.valuation() == db:
+            # divisor c*var**db: the quotient and remainder are slices
+            quot = self.coeffs[db:]
+            if lead != 1:
+                quot = [c / lead for c in quot]
+            return Poly(self.var, quot), Poly(self.var, self.coeffs[:db])
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs) + 1
         quot = [Fraction(0)] * max(0, dq)
-        lead = other.leading
-        db = other.degree
         while len(rem) >= len(other.coeffs):
             while rem and not rem[-1]:
                 rem.pop()
@@ -178,6 +184,11 @@ class Poly:
     def gcd(a, b):
         """Monic greatest common divisor."""
         a._check(b)
+        for p, q in ((a, b), (b, a)):
+            k = p.degree
+            if p and p.valuation() == k:
+                # p = c*var**k: the gcd is the common power of var
+                return Poly.monomial(p.var, min(k, q.valuation()) if q else k)
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a

@@ -11,9 +11,10 @@
   times the point).
 
 Operators act on WaveSeries/ExpSeries after peeling the exponential
-prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  Coefficients with
-poles away from 0 are handled by exact expansion of 1/den at infinity,
-which terminates because degrees are bounded above.
+prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  Laurent
+coefficients num / x^m act by shifts.  Coefficients with poles away from
+0 are handled by exact expansion of 1/den at infinity, which terminates
+because degrees are bounded above.
 """
 
 from __future__ import annotations
@@ -235,8 +236,6 @@ class WaveSeries:
     def _mul_inverse_poly(self, den: Poly, axis):
         """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1)."""
         d = den.degree
-        if d == 0:
-            return self.scale(1 / den.coeff(0))
         xlo, xhi, zlo, zhi = self.box
         if axis == 0:
             lo, hi, olo, ohi = xlo, xhi, zlo, zhi
@@ -264,11 +263,9 @@ class WaveSeries:
         """Multiply by a rational function of x (axis 0) or z (axis 1)."""
         if rf.is_zero:
             raise UsageError("multiplication by the zero function")
-        num_terms = [(k, c) for k, c in enumerate(rf.num.coeffs) if c]
-        out = self._mul_terms(num_terms, axis)
-        if rf.den.degree > 0:
-            out = out._mul_inverse_poly(rf.den, axis)
-        return out
+        if rf.is_laurent:
+            return self._mul_terms(rf.laurent_terms(), axis)
+        return self.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
 
     def mul_poly(self, p: Poly, axis):
         return self._mul_terms([(k, c) for k, c in enumerate(p.coeffs) if c], axis)
@@ -389,8 +386,6 @@ class ExpSeries:
 
     def _mul_inverse_poly(self, den: Poly):
         d = den.degree
-        if d == 0:
-            return self.scale(1 / den.coeff(0))
         lo, hi = self.box
         inv = _inverse_expansion(den, hi - lo + 1)
         out = {}
@@ -411,15 +406,13 @@ class ExpSeries:
         """Multiply by a rational function, expanding any pole at infinity."""
         if rf.is_zero:
             raise UsageError("multiplication by the zero function")
+        terms = (rf.laurent_terms() if rf.is_laurent else
+                 [(m, c) for m, c in enumerate(rf.num.coeffs) if c])
         out = None
-        for m, c in enumerate(rf.num.coeffs):
-            if not c:
-                continue
+        for m, c in terms:
             piece = self.xshift(m).scale(c)
             out = piece if out is None else out + piece
-        if rf.den.degree > 0:
-            out = out._mul_inverse_poly(rf.den)
-        return out
+        return out if rf.is_laurent else out._mul_inverse_poly(rf.den)
 
     def apply(self, op: DiffOp) -> "ExpSeries":
         """Image under an operator with rational coefficients in self.var."""

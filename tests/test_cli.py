@@ -207,3 +207,12 @@ def test_outputs_are_deterministic(tmp_path):
     main(["build", spec, "--out", a])
     main(["build", spec, "--out", b])
     assert Path(a).read_text() == Path(b).read_text()
+
+
+def test_documents_that_are_not_objects_exit_two(tmp_path, capsys):
+    for i, doc in enumerate(([1], "x")):
+        path = write(tmp_path, f"doc{i}.json", doc)
+        for argv in (["build", path], ["pair", path], ["involute", path],
+                     ["rank", path], ["verify", path], ["betaprime", path]):
+            assert main(argv) == 2, argv
+            assert "expected a JSON object" in capsys.readouterr().err

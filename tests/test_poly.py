@@ -105,3 +105,64 @@ def test_poly_json_round_trip():
     assert Poly.from_json("x", p.to_json()) == p
     r = RationalFunction(p, Poly("x", [0, 0, 5]))
     assert RationalFunction.from_json("x", r.to_json()) == r
+
+
+def _euclid_divmod(a, b):
+    """Schoolbook long division, independent of Poly.divmod."""
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + b.degree] / b.leading
+        quot[k] = c
+        for i, v in enumerate(b.coeffs):
+            rem[k + i] = rem[k + i] - c * v
+    return Poly(a.var, quot), Poly(a.var, rem[:b.degree])
+
+
+def _euclid_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, _euclid_divmod(a, b)[1]
+    if a.is_zero:
+        return a
+    return Poly(a.var, [c / a.leading for c in a.coeffs])
+
+
+def _same(got, want):
+    return got == want and got.coeffs == want.coeffs
+
+
+def test_monomial_gcd_and_divmod_match_euclid():
+    from bispectral import Cyclotomic
+    rng = random.Random(14)
+
+    def scalar(kind):
+        if kind == "Q":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3)))
+
+    def rand(kind, terms):
+        return Poly("x", [scalar(kind) if rng.random() < 0.7 else 0
+                          for _ in range(terms)]).shift_mul(rng.randint(0, 3))
+
+    checked = 0
+    for _ in range(300):
+        kind = rng.choice("QC")
+        c = scalar(kind)
+        if not c:
+            continue
+        mono = Poly.monomial("x", rng.randint(0, 5), rng.choice([1, c]))
+        other = rand(kind, rng.randint(0, 6))
+        for a, b in ((mono, other), (other, mono)):
+            assert _same(Poly.gcd(a, b), _euclid_gcd(a, b))
+        q, r = other.divmod(mono)
+        wq, wr = _euclid_divmod(other, mono)
+        assert _same(q, wq) and _same(r, wr)
+        checked += 1
+    assert checked > 250
+    zero = Poly.zero("x")
+    x3 = Poly.monomial("x", 3, Fraction(-2, 3))
+    assert _same(Poly.gcd(x3, zero), Poly.monomial("x", 3))
+    assert _same(Poly.gcd(zero, x3), Poly.monomial("x", 3))
+    assert Poly.gcd(zero, zero).is_zero
+    assert _same(Poly.gcd(Poly.const("x", 5), zero), Poly.const("x", 1))
+    assert zero.divmod(x3) == (zero, zero)

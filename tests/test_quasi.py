@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import (BesselIndex, DiffOp, Poly, QuasiPolynomial,
+from bispectral import (BesselIndex, Cyclotomic, DiffOp, ExpSeries, Poly,
+                        QuasiPolynomial,
                         RationalFunction, TruncationError,
                         UnsupportedInputError, WaveSeries, bessel_op,
                         bessel_wave, exp_wave, primitive_root, wave_jet_at)
@@ -148,6 +149,55 @@ def test_rational_coefficient_action_matches_cleared_identity():
     for i in range(xlo, xhi + 1):
         for j in range(zlo, zhi + 1):
             assert back.coeff(i, j) == psi.coeff(i, j)
+
+
+def _laurent_coefficients(rng, var, scalar):
+    """num / x^m for m = 0..3, num with a nonzero constant term."""
+    for m in range(4):
+        for _ in range(5):
+            num = [scalar() for _ in range(rng.randint(1, 4))]
+            while not num[0]:
+                num[0] = scalar()
+            rf = RationalFunction(Poly(var, num), Poly.monomial(var, m))
+            assert rf.den == Poly.monomial(var, m)
+            yield rf
+
+
+def test_wave_series_laurent_product_matches_inverse_expansion():
+    rng = random.Random(33)
+    psi = WaveSeries({(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for i in range(-6, 1) for j in range(-5, 2)},
+                     (-6, 0, -5, 1))
+
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    for axis, var in ((0, "x"), (1, "z")):
+        for rf in _laurent_coefficients(rng, var, scalar):
+            terms = [(k, c) for k, c in enumerate(rf.num.coeffs) if c]
+            want = psi._mul_terms(terms, axis)._mul_inverse_poly(rf.den, axis)
+            got = psi.mul_ratfn(rf, axis)
+            assert got.box == want.box and got.coeffs == want.coeffs
+
+
+def test_exp_series_laurent_product_matches_inverse_expansion():
+    rng = random.Random(34)
+    rate = primitive_root(3) * 2
+
+    def scalar():
+        return Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3)))
+
+    series = ExpSeries("x", rate, {d: scalar() for d in range(-7, 1)}, (-7, 0))
+    for rf in _laurent_coefficients(rng, "x", scalar):
+        want = None
+        for k, c in enumerate(rf.num.coeffs):
+            if c:
+                piece = series.xshift(k).scale(c)
+                want = piece if want is None else want + piece
+        want = want._mul_inverse_poly(rf.den)
+        got = series.mul_ratfn(rf)
+        assert got.box == want.box and got.coeffs == want.coeffs
+        assert got == want
 
 
 def test_exp_series_profile_identity():
