@@ -34,6 +34,15 @@ EXIT_CERTIFICATION = 3
 EXIT_VERIFICATION = 4
 
 
+def non_negative(text):
+    """argparse type of the size arguments (-K, --verify, --degree-bound,
+    --d): an integer that is at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(document, out):
     text = jsonio.dumps(document)
     if out:
@@ -291,20 +300,20 @@ def build_parser():
 
     p = sub.add_parser("bessel", help="print the base operator and wave data")
     p.add_argument("--beta", required=True, help="comma-separated weights")
-    p.add_argument("-K", "--depth", type=int, default=4)
+    p.add_argument("-K", "--depth", type=non_negative, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bessel)
 
     p = sub.add_parser("build", help="kernel spec -> certified factorization")
     p.add_argument("spec", nargs="+", help="kernel spec JSON files")
-    p.add_argument("-K", "--depth", type=int, default=None)
+    p.add_argument("-K", "--depth", type=non_negative, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("pair", help="certificate -> bispectral pair")
     p.add_argument("certificate")
-    p.add_argument("--verify", type=int, default=None, metavar="K")
+    p.add_argument("--verify", type=non_negative, default=None, metavar="K")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)
 
@@ -317,8 +326,8 @@ def build_parser():
     p.add_argument("certificate", nargs="?", default=None)
     p.add_argument("--beta", default=None,
                    help="report for a bare plane instead of a certificate")
-    p.add_argument("--degree-bound", type=int, default=8)
-    p.add_argument("-K", "--depth", type=int, default=None)
+    p.add_argument("--degree-bound", type=non_negative, default=8)
+    p.add_argument("-K", "--depth", type=non_negative, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
@@ -333,14 +342,14 @@ def build_parser():
     p.add_argument("--a", default="1")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--beta", default=None)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=non_negative, default=2)
     p.add_argument("--t", default="1,2,1,-1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("verify", help="re-check a pair document")
     p.add_argument("pair")
-    p.add_argument("-K", "--depth", type=int, default=None)
+    p.add_argument("-K", "--depth", type=non_negative, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -3,7 +3,10 @@
 Coefficients are exact scalars (Fraction, or Cyclotomic where a root of
 unity is in play).  A RationalFunction keeps its denominator monic and
 coprime to the numerator, so equal functions have equal representations
-and operators can be compared structurally.
+and operators can be compared structurally.  ``RationalFunction(num, den)``
+normalizes whatever it is given; arithmetic builds its results with the
+private ``RationalFunction._reduced``, which trusts operands that are
+already in that form.
 """
 
 from __future__ import annotations
@@ -184,6 +187,8 @@ class Poly:
     def gcd(a, b):
         """Monic greatest common divisor."""
         a._check(b)
+        if a.degree == 0 or b.degree == 0:
+            return Poly.const(a.var, 1)  # a nonzero constant is a unit
         for p, q in ((a, b), (b, a)):
             k = p.degree
             if p and p.valuation() == k:
@@ -287,8 +292,24 @@ class Poly:
     __str__ = to_str
 
 
+def _cancel(num, den):
+    """num and den divided by their monic gcd."""
+    g = Poly.gcd(num, den)
+    if g.degree <= 0:
+        return num, den
+    return num // g, den // g
+
+
 class RationalFunction:
-    """num/den with den monic and gcd(num, den) = 1."""
+    """num/den with den monic and gcd(num, den) = 1.
+
+    The public constructor ``RationalFunction(num, den)`` normalizes any
+    input (documents, hand-built values).  Arithmetic results are built by
+    ``_reduced``, which trusts that its operands are already canonical: sums,
+    products, quotients and derivatives use Henrici's reduced-operand
+    formulas (Knuth, TAOCP vol. 2, 4.5.1), whose gcds involve only factors
+    that can share one, so no gcd of a full product is ever taken.
+    """
 
     __slots__ = ("num", "den")
 
@@ -310,16 +331,22 @@ class RationalFunction:
             self.num = num
             self.den = Poly.const(num.var, 1)
             return
-        g = Poly.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        num, den = _cancel(num, den)
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den from operands already in canonical form: den monic and
+        coprime to num.  Nothing is checked; a zero num gets den 1."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den if num else Poly.const(num.var, 1)
+        return out
 
     @classmethod
     def const(cls, var, c):
@@ -386,16 +413,23 @@ class RationalFunction:
         return not self.is_zero
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+        # Henrici's sum a/b + c/d of reduced operands: gcds of the two
+        # denominators and of their common part, never of b*d
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b == d:
+            return RationalFunction._reduced(*_cancel(a + c, b))
+        g = Poly.gcd(b, d)
+        if g.degree == 0:
+            return RationalFunction._reduced(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        num, g = _cancel(a * d + c * b, g)
+        return RationalFunction._reduced(num, b * d * g)
 
     __radd__ = __add__
 
@@ -415,9 +449,15 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
+
+    def _times(self, c, d):
+        """self * c/d for reduced c/d: cancel a against d and c against b."""
+        a, d = _cancel(self.num, d)
+        c, b = _cancel(c, self.den)
+        return RationalFunction._reduced(a * c, b * d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -425,7 +465,11 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise DomainError("division by zero function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        num, den = o.den, o.num
+        lead = den.leading
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        return self._times(num, den)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -434,13 +478,21 @@ class RationalFunction:
         return o / self
 
     def derivative(self):
-        num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RationalFunction(num, self.den * self.den)
+        """(n/d)' = (n' r - n d'/g) / (d r) with g = gcd(d, d') and r = d/g.
+
+        Already reduced in characteristic 0: a prime p of multiplicity e in d
+        has multiplicity e - 1 in g, so p divides r but not n d'/g."""
+        n, d = self.num, self.den
+        if d.degree == 0:
+            return RationalFunction._reduced(n.derivative(), d)
+        dd = d.derivative()
+        g = Poly.gcd(d, dd)
+        r, dd = d // g, dd // g
+        return RationalFunction._reduced(n.derivative() * r - n * dd, d * r)
 
     def theta(self):
         """x * d/dx."""
-        x = Poly.variable(self.var)
-        return RationalFunction(x, Poly.const(self.var, 1)) * self.derivative()
+        return self.derivative() * Poly.variable(self.var)
 
     def evaluate(self, v):
         dv = self.den.evaluate(v)

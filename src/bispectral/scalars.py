@@ -122,6 +122,9 @@ class Cyclotomic:
         return self.coords == o.coords
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational:
+            return hash(self.coords[0])
         return hash((self.order, self.coords))
 
     def __neg__(self):

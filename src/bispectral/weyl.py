@@ -240,12 +240,9 @@ class DiffOp:
         """The same operator written in another variable name."""
         if var == self.var:
             return self
-        def move_poly(p):
-            return Poly(var, p.coeffs)
         def move(rf):
-            out = RationalFunction.__new__(RationalFunction)
-            out.num, out.den = move_poly(rf.num), move_poly(rf.den)
-            return out
+            return RationalFunction._reduced(Poly(var, rf.num.coeffs),
+                                             Poly(var, rf.den.coeffs))
         return DiffOp(var, self.form, tuple(move(c) for c in self.coeffs))
 
     def __eq__(self, other):

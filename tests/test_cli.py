@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from bispectral import cli
 from bispectral.cli import main
 
@@ -216,3 +218,20 @@ def test_documents_that_are_not_objects_exit_two(tmp_path, capsys):
                      ["rank", path], ["verify", path], ["betaprime", path]):
             assert main(argv) == 2, argv
             assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "--beta", "2/3,1/3", "-K", "-2"],
+    ["build", "spec.json", "-K", "-5"],
+    ["pair", "cert.json", "--verify", "-2"],
+    ["verify", "pair.json", "-K", "-3"],
+    ["rank", "--beta", "2/3,1/3", "-K", "-1"],
+    ["rank", "cert.json", "--degree-bound", "-2"],
+    ["examples", "dg-even", "--d", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+def test_negative_sizes_are_usage_errors(argv, capsys):
+    # rejected while parsing, before any file is read or series is cut
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 0, got -" in capsys.readouterr().err

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import (Cyclotomic, DomainError, UsageError,
-                        cyclotomic_polynomial, euler_phi, format_rational,
-                        parse_rational, primitive_root)
+from bispectral import (Cyclotomic, DomainError, Poly, RationalFunction,
+                        UsageError, cyclotomic_polynomial, euler_phi,
+                        format_rational, parse_rational, primitive_root)
 
 
 def test_cyclotomic_polynomials():
@@ -102,3 +102,16 @@ def test_rational_coercion_inside_field():
     assert Cyclotomic.from_rational(3, Fraction(5, 7)).as_rational() == Fraction(5, 7)
     with pytest.raises(DomainError):
         eps.as_rational()
+
+
+def test_rational_cyclotomics_hash_like_the_rationals_they_equal():
+    one, half = Cyclotomic.one(3), Cyclotomic.from_rational(3, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({one, 1}) == 1
+    assert len({Poly("x", [one]), Poly("x", [1])}) == 1
+    cyc = RationalFunction(Poly("x", [one, half]), Poly("x", [-one, one]))
+    rat = RationalFunction(Poly("x", [1, Fraction(1, 2)]), Poly("x", [-1, 1]))
+    assert cyc == rat and len({cyc, rat}) == 1
+    eps = primitive_root(3)
+    assert len({eps, eps * one, eps + 1}) == 2
