@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .poly import Poly, RationalFunction
 from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
-from .scalars import Cyclotomic, format_rational, parse_rational, primitive_root
+from .scalars import format_rational, parse_rational, primitive_root
 from .weyl import DFORM, DiffOp
 
 
@@ -178,7 +178,9 @@ def wave_jet_at(bi: BesselIndex, lam, branch: int, jet_order: int,
 
     The homogeneity of the eigenfunction turns z-jets into jets of the
     one-variable profile; substituting w = (eps^branch lam) x then yields
-    exact series with coefficients in Q(eps).
+    exact series.  On branch 0 the rate is the rational lam and so is every
+    coefficient; other branches live in Q(eps), and their jets are the
+    branch-0 jets taken at eps^branch x.
     """
     lam = Fraction(lam)
     if lam == 0:
@@ -200,8 +202,7 @@ def wave_jet_at(bi: BesselIndex, lam, branch: int, jet_order: int,
         lo, hi = lo + 1, hi + 1
         cur = {d: v for d, v in nxt.items() if lo <= d <= hi and v}
         jets_w.append(dict(cur))
-    eps = primitive_root(bi.N)
-    rate = eps ** branch * Cyclotomic.from_rational(bi.N, lam)
+    rate = lam if branch == 0 else primitive_root(bi.N) ** branch * lam
     series = []
     for k, jw in enumerate(jets_w):
         coeffs = {d: rate ** d * v for d, v in jw.items()}

@@ -6,6 +6,21 @@ orbits of nonzero points.  From it we build the unique monic annihilating
 factor P by an escalating polynomial ansatz, recover the complement Q by
 exact left division, and certify the pair by structural identities; series
 solving may propose, but only division-certified operators are returned.
+
+Orbit conditions are imposed, and certified, on branch 0 only, over Q.
+The wave function depends on w = xz alone and D_z = z d/dz commutes with
+dilation, so the jet of a condition at z = eps^j lam is the branch-0 jet
+(at z = lam) taken at eps^j x.  An operator of the cleared shape
+P = x^{-n} sum_k p_k(x^N) D^k, D = x d/dx, satisfies
+P[f(eps^j .)] = eps^{jn} (P f)(eps^j .), so the degree-d coefficient of
+P's image of the branch-j jet is eps^{j(d+n)} times that of the branch-0
+image: branch 0 implies every other branch, and the orbit-closed kernel
+follows from homogeneity.  The ansatz has that shape, and so does the
+minimal monic annihilator of a dilation-stable space (it is unique, hence
+fixed by dilation), so restricting to branch 0 loses no solution; certify
+checks the shape witness before the kernel witness, so a branch-0 kernel
+witness is a complete proof.  Q(eps) survives only in ``wave_jet_at`` for
+the other branches.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ from .errors import (CertificationError, InconsistentSpecError,
                      UnsupportedInputError, UsageError)
 from .poly import Poly, RationalFunction
 from .quasi import QuasiPolynomial
-from .scalars import euler_phi, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 from .weyl import DEL, DFORM, DiffOp, common_denominator, poly_at_operator
 
 
@@ -60,7 +75,11 @@ class AtZeroGroup:
 
 @dataclass(frozen=True)
 class AtPointGroup:
-    """One orbit of jet conditions sum_k a_k D_z^k at eps^i lam, all branches."""
+    """Jet conditions sum_k a_k D_z^k on the whole orbit eps^i lam.
+
+    Imposed and certified at z = lam (branch 0) alone, which implies the
+    other branches; see the module docstring.
+    """
 
     lam: Fraction
     a: tuple
@@ -293,47 +312,36 @@ def _zero_condition_rows(elements, n, N, bound):
     return rows
 
 
-def _point_condition_rows(beta, group_data, n, N, bound, depth):
-    """Linear conditions from one orbit group, all branches, split over Q.
+def _point_condition_rows(jet, avec, n, N, bound):
+    """Rational linear conditions from one orbit group, on branch 0.
 
-    group_data is (lam, a, jets_by_branch); each coefficient equation over
-    Q(eps) contributes phi(N) rational rows.
+    ``jet`` is the branch-0 ``wave_jet_at`` of the group's point lam, so
+    every coefficient is rational and each degree of the image window gives
+    one row; ``slots`` counts those degrees.  On branch j the row of degree
+    deg over Q(eps) is eps^{j(deg+n)} times this row (module docstring), so
+    the other branches add nothing to the row space or to the nullspace.
     """
-    lam, avec, jets = group_data
-    phi = euler_phi(beta.N)
+    powers = [jet.combine(avec)]
+    for _ in range(n):
+        prev = powers[-1]
+        powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
+    images = {}
+    for k in range(n + 1):
+        for j in range(bound + 1):
+            images[k * (bound + 1) + j] = powers[k].xshift(j * N - n)
+    lo = max(img.box[0] for img in images.values())
+    hi = max(img.box[1] for img in images.values())
     ncols = (n + 1) * (bound + 1)
     rows = []
-    slots = 0
-    for jet in jets:
-        powers = [jet.combine(avec)]
-        for _ in range(n):
-            prev = powers[-1]
-            powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
-        images = {}
-        lo = None
-        hi = None
-        for k in range(n + 1):
-            for j in range(bound + 1):
-                img = powers[k].xshift(j * N - n)
-                images[(k, j)] = img
-                lo = img.box[0] if lo is None else max(lo, img.box[0])
-                hi = img.box[1] if hi is None else max(hi, img.box[1])
-        slots += phi * (hi - lo + 1)
-        for deg in range(lo, hi + 1):
-            cellrows = [[Fraction(0)] * ncols for _ in range(phi)]
-            hit = False
-            for (k, j), img in images.items():
-                c = img.coeffs.get(deg)
-                if c is None:
-                    continue
-                col = k * (bound + 1) + j
-                for t, coord in enumerate(c.coords):
-                    if coord:
-                        cellrows[t][col] += coord
-                        hit = True
-            if hit:
-                rows.extend(r for r in cellrows if any(r))
-    return rows, slots
+    for deg in range(lo, hi + 1):
+        row = [Fraction(0)] * ncols
+        for col, img in images.items():
+            c = img.coeffs.get(deg)
+            if c is not None:
+                row[col] = c
+        if any(row):
+            rows.append(row)
+    return rows, hi - lo + 1
 
 
 def _assemble(beta, n, N, solution, bound):
@@ -402,16 +410,14 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
             if val.point_groups:
                 K = max(depth or default_depth(d, N, n),
                         2 * ncols + 2 * n + 10)
-                jets_cache = {}
+                jets = {}
                 slots = 0
-                for lam, avec, drequired in val.point_groups:
+                for lam, avec, _d in val.point_groups:
                     key = (lam, len(avec) - 1)
-                    if key not in jets_cache:
-                        jets_cache[key] = tuple(
-                            wave_jet_at(beta, lam, br, len(avec) - 1, K)
-                            for br in range(N))
+                    if key not in jets:
+                        jets[key] = wave_jet_at(beta, lam, 0, len(avec) - 1, K)
                     new_rows, new_slots = _point_condition_rows(
-                        beta, (lam, avec, jets_cache[key]), n, N, bound, K)
+                        jets[key], avec, n, N, bound)
                     rows.extend(new_rows)
                     slots += new_slots
                 if slots < ncols + 5:
@@ -512,7 +518,14 @@ def _eigenvalue_pattern(f: Poly, g: Poly, N: int) -> Poly:
 
 def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             spec: KernelSpec = None, depth=None) -> DarbouxCertificate:
-    """Verify every exactness witness; raise a named failure otherwise."""
+    """Verify every exactness witness; raise a named failure otherwise.
+
+    The ``kernel`` witness checks orbit conditions on branch 0 only.  That
+    is a complete proof because the ``shape`` witness is checked first: it
+    puts P in the cleared form x^{-n} sum_k p_k(x^N) D^k, and such a P
+    annihilates the branch-j jet exactly when it annihilates the branch-0
+    jet (module docstring).
+    """
     witnesses = {}
     if g.is_zero or g.leading != 1:
         raise CertificationError("g is not monic")
@@ -551,12 +564,11 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
                 raise CertificationError(
                     f"kernel element {q} is not annihilated by P")
         for lam, avec, _d in val.point_groups:
-            for branch in range(beta.N):
-                jet = wave_jet_at(beta, lam, branch, len(avec) - 1, K)
-                if jet.combine(avec).apply(cleared).coeffs:
-                    raise CertificationError(
-                        f"orbit kernel element at {lam} (branch {branch}) "
-                        f"is not annihilated by P")
+            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, K)
+            if jet.combine(avec).apply(cleared).coeffs:
+                raise CertificationError(
+                    f"orbit kernel element at {lam} (branch 0) "
+                    f"is not annihilated by P")
         witnesses["kernel"] = True
     psi = bessel_wave(beta, K)
     image = psi.apply(P, "x")

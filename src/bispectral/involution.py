@@ -459,10 +459,15 @@ def bessel_plane_report(beta: BesselIndex, degree_bound: int,
     A degree-D candidate is a monic constant-coefficient D-polynomial p with
     x^{-D} p acting by z^D on the wave profile; candidates are solved from
     the truncated profile and accepted only when [x^{-D} p(D), L] = 0 holds
-    exactly.
+    exactly.  A depth below ``degree_bound`` leaves the top degrees
+    under-determined (see ``_profile_eigen_poly``) and raises UsageError.
     """
     if depth is None:
         depth = 4 * degree_bound + 16
+    elif depth < degree_bound:
+        raise UsageError(
+            f"depth {depth} cannot determine the degrees up to {degree_bound}; "
+            f"the least sound depth is {degree_bound}")
     profile = exp_wave(beta, depth)
     lbeta = bessel_op(beta)
     found = []
@@ -481,7 +486,10 @@ def _profile_eigen_poly(profile, deg):
     """Monic p with p(D + w) t(w) = w^deg t(w) on the window, if any.
 
     The conjugated action on the bare profile is u -> w u + D u per power;
-    after j steps the valid window is [lo + j, j].
+    after j steps the valid window is [lo + j, j].  Power j has top term
+    w^j with coefficient 1, so the rows of degrees 0..deg-1 form a unit
+    triangle and the system is determined exactly when they all lie in the
+    window [lo + deg, deg], that is when the depth -lo is at least deg.
     """
     lo, _hi = profile.box
     powers = [dict(profile.coeffs)]

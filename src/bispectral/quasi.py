@@ -450,7 +450,7 @@ class PointJet:
 
     lam: Fraction
     branch: int
-    rate: object          # eps^branch * lam, a Cyclotomic
+    rate: object          # eps^branch * lam: lam on branch 0, else a Cyclotomic
     series: tuple         # series[k] is the k-th jet, an ExpSeries in x
 
     @property

@@ -116,6 +116,11 @@ class Cyclotomic:
         return any(self.coords)
 
     def __eq__(self, other):
+        if (isinstance(other, Cyclotomic) and other.order != self.order
+                and (self.is_rational or other.is_rational)):
+            # a rational is the same number in every Q(eps_N)
+            return (self.is_rational and other.is_rational
+                    and self.coords[0] == other.coords[0])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -168,6 +168,19 @@ def test_rank_on_bare_plane(capsys):
     assert main(["rank"]) == 2
 
 
+def test_rank_below_the_least_depth_exits_two(capsys):
+    want = ("degrees up to 8: [2, 4, 6, 8]\n"
+            "generators: [2]; rank = 2; only multiples of N: True\n")
+    for depth in ("0", "7"):
+        assert main(["rank", "--beta", "2/3,1/3", "-K", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the least sound depth is 8" in captured.err
+    for extra in ([], ["-K", "8"]):
+        assert main(["rank", "--beta", "2/3,1/3"] + extra) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_examples_rank1(capsys):
     assert main(["examples", "rank1"]) == 0
     assert "exact match" in capsys.readouterr().out

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
-                        CertificationError, DarbouxCertificate, DiffOp,
-                        KernelSpec, Poly, RankDeficiencyError,
+                        CertificationError, Cyclotomic, DarbouxCertificate,
+                        DiffOp, KernelSpec, Poly, RankDeficiencyError,
                         RationalFunction, SpecInvalidError,
                         UnsupportedInputError, UsageError, banded_rows,
                         bessel_op, build_P_general, build_P_monomial,
                         build_certificate, certify, cleared_coefficients,
-                        compute_Q, kernel_matrix, monomial_kernel,
-                        validate_spec)
+                        compute_Q, euler_phi, kernel_matrix, linalg,
+                        monomial_kernel, poly_at_operator, validate_spec,
+                        wave_jet_at)
+from bispectral.darboux import (_assemble, _point_condition_rows,
+                                _zero_condition_rows, default_depth)
 
 F = Fraction
 
@@ -216,6 +219,94 @@ def test_order_three_orbit_kernels():
         jet = wave_jet_at(bi, F(1), branch, 1, 20)
         element = jet.series[0] + jet.series[1]
         assert not element.apply(cert2.P).coeffs
+
+
+def _all_branch_rows(beta, lam, avec, n, bound, depth):
+    """The orbit rows on every branch over Q(eps), split into phi(N)
+    rational rows per degree: the construction before branch 0 sufficed."""
+    N, phi = beta.N, euler_phi(beta.N)
+    ncols = (n + 1) * (bound + 1)
+    rows = []
+    for branch in range(N):
+        jet = wave_jet_at(beta, lam, branch, len(avec) - 1, depth)
+        powers = [jet.combine(avec)]
+        for _ in range(n):
+            prev = powers[-1]
+            powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
+        images = {k * (bound + 1) + j: powers[k].xshift(j * N - n)
+                  for k in range(n + 1) for j in range(bound + 1)}
+        lo = max(img.box[0] for img in images.values())
+        hi = max(img.box[1] for img in images.values())
+        for deg in range(lo, hi + 1):
+            split = [[F(0)] * ncols for _ in range(phi)]
+            for col, img in images.items():
+                c = img.coeffs.get(deg)
+                if c is not None:
+                    for t, coord in enumerate(Cyclotomic(N, (c,)).coords
+                                              if branch == 0 else c.coords):
+                        split[t][col] = coord
+            rows.extend(r for r in split if any(r))
+    return rows
+
+
+def _all_branch_build(spec):
+    """(P, Q) from the all-branch ansatz, escalating the bound one by one;
+    at every bound its nullspace must equal the branch-0 nullspace."""
+    val = validate_spec(spec)
+    beta, n, N = spec.beta, val.n, spec.beta.N
+    d = max(1, val.h.degree)
+    h_at_l = poly_at_operator(val.h, bessel_op(beta))
+    for bound in range(16 * n * d + 1):
+        ncols = (n + 1) * (bound + 1)
+        depth = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
+        zero = _zero_condition_rows(val.elements_at_zero, n, N, bound)
+        rows, rows0 = list(zero), list(zero)
+        for lam, avec, _d in val.point_groups:
+            rows += _all_branch_rows(beta, lam, avec, n, bound, depth)
+            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, depth)
+            rows0 += _point_condition_rows(jet, avec, n, N, bound)[0]
+        sols = linalg.nullspace(rows, ncols)
+        assert sols == linalg.nullspace(rows0, ncols), bound
+        for sol in sols:
+            op = _assemble(beta, n, N, sol, bound)
+            if op is None or op.order != n:
+                continue
+            quot, rem = h_at_l.left_divide(op)
+            if rem.is_zero:
+                return op.convert("del"), quot.convert("del")
+    raise AssertionError("the all-branch ansatz found no annihilator")
+
+
+def test_branch_zero_build_matches_all_branch_oracle():
+    rng = random.Random(60)
+
+    def value():
+        return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+
+    # (weights, with an at-zero group, jet orders of the orbits)
+    shapes = [("2/3,1/3", False, [1]), ("2/3,1/3", False, [2]),
+              ("0,1,2", False, [1]), ("0,1,2", False, [0, 0]),
+              ("1/3,2/3,2", True, [0]), ("0,1,2,3", False, [1]),
+              ("1/2,1,3/2,3", True, [0])]
+    for weights, at_zero, orders in shapes:
+        beta = BesselIndex.parse(weights)
+        lams = []
+        while len(lams) < len(orders):
+            lam = value()
+            if all(lam ** beta.N != m ** beta.N for m in lams):
+                lams.append(lam)
+        points = tuple(
+            AtPointGroup(lam, tuple(value() for _ in range(k)) + (F(1),))
+            for lam, k in zip(lams, orders))
+        zero = (AtZeroGroup(0, ((F(1),),)),) if at_zero else ()
+        spec = KernelSpec(beta, zero, points)
+        cert = build_certificate(spec)
+        assert (cert.P, cert.Q) == _all_branch_build(spec), spec.to_json()
+        # the all-branch kernel witness holds for the branch-0 certificate
+        for group in points:
+            for branch in range(beta.N):
+                jet = wave_jet_at(beta, group.lam, branch, group.k0, 24)
+                assert not jet.combine(group.a).apply(cert.P).coeffs
 
 
 def test_empty_spec_rejected():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from bispectral import (AtPointGroup, BesselIndex, CertificationError, DiffOp,
-                        KernelSpec, Poly, RationalFunction, VerificationError,
-                        bessel_op, bessel_plane_report, beta_prime,
-                        build_certificate,
+                        KernelSpec, Poly, RationalFunction, UsageError,
+                        VerificationError, bessel_op, bessel_plane_report,
+                        beta_prime, build_certificate,
                         closed_form_monomial, involute_P, involute_Q,
                         kernel_matrix, make_pair, monomial_kernel,
                         spectral_algebra, verify_pair)
@@ -214,6 +214,15 @@ def test_plane_reports():
     assert rep.generic_to_bound and rep.rank == 2
     rep2 = bessel_plane_report(BesselIndex.parse("0,1"), 4)
     assert 1 in rep2.degrees and not rep2.generic_to_bound
+
+
+def test_plane_report_least_depth_is_the_degree_bound():
+    for weights, bound in (("2/3,1/3", 8), ("0,1", 4), ("0,1,2", 6)):
+        beta = BesselIndex.parse(weights)
+        default = bessel_plane_report(beta, bound)
+        assert bessel_plane_report(beta, bound, depth=bound) == default
+        with pytest.raises(UsageError, match=f"least sound depth is {bound}"):
+            bessel_plane_report(beta, bound, depth=bound - 1)
 
 
 def brute_force_beta_primes(bi, gammas, rows):

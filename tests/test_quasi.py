@@ -237,6 +237,23 @@ def test_branch_rates_are_orbit_points():
         assert jet.rate == eps ** br * 2
 
 
+def test_branch_jets_are_dilated_branch_zero_jets():
+    for weights, lam in (("2/3,1/3", Fraction(-3, 2)), ("0,1,2", Fraction(2)),
+                         ("1/2,1,3/2,3", Fraction(1, 3))):
+        bi = BesselIndex.parse(weights)
+        eps = primitive_root(bi.N)
+        base = wave_jet_at(bi, lam, 0, 2, 6)
+        assert type(base.rate) is Fraction and base.rate == lam
+        assert all(type(c) is Fraction
+                   for s in base.series for c in s.coeffs.values())
+        for br in range(1, bi.N):
+            jet = wave_jet_at(bi, lam, br, 2, 6)
+            for s, s0 in zip(jet.series, base.series):
+                assert s.box == s0.box
+                assert s.coeffs == {d: eps ** (br * d) * c
+                                    for d, c in s0.coeffs.items()}
+
+
 def test_wave_series_json_round_trip():
     psi = bessel_wave(BesselIndex.parse("2/3,1/3"), 5)
     assert WaveSeries.from_json(psi.to_json()) == psi

@@ -78,6 +78,19 @@ def test_mixed_orders_rejected():
         primitive_root(3) + primitive_root(4)
 
 
+def test_rational_elements_of_different_orders_compare_as_rationals():
+    assert Cyclotomic.one(3) == Cyclotomic.one(4)
+    assert Cyclotomic.from_rational(3, Fraction(1, 2)) != Cyclotomic.one(4)
+    assert primitive_root(3) != Cyclotomic.one(4)
+    assert Cyclotomic.one(4) != primitive_root(3)
+    assert len({Cyclotomic.one(3), Cyclotomic.one(4)}) == 1
+    assert len({Cyclotomic.one(3), Cyclotomic.one(4), primitive_root(4)}) == 2
+    with pytest.raises(UsageError):
+        Cyclotomic.one(3) + Cyclotomic.one(4)
+    with pytest.raises(UsageError):
+        Cyclotomic.one(3) * Cyclotomic.one(4)
+
+
 def test_rational_parse_print_round_trip():
     rng = random.Random(7)
     for _ in range(200):
