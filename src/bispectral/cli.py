@@ -33,14 +33,24 @@ EXIT_INVALID = 2
 EXIT_CERTIFICATION = 3
 EXIT_VERIFICATION = 4
 
+# upper caps on the size arguments, which keep one run to about a minute
+MAX_DEPTH = 256          # -K/--depth and --verify
+MAX_DEGREE_BOUND = 32    # --degree-bound
 
-def non_negative(text):
+
+def non_negative(limit=None):
     """argparse type of the size arguments (-K, --verify, --degree-bound,
-    --d): an integer that is at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    --d): an integer that is at least 0 and, given a limit, at most it."""
+    def size(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be at least 0, got {value}")
+        if limit is not None and value > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit}, got {value}")
+        return value
+    return size
 
 
 def _emit(document, out):
@@ -124,6 +134,8 @@ def cmd_rank(args):
         beta = BesselIndex.parse(args.beta)
         rep = bessel_plane_report(beta, args.degree_bound, depth=args.depth)
     elif args.certificate is not None:
+        if args.depth is not None:
+            raise UsageError("-K/--depth applies only to rank --beta")
         data = jsonio.read(args.certificate)
         if data.get("kind") != "darboux-certificate":
             raise UsageError("rank expects a certificate document")
@@ -300,20 +312,22 @@ def build_parser():
 
     p = sub.add_parser("bessel", help="print the base operator and wave data")
     p.add_argument("--beta", required=True, help="comma-separated weights")
-    p.add_argument("-K", "--depth", type=non_negative, default=4)
+    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH), default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bessel)
 
     p = sub.add_parser("build", help="kernel spec -> certified factorization")
     p.add_argument("spec", nargs="+", help="kernel spec JSON files")
-    p.add_argument("-K", "--depth", type=non_negative, default=None)
+    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
+                   default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("pair", help="certificate -> bispectral pair")
     p.add_argument("certificate")
-    p.add_argument("--verify", type=non_negative, default=None, metavar="K")
+    p.add_argument("--verify", type=non_negative(MAX_DEPTH), default=None,
+                   metavar="K")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)
 
@@ -326,8 +340,10 @@ def build_parser():
     p.add_argument("certificate", nargs="?", default=None)
     p.add_argument("--beta", default=None,
                    help="report for a bare plane instead of a certificate")
-    p.add_argument("--degree-bound", type=non_negative, default=8)
-    p.add_argument("-K", "--depth", type=non_negative, default=None)
+    p.add_argument("--degree-bound", type=non_negative(MAX_DEGREE_BOUND),
+                   default=8)
+    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
+                   default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
@@ -342,14 +358,15 @@ def build_parser():
     p.add_argument("--a", default="1")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--beta", default=None)
-    p.add_argument("--d", type=non_negative, default=2)
+    p.add_argument("--d", type=non_negative(), default=2)
     p.add_argument("--t", default="1,2,1,-1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("verify", help="re-check a pair document")
     p.add_argument("pair")
-    p.add_argument("-K", "--depth", type=non_negative, default=None)
+    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
+                   default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -12,6 +12,43 @@ then reduced to minimal representatives by peeling base-operator factors
 and normalizing the spectral polynomials monic.  Everything is exact; the
 pair is re-certified on the involuted side and optionally checked against
 truncated series identities.
+
+The spectral algebra of P is the set of u in Q[y] with u(L) ker P inside
+ker P, the condition space description A_C = {f : f C in C} of Wilson
+(1993) and Bakalov-Horozov-Yakimov (1997).  It is read off the spec's own
+conditions, with no operator product or division:
+
+* ker P is exactly the span of the conditions: there are n independent
+  ones (``validate_spec``), each is annihilated by P (the ``kernel``
+  witness), and ord P = n (the ``counts`` and ``shape`` witnesses).
+* The conditions split by support.  The quasi-polynomials x^g (ln x)^j at
+  0 and the jets D_z^i psi(x, eps^j lam) are linearly independent: they
+  lie in generalized eigenspaces of L of distinct eigenvalues (0, and
+  lam^N per orbit); at 0 the exponents and log powers differ; on one
+  orbit the branches grow at distinct exponential rates eps^j lam; and on
+  one point the jets of orders i form a Jordan chain of L, because
+  (L - lam^N) D_z^i psi|lam is i N lam^N D_z^{i-1} psi|lam plus lower
+  orders.  So a combination lies in ker P exactly when its part on each
+  support lies in the span of the conditions with that support.
+* u(L) keeps each support.  At 0 it maps quasi-polynomials to
+  quasi-polynomials, and ``QuasiPolynomial.apply`` computes L^s q exactly,
+  logs included.  On a point, L psi = z^N psi and D_z = z d/dz is a
+  derivation, so with U(z) = u(z^N) = sum_s v_s z^{Ns}
+
+      u(L) sum_k a_k D_z^k psi|lam = sum_i w_i D_z^i psi|lam,
+      w_i = sum_{k>=i} a_k C(k,i) (D_z^{k-i} U)(lam),
+      (D_z^m U)(lam) = sum_s v_s (N s)^m lam^{N s}.
+
+* Branch 0 is enough.  L is homogeneous of degree -N and eps^N = 1, so
+  u(L) commutes with the dilation x -> eps x, which carries the branch-0
+  conditions of an orbit onto those of every other branch (the argument
+  of the ``darboux`` module docstring).
+
+So a monic u of degree t preserves ker P exactly when one choice of its
+lower coefficients v_0..v_{t-1} puts every condition's image into the
+span of the conditions on its support: one linear system over Q.  The
+result depends only on the spec, so it trusts the certificate to come
+from ``build_certificate``, ``certify`` or ``jsonio.load_certificate``.
 """
 
 from __future__ import annotations
@@ -363,92 +400,62 @@ def _report(degrees, bound, N):
 
 def spectral_algebra(cert: DarbouxCertificate, degree_bound: int) -> SpectralAlgebraReport:
     """Degrees t <= bound for which some monic u in Q[z^N] of degree t maps
-    the kernel of P into itself; exact, by division certificates (or by
-    finite lattice algebra for log-free monomial kernels, cross-checked)."""
-    beta = cert.beta
-    if cert.spec is not None and cert.spec.is_monomial and cert.spec.is_log_free:
-        found = _lattice_degrees(cert, degree_bound)
-    else:
-        found = _division_degrees(cert, degree_bound)
-    return _report(found, degree_bound, beta.N)
+    the kernel of P into itself; exact, read off the kernel conditions of
+    the certificate's spec (module docstring)."""
+    return _report(_condition_degrees(cert, degree_bound), degree_bound,
+                   cert.beta.N)
 
 
-def _division_degrees(cert: DarbouxCertificate, degree_bound: int):
-    """u(L) ker P inside ker P iff P u(L) is left-divisible by P."""
-    beta = cert.beta
-    lbeta = bessel_op(beta, cert.P.var)
-    P = cert.P
-    remainders = []
-    power = DiffOp.identity(cert.P.var, DEL)
+def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
+    """Degrees tN, t = 1..bound // N, of monic u(y) with u(L) ker P in ker P.
+
+    Each condition contributes its images, the coordinates of L^s c on its
+    support for s = 0..bound // N, and its span, the coordinates of the
+    conditions on that support.  Degree t is found when one choice of
+    v_0..v_{t-1} puts images[t] + sum_{s<t} v_s images[s] into every span.
+    """
+    if cert.spec is None:
+        raise UsageError("the certificate has no 'spec'; the spectral algebra "
+                         "is read off its kernel conditions")
+    N = cert.beta.N
+    top = degree_bound // N
+    elements = validate_spec(cert.spec).elements_at_zero
+    lbeta = bessel_op(cert.beta)
+    conditions = []
+    for q in elements:
+        images = [q]
+        for _ in range(top):
+            images.append(images[-1].apply(lbeta))
+        conditions.append(([img.terms for img in images],
+                           [e.terms for e in elements]))
+    by_lam = {}
+    for group in cert.spec.at_points:
+        by_lam.setdefault(group.lam, []).append(group.a)
+    for lam, vectors in by_lam.items():
+        # a missing key of a shorter vector is its zero padding
+        span = [dict(enumerate(a)) for a in vectors]
+        for a in vectors:
+            images = [{i: lam ** (N * s) * sum(a[k] * math.comb(k, i)
+                                               * (N * s) ** (k - i)
+                                               for k in range(i, len(a)))
+                       for i in range(len(a))} for s in range(top + 1)]
+            conditions.append((images, span))
     found = []
-    for t in range(0, degree_bound // beta.N + 1):
-        if t:
-            power = power * lbeta
-        remainders.append((P * power).left_divide(P)[1])
-        if t == 0:
-            continue
-        if _remainder_combination_exists(remainders[:t], remainders[t]):
-            found.append(t * beta.N)
-    return found
-
-
-def _remainder_combination_exists(lower, top):
-    """Is -top a rational combination of the lower remainders?"""
-    cols = len(lower)
-    ops = [op.convert(DEL) for op in lower + [top]]
-    # one common denominator for every coefficient of every operator
-    wall = RationalFunction(
-        Poly.lcm(ops[0].var, (c.den for a in ops for c in a.coeffs)))
-    rows = {}
-    for idx, a in enumerate(ops):
-        for k, c in enumerate(a.coeffs):
-            for deg, v in enumerate((c * wall).as_poly().coeffs):
-                if v:
-                    rows.setdefault((k, deg), [Fraction(0)] * (cols + 1))
-                    rows[(k, deg)][idx] = v
-    if not rows:
-        return True
-    matrix = []
-    rhs = []
-    for key in sorted(rows):
-        matrix.append(rows[key][:cols])
-        rhs.append(-rows[key][cols])
-    return linalg.solve(matrix, rhs) is not None
-
-
-def _lattice_degrees(cert: DarbouxCertificate, degree_bound: int):
-    """Finite linear algebra on the exponent lattice of a monomial kernel."""
-    beta = cert.beta
-    val = validate_spec(cert.spec)
-    elements = list(val.elements_at_zero)
-    n = len(elements)
-    lbeta = bessel_op(beta)
-    found = []
-    for t in range(1, degree_bound // beta.N + 1):
-        # images of each element under L^i, i = 0..t
-        images = []
-        for q in elements:
-            row = [q]
-            for _ in range(t):
-                row.append(row[-1].apply(lbeta))
-            images.append(row)
-        keys = sorted({key for row in images for img in row
-                       for key, _ in img.items()})
-        kidx = {key: i for i, key in enumerate(keys)}
-        ncols = (t) + n * n   # unknown v_0..v_{t-1} plus combination coeffs
-        matrix = []
-        rhs = []
-        for e in range(n):
-            for key in keys:
-                row = [Fraction(0)] * ncols
-                for i in range(t):
-                    row[i] = images[e][i].terms.get(key, Fraction(0))
-                for l in range(n):
-                    row[t + e * n + l] = -elements[l].terms.get(key, Fraction(0))
-                matrix.append(row)
-                rhs.append(-images[e][t].terms.get(key, Fraction(0)))
-        if linalg.solve(matrix, rhs) is not None:
-            found.append(t * beta.N)
+    for t in range(1, top + 1):
+        ncols = t + sum(len(span) for _, span in conditions)
+        rows, rhs = [], []
+        col = t
+        for images, span in conditions:
+            for key in sorted(set().union(*images[:t + 1], *span)):
+                row = [images[s].get(key, 0) for s in range(t)]
+                row += [Fraction(0)] * (ncols - t)
+                for l, vec in enumerate(span):
+                    row[col + l] = -vec.get(key, 0)
+                rows.append(row)
+                rhs.append(-images[t].get(key, 0))
+            col += len(span)
+        if linalg.solve(rows, rhs) is not None:
+            found.append(t * N)
     return found
 
 

@@ -248,3 +248,54 @@ def test_negative_sizes_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least 0, got -" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["bessel", "--beta", "2/3,1/3", "-K", "257"], cli.MAX_DEPTH),
+    (["build", "spec.json", "-K", "257"], cli.MAX_DEPTH),
+    (["pair", "cert.json", "--verify", "1000"], cli.MAX_DEPTH),
+    (["verify", "pair.json", "-K", "257"], cli.MAX_DEPTH),
+    (["rank", "--beta", "2/3,1/3", "-K", "300"], cli.MAX_DEPTH),
+    (["rank", "--beta", "2/3,1/3", "--degree-bound", "33"],
+     cli.MAX_DEGREE_BOUND),
+    (["rank", "cert.json", "--degree-bound", "64"], cli.MAX_DEGREE_BOUND),
+], ids=lambda v: " ".join(v[:1] + v[-2:-1]) if isinstance(v, list) else "")
+def test_sizes_above_the_caps_are_usage_errors(argv, limit, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"must be at most {limit}, got {argv[-1]}" in \
+        capsys.readouterr().err
+
+
+def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
+    assert (cli.MAX_DEPTH, cli.MAX_DEGREE_BOUND) == (256, 32)
+    assert main(["bessel", "--beta", "0", "-K", str(cli.MAX_DEPTH)]) == 0
+    spec = write(tmp_path, "spec.json", RANK1_SPEC)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["build", spec, "--out", cert_path]) == 0
+    capsys.readouterr()
+    assert main(["rank", cert_path, "--degree-bound",
+                 str(cli.MAX_DEGREE_BOUND)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "degrees up to 32: [2, 3, 4, 5, ")
+
+
+def test_rank_on_a_certificate_rejects_depth_and_a_missing_spec(tmp_path,
+                                                                 capsys):
+    spec = write(tmp_path, "spec.json", RANK1_SPEC)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["build", spec, "--out", cert_path]) == 0
+    assert main(["rank", cert_path, "-K", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-K/--depth applies only to rank --beta" in captured.err
+    cert = json.loads(Path(cert_path).read_text())
+    del cert["spec"]
+    bare = write(tmp_path, "bare.json", cert)
+    assert main(["pair", bare]) == 0      # certifies without a spec
+    capsys.readouterr()
+    assert main(["rank", bare]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no 'spec'" in captured.err

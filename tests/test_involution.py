@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import (AtPointGroup, BesselIndex, CertificationError, DiffOp,
+from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
+                        BispectralError, CertificationError, DiffOp,
                         KernelSpec, Poly, RationalFunction, UsageError,
-                        VerificationError, bessel_op, bessel_plane_report,
-                        beta_prime, build_certificate,
+                        VerificationError, banded_rows, bessel_op,
+                        bessel_plane_report, beta_prime, build_certificate,
                         closed_form_monomial, involute_P, involute_Q,
-                        kernel_matrix, make_pair, monomial_kernel,
-                        spectral_algebra, verify_pair)
-from bispectral.involution import _division_degrees, _lattice_degrees
+                        kernel_matrix, linalg, make_pair, monomial_kernel,
+                        spectral_algebra, validate_spec, verify_pair)
+from bispectral.involution import _condition_degrees
+from bispectral.weyl import DEL
 
 F = Fraction
 
@@ -133,10 +135,10 @@ def test_order2_pair_matches_swap():
     assert pair.h == Poly("y", [1, -2, 1])
 
 
-def rand_monomial_data(rng, nmax=3):
+def rand_monomial_data(rng, nmax=3, dmax=2):
     while True:
         n_weights = rng.randint(1, 3)
-        d = rng.randint(1, 2)
+        d = rng.randint(1, dmax)
         entries = [F(rng.randint(-5, 5), rng.choice([1, 2, 3, 5]))
                    for _ in range(n_weights - 1)]
         entries.append(F(n_weights * (n_weights - 1), 2) - sum(entries))
@@ -185,13 +187,172 @@ def test_closed_form_equals_pipeline_randomized():
         assert cf["f_b"] == pair.f_b and cf["g_b"] == pair.g_b
 
 
+# ---------------------------------------------------------------------------
+# the division route, kept here as the independent oracle of the library's
+# condition route: u(L) ker P inside ker P iff P u(L) is left-divisible by P
+# ---------------------------------------------------------------------------
+
+
+def _division_degrees(cert, degree_bound):
+    """u(L) ker P inside ker P iff P u(L) is left-divisible by P."""
+    beta = cert.beta
+    lbeta = bessel_op(beta, cert.P.var)
+    P = cert.P
+    remainders = []
+    power = DiffOp.identity(cert.P.var, DEL)
+    found = []
+    for t in range(0, degree_bound // beta.N + 1):
+        if t:
+            power = power * lbeta
+        remainders.append((P * power).left_divide(P)[1])
+        if t == 0:
+            continue
+        if _remainder_combination_exists(remainders[:t], remainders[t]):
+            found.append(t * beta.N)
+    return found
+
+
+def _remainder_combination_exists(lower, top):
+    """Is -top a rational combination of the lower remainders?"""
+    cols = len(lower)
+    ops = [op.convert(DEL) for op in lower + [top]]
+    # one common denominator for every coefficient of every operator
+    wall = RationalFunction(
+        Poly.lcm(ops[0].var, (c.den for a in ops for c in a.coeffs)))
+    rows = {}
+    for idx, a in enumerate(ops):
+        for k, c in enumerate(a.coeffs):
+            for deg, v in enumerate((c * wall).as_poly().coeffs):
+                if v:
+                    rows.setdefault((k, deg), [Fraction(0)] * (cols + 1))
+                    rows[(k, deg)][idx] = v
+    if not rows:
+        return True
+    matrix = []
+    rhs = []
+    for key in sorted(rows):
+        matrix.append(rows[key][:cols])
+        rhs.append(-rows[key][cols])
+    return linalg.solve(matrix, rhs) is not None
+
+
+def assert_routes_agree(spec, bound):
+    cert = build_certificate(spec)
+    degrees = _condition_degrees(cert, bound)
+    assert degrees == _division_degrees(cert, bound), (spec.to_json(), bound)
+    return degrees
+
+
+def rand_value(rng):
+    return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+
+
+def rand_log_spec(rng):
+    """A seed using a log power at an exponent of multiplicity 2 or 3."""
+    while True:
+        beta = BesselIndex.parse(rng.choice(["1/2,1/2", "-1/2,3/2", "0,0,3"]))
+        base = rng.randrange(beta.N)
+        b = []
+        for k in range(rng.randint(1, 2)):
+            mult = beta.multiplicity(beta.beta[base] + k * beta.N)
+            b.append(tuple(F(rng.randint(-2, 2)) if rng.random() < 0.7
+                           else F(0) for _ in range(mult)))
+        groups = [AtZeroGroup(base, tuple(b))] if any(map(any, b)) else []
+        if rng.random() < 0.4:
+            groups.append(AtZeroGroup(rng.randrange(beta.N), ((F(1),),)))
+        try:
+            spec = KernelSpec(beta, tuple(groups), ())
+            validate_spec(spec)
+        except BispectralError:
+            continue
+        if any(g.j0 for g in spec.at_zero):
+            return spec
+
+
+def rand_point_spec(rng, weights, orders, same_point=False, at_zero=False):
+    """Orbit groups of the given jet orders, at one point or on distinct
+    orbits, optionally with a condition at 0."""
+    beta = BesselIndex.parse(weights)
+    lams = []
+    while len(lams) < (1 if same_point else len(orders)):
+        lam = rand_value(rng)
+        if all(lam ** beta.N != m ** beta.N for m in lams):
+            lams.append(lam)
+    if same_point:
+        lams = lams * len(orders)
+    points = tuple(
+        AtPointGroup(lam, tuple(rand_value(rng) for _ in range(k)) + (F(1),))
+        for lam, k in zip(lams, orders))
+    zero = (AtZeroGroup(0, ((F(1),),)),) if at_zero else ()
+    return KernelSpec(beta, zero, points)
+
+
 def test_spectral_routes_agree_on_monomial_kernels():
     rng = random.Random(62)
     for _ in range(4):
         bi, d, gammas, rows, spec = rand_monomial_data(rng, nmax=2)
-        cert = build_certificate(spec)
-        bound = 3 * bi.N
-        assert _lattice_degrees(cert, bound) == _division_degrees(cert, bound)
+        assert_routes_agree(spec, 3 * bi.N)
+    rng = random.Random(65)
+    for _ in range(4):
+        bi, d, gammas, rows, spec = rand_monomial_data(rng, nmax=2, dmax=1)
+        assert_routes_agree(spec, 2 * bi.N + 2)
+    for _ in range(5):
+        spec = rand_log_spec(rng)
+        assert_routes_agree(spec, 2 * spec.beta.N + 2)
+
+
+def test_spectral_routes_agree_on_point_and_mixed_kernels():
+    rng = random.Random(66)
+    # (weights, jet orders, all groups at one point, a condition at 0)
+    shapes = [("2/3,1/3", [0], False, False), ("2/3,1/3", [1], False, False),
+              ("2/3,1/3", [2], False, False), ("0", [2], False, False),
+              ("0,1,2", [1], False, False), ("2/3,1/3", [0, 1], True, False),
+              ("0", [0, 2], True, False), ("2/3,1/3", [0, 0], False, False),
+              ("0", [1, 2], True, False), ("0", [1, 1], False, False),
+              ("1/3,2/3,2", [0], False, True), ("2/3,1/3", [1], False, True)]
+    found = set()
+    for weights, orders, same_point, at_zero in shapes:
+        spec = rand_point_spec(rng, weights, orders, same_point, at_zero)
+        degrees = assert_routes_agree(spec, 2 * spec.beta.N + 2)
+        found.add(tuple(degrees))
+    # the family is not degenerate: some degrees are missed
+    assert len(found) > 2
+    # two groups at one point, N = 1.  a = (1 + c/3, 1) and b = (0, 0, c, 1)
+    # span a space that u(L) keeps for u = y^2 - 2y + v_0, through the
+    # binomial weights alone; for (-3, 1) and (1/2, -3, 1) only the zero
+    # padding of the shorter vector rules out degree 2
+    for a, b, degrees in (((2, 1), (0, 0, 3, 1), [2, 4]),
+                          ((F(5, 3), 1), (0, 0, 2, 1), [2, 4]),
+                          ((-3, 1), (F(1, 2), -3, 1), [3, 4])):
+        spec = KernelSpec(BesselIndex.parse("0"), (),
+                          (AtPointGroup(F(2), a), AtPointGroup(F(2), b)))
+        assert assert_routes_agree(spec, 4) == degrees
+
+
+def test_spectral_routes_agree_on_golden_and_demo_specs():
+    half = BesselIndex.parse("1/2,1/2")
+    dg = BesselIndex.parse("5/2,-3/2")
+    t = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], map(F, (1, 2, 1, -1))))
+    gammas = dg.power(2)
+    banded = [[(gammas[i], c) for i, c in enumerate(row) if c]
+              for row in banded_rows(dg, 2, t)]
+    cases = [
+        (monomial_kernel(BesselIndex.parse("0"), [[(F(1), F(1))]]), 4),
+        (KernelSpec(BesselIndex(2, (F(2, 3), F(1, 3))), (),
+                    (AtPointGroup(F(1), (F(1), F(1))),)), 6),
+        (monomial_kernel(dg, banded), 4),
+        (KernelSpec(half, (AtZeroGroup(0, ((F(0), F(1)),)),), ()), 6),
+        (monomial_kernel(half, [[(F(1, 2), F(1))]]), 6),
+    ]
+    want = [[2, 3, 4], [4, 6], [2, 4], [2, 4, 6], [2, 4, 6]]
+    assert [assert_routes_agree(spec, bound) for spec, bound in cases] == want
+
+
+def test_spectral_algebra_needs_a_spec():
+    import dataclasses
+    cert = dataclasses.replace(rank1_cert(), spec=None)
+    with pytest.raises(UsageError, match="no 'spec'"):
+        spectral_algebra(cert, 4)
 
 
 def test_rank1_algebra_report():
