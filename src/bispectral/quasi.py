@@ -13,8 +13,15 @@
 Operators act on WaveSeries/ExpSeries after peeling the exponential
 prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  Laurent
 coefficients num / x^m act by shifts.  Coefficients with poles away from
-0 are handled by exact expansion of 1/den at infinity, which terminates
-because degrees are bounded above.
+0 are handled by division by recurrence from the window top: true
+coefficients vanish above the window, so den * out = in has exactly one
+solution without terms above it, and each row costs O(width * deg den).
+
+An operator's image is a sum of pieces (one per shifted term or divided
+numerator), streamed into one coefficient dict.  Its box is the fold of
+max over the piece boxes, component by component, as the pairwise + builds
+it: a coefficient inside the final box lies inside every partial box, so
+the one-pass sum keeps exactly what the pairwise sums keep.
 """
 
 from __future__ import annotations
@@ -107,14 +114,15 @@ class QuasiPolynomial:
         """Exact image under a differential operator with Laurent coefficients."""
         d = op.convert("D")
         laurent = [c.laurent_terms() for c in d.coeffs]
-        image = QuasiPolynomial()
+        image = {}
         power = self
         for k, terms in enumerate(laurent):
             if k:
                 power = power.apply_theta()
             for m, c in terms:
-                image = image + power.xshift(m).scale(c)
-        return image
+                _add_into(image, (((g + m, j), c * v)
+                                  for (g, j), v in power.terms.items()))
+        return QuasiPolynomial(image)
 
     def to_json(self):
         return [[format_rational(g), j, format_rational(c)]
@@ -144,17 +152,48 @@ class QuasiPolynomial:
     __str__ = to_str
 
 
-def _inverse_expansion(den: Poly, count: int):
-    """First `count` coefficients u_s of 1/den = sum_s u_s x^{-deg(den)-s}."""
+def _add_into(out, items):
+    """out += items.  A sum that cancels stays in ``out``; adding to an
+    exact zero gives the same value the pairwise + gets by dropping it."""
+    for k, c in items:
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+
+
+def _accumulate(pieces):
+    """One-pass sum of (box, items) pieces: the dict and the max-folded box."""
+    out, box = {}, None
+    for piece_box, items in pieces:
+        box = piece_box if box is None else tuple(map(max, box, piece_box))
+        _add_into(out, items)
+    return out, box
+
+
+def _divide_row(row, den: Poly):
+    """Solve den * out = row from the window top down.
+
+    row[k] is the coefficient of x^(lo+k) on a window [lo, hi] above which
+    the true coefficients vanish; out[k] is that of x^(lo-d+k), d = deg den.
+    The coefficient of x^(i+d) in den * out gives
+    out_i = (in_{i+d} - sum_{t<d} den_t out_{i+d-t}) / lead, with out_j = 0
+    above hi - d.  Absent entries are 0.
+    """
     d = den.degree
-    lead = den.leading
-    out = []
-    for s in range(count):
-        acc = Fraction(1) if s == 0 else Fraction(0)
-        for t in range(s):
-            # coefficient of x^{d-(s-t)} in den, times u_t
-            acc -= den.coeff(d - (s - t)) * out[t]
-        out.append(acc / lead)
+    taps = [(d - t, c) for t, c in reversed(list(enumerate(den.coeffs[:d])))
+            if c]
+    inv = 1 / den.leading
+    w = len(row)
+    out = [0] * w
+    for k in range(w - 1, -1, -1):
+        acc = row[k]
+        for s, c in taps:
+            if k + s >= w:
+                break
+            u = out[k + s]
+            if u:
+                acc = acc - c * u
+        if acc:
+            out[k] = acc * inv
     return out
 
 
@@ -211,52 +250,41 @@ class WaveSeries:
                            for (i, j), v in self.coeffs.items()},
                           (xlo + dx, xhi + dx, zlo + dz, zhi + dz))
 
-    def raw_dx(self):
-        """d/dx of the bare series (prefactor not included)."""
+    def _shifted(self, terms, axis):
+        """The pieces c * x^m * self (axis 0) or c * z^m * self (axis 1)."""
         xlo, xhi, zlo, zhi = self.box
-        return WaveSeries({(i - 1, j): i * v
-                           for (i, j), v in self.coeffs.items() if i},
-                          (xlo - 1, xhi - 1, zlo, zhi))
-
-    def raw_dz(self):
-        xlo, xhi, zlo, zhi = self.box
-        return WaveSeries({(i, j - 1): j * v
-                           for (i, j), v in self.coeffs.items() if j},
-                          (xlo, xhi, zlo - 1, zhi - 1))
+        items = self.coeffs.items()
+        for m, c in terms:
+            if axis == 0:
+                yield ((xlo + m, xhi + m, zlo, zhi),
+                       (((i + m, j), c * v) for (i, j), v in items))
+            else:
+                yield ((xlo, xhi, zlo + m, zhi + m),
+                       (((i, j + m), c * v) for (i, j), v in items))
 
     def _mul_terms(self, terms, axis):
         if not terms:
             raise UsageError("multiplication by the zero function")
-        out = None
-        for m, c in terms:
-            piece = self.shift(m, 0, c) if axis == 0 else self.shift(0, m, c)
-            out = piece if out is None else out + piece
-        return out
+        return WaveSeries(*_accumulate(self._shifted(terms, axis)))
 
     def _mul_inverse_poly(self, den: Poly, axis):
         """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1)."""
         d = den.degree
         xlo, xhi, zlo, zhi = self.box
-        if axis == 0:
-            lo, hi, olo, ohi = xlo, xhi, zlo, zhi
-        else:
-            lo, hi, olo, ohi = zlo, zhi, xlo, xhi
-        inv = _inverse_expansion(den, hi - lo + 1)
+        lo, hi = (xlo, xhi) if axis == 0 else (zlo, zhi)
+        rows = {}
+        for key, c in self.coeffs.items():
+            src, o = key if axis == 0 else key[::-1]
+            row = rows.get(o)
+            if row is None:
+                row = rows[o] = [0] * (hi - lo + 1)
+            row[src - lo] = c
         out = {}
-        for o in range(olo, ohi + 1):
-            for i in range(lo - d, hi - d + 1):
-                acc = Fraction(0)
-                for s, u in enumerate(inv):
-                    src = i + d + s
-                    if src > hi:
-                        break
-                    key = (src, o) if axis == 0 else (o, src)
-                    c = self.coeffs.get(key)
-                    if c is not None:
-                        acc = acc + u * c
-                if acc:
-                    out[(i, o) if axis == 0 else (o, i)] = acc
-        box = (lo - d, hi - d, olo, ohi) if axis == 0 else (olo, ohi, lo - d, hi - d)
+        for o, row in rows.items():
+            for k, c in enumerate(_divide_row(row, den), lo - d):
+                if c:
+                    out[(k, o) if axis == 0 else (o, k)] = c
+        box = (lo - d, hi - d, zlo, zhi) if axis == 0 else (xlo, xhi, lo - d, hi - d)
         return WaveSeries(out, box)
 
     def mul_ratfn(self, rf: RationalFunction, axis):
@@ -267,8 +295,31 @@ class WaveSeries:
             return self._mul_terms(rf.laurent_terms(), axis)
         return self.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
 
+    def _ratfn_pieces(self, rf: RationalFunction, axis):
+        if rf.is_laurent:
+            yield from self._shifted(rf.laurent_terms(), axis)
+        else:
+            piece = self.mul_ratfn(rf, axis)
+            yield piece.box, piece.coeffs.items()
+
     def mul_poly(self, p: Poly, axis):
         return self._mul_terms([(k, c) for k, c in enumerate(p.coeffs) if c], axis)
+
+    def _apply_del(self, axis):
+        """(z + d/dx) resp. (x + d/dz) on the bare series: one more DEL."""
+        xlo, xhi, zlo, zhi = self.box
+        items = self.coeffs.items()
+        if axis == 0:
+            pieces = (((xlo, xhi, zlo + 1, zhi + 1),
+                       (((i, j + 1), v) for (i, j), v in items)),
+                      ((xlo - 1, xhi - 1, zlo, zhi),
+                       (((i - 1, j), i * v) for (i, j), v in items if i)))
+        else:
+            pieces = (((xlo + 1, xhi + 1, zlo, zhi),
+                       (((i + 1, j), v) for (i, j), v in items)),
+                      ((xlo, xhi, zlo - 1, zhi - 1),
+                       (((i, j - 1), j * v) for (i, j), v in items if j)))
+        return WaveSeries(*_accumulate(pieces))
 
     def apply(self, op: DiffOp, var: str) -> "WaveSeries":
         """Image under an operator acting in x (var='x') or z (var='z').
@@ -280,22 +331,19 @@ class WaveSeries:
             raise UsageError("var must be 'x' or 'z'")
         a = op.convert(DEL)
         axis = 0 if var == "x" else 1
-        powers = [self]
-        for _ in range(a.order):
-            prev = powers[-1]
-            if axis == 0:
-                powers.append(prev.shift(0, 1) + prev.raw_dx())
-            else:
-                powers.append(prev.shift(1, 0) + prev.raw_dz())
-        out = None
-        for k, c in enumerate(a.coeffs):
-            if c.is_zero:
-                continue
-            piece = powers[k].mul_ratfn(c, axis)
-            out = piece if out is None else out + piece
-        if out is None:
+
+        def pieces():
+            power = self
+            for k, c in enumerate(a.coeffs):
+                if k:
+                    power = power._apply_del(axis)
+                if not c.is_zero:
+                    yield from power._ratfn_pieces(c, axis)
+
+        out, box = _accumulate(pieces())
+        if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        return out
+        return WaveSeries(out, box)
 
     def x_row(self, i):
         """The z-coefficients of x^i inside the window, as a dict."""
@@ -373,12 +421,6 @@ class ExpSeries:
                          {d + m: v for d, v in self.coeffs.items()},
                          (lo + m, hi + m))
 
-    def raw_diff(self):
-        lo, hi = self.box
-        return ExpSeries(self.var, self.rate,
-                         {d - 1: d * v for d, v in self.coeffs.items() if d},
-                         (lo - 1, hi - 1))
-
     def theta(self):
         """Degree-weighted derivative x d/dx of the bare series."""
         return ExpSeries(self.var, self.rate,
@@ -387,51 +429,61 @@ class ExpSeries:
     def _mul_inverse_poly(self, den: Poly):
         d = den.degree
         lo, hi = self.box
-        inv = _inverse_expansion(den, hi - lo + 1)
-        out = {}
-        for i in range(lo - d, hi - d + 1):
-            acc = None
-            for s, u in enumerate(inv):
-                src = i + d + s
-                if src > hi:
-                    break
-                c = self.coeffs.get(src)
-                if c is not None:
-                    acc = u * c if acc is None else acc + u * c
-            if acc is not None and acc:
-                out[i] = acc
-        return ExpSeries(self.var, self.rate, out, (lo - d, hi - d))
+        row = [0] * (hi - lo + 1)
+        for i, c in self.coeffs.items():
+            row[i - lo] = c
+        return ExpSeries(self.var, self.rate,
+                         enumerate(_divide_row(row, den), lo - d),
+                         (lo - d, hi - d))
+
+    def _shifted(self, terms):
+        lo, hi = self.box
+        items = self.coeffs.items()
+        for m, c in terms:
+            yield (lo + m, hi + m), ((d + m, c * v) for d, v in items)
+
+    def _ratfn_pieces(self, rf: RationalFunction):
+        if rf.is_laurent:
+            yield from self._shifted(rf.laurent_terms())
+        else:
+            piece = self.mul_ratfn(rf)
+            yield piece.box, piece.coeffs.items()
 
     def mul_ratfn(self, rf: RationalFunction) -> "ExpSeries":
-        """Multiply by a rational function, expanding any pole at infinity."""
+        """Multiply by a rational function, dividing by any denominator."""
         if rf.is_zero:
             raise UsageError("multiplication by the zero function")
         terms = (rf.laurent_terms() if rf.is_laurent else
                  [(m, c) for m, c in enumerate(rf.num.coeffs) if c])
-        out = None
-        for m, c in terms:
-            piece = self.xshift(m).scale(c)
-            out = piece if out is None else out + piece
+        out = ExpSeries(self.var, self.rate, *_accumulate(self._shifted(terms)))
         return out if rf.is_laurent else out._mul_inverse_poly(rf.den)
+
+    def _apply_del(self):
+        """(rate + d/dx) on the bare series: one more DEL."""
+        lo, hi = self.box
+        items = self.coeffs.items()
+        return ExpSeries(self.var, self.rate, *_accumulate((
+            ((lo, hi), ((d, self.rate * v) for d, v in items)),
+            ((lo - 1, hi - 1), ((d - 1, d * v) for d, v in items if d)))))
 
     def apply(self, op: DiffOp) -> "ExpSeries":
         """Image under an operator with rational coefficients in self.var."""
         if op.var != self.var:
             raise UsageError("operator in the wrong variable")
         a = op.convert(DEL)
-        powers = [self]
-        for _ in range(a.order):
-            prev = powers[-1]
-            powers.append(prev.scale(self.rate) + prev.raw_diff())
-        out = None
-        for k, c in enumerate(a.coeffs):
-            if c.is_zero:
-                continue
-            piece = powers[k].mul_ratfn(c)
-            out = piece if out is None else out + piece
-        if out is None:
+
+        def pieces():
+            power = self
+            for k, c in enumerate(a.coeffs):
+                if k:
+                    power = power._apply_del()
+                if not c.is_zero:
+                    yield from power._ratfn_pieces(c)
+
+        out, box = _accumulate(pieces())
+        if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        return out
+        return ExpSeries(self.var, self.rate, out, box)
 
     def __eq__(self, other):
         if not isinstance(other, ExpSeries):

@@ -196,6 +196,27 @@ def test_examples_dg_even(capsys):
     assert "exact match" in capsys.readouterr().out
 
 
+def test_examples_dg_even_with_custom_parameters(tmp_path, capsys):
+    # the golden holds only the default parameters, so a custom run is
+    # judged by its certificate checks and the closed-form agreement
+    out = str(tmp_path / "dg.json")
+    assert main(["examples", "dg-even", "--d", "1", "--t", "1,2",
+                 "--out", out]) == 0
+    assert "custom parameters accepted; certificate checks passed" in \
+        capsys.readouterr().out
+    doc = json.loads(Path(out).read_text())
+    assert doc["name"] == "dg-even" and doc["closed_form_agrees"] is True
+
+
+def test_examples_dg_even_custom_closed_form_disagreement_exits_four(
+        monkeypatch, capsys):
+    real = cli._example_dg_even
+    monkeypatch.setattr(cli, "_example_dg_even", lambda *a: {
+        **real(*a), "closed_form_agrees": False})
+    assert main(["examples", "dg-even", "--d", "1", "--t", "1,2"]) == 4
+    assert "closed form disagrees" in capsys.readouterr().err
+
+
 def test_examples_divergence_names_the_key_path(monkeypatch, capsys):
     stored = cli._golden("rank1")
     del stored["pair"]["provenance"]["witnesses"]["kernel"]
@@ -259,6 +280,7 @@ def test_negative_sizes_are_usage_errors(argv, capsys):
     (["rank", "--beta", "2/3,1/3", "--degree-bound", "33"],
      cli.MAX_DEGREE_BOUND),
     (["rank", "cert.json", "--degree-bound", "64"], cli.MAX_DEGREE_BOUND),
+    (["examples", "dg-even", "--d", "3"], cli.MAX_BAND_DEPTH),
 ], ids=lambda v: " ".join(v[:1] + v[-2:-1]) if isinstance(v, list) else "")
 def test_sizes_above_the_caps_are_usage_errors(argv, limit, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -269,7 +291,8 @@ def test_sizes_above_the_caps_are_usage_errors(argv, limit, capsys):
 
 
 def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
-    assert (cli.MAX_DEPTH, cli.MAX_DEGREE_BOUND) == (256, 32)
+    assert (cli.MAX_DEPTH, cli.MAX_DEGREE_BOUND, cli.MAX_BAND_DEPTH) == \
+        (256, 32, 2)
     assert main(["bessel", "--beta", "0", "-K", str(cli.MAX_DEPTH)]) == 0
     spec = write(tmp_path, "spec.json", RANK1_SPEC)
     cert_path = str(tmp_path / "cert.json")

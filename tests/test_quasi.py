@@ -259,3 +259,217 @@ def test_wave_series_json_round_trip():
     assert WaveSeries.from_json(psi.to_json()) == psi
     q = QuasiPolynomial([((Fraction(1, 2), 1), Fraction(3))])
     assert QuasiPolynomial.from_json(q.to_json()) == q
+
+
+# ---------------------------------------------------------------------------
+# oracle for the series kernel: the truncated inverse expansion of 1/den at
+# infinity, convolved with each window row (O(width^2) per row)
+# ---------------------------------------------------------------------------
+
+
+def _inverse_expansion(den: Poly, count: int):
+    """First `count` coefficients u_s of 1/den = sum_s u_s x^{-deg(den)-s}."""
+    d = den.degree
+    lead = den.leading
+    out = []
+    for s in range(count):
+        acc = Fraction(1) if s == 0 else Fraction(0)
+        for t in range(s):
+            # coefficient of x^{d-(s-t)} in den, times u_t
+            acc -= den.coeff(d - (s - t)) * out[t]
+        out.append(acc / lead)
+    return out
+
+
+def _reference_wave_division(series, den, axis):
+    d = den.degree
+    xlo, xhi, zlo, zhi = series.box
+    if axis == 0:
+        lo, hi, olo, ohi = xlo, xhi, zlo, zhi
+    else:
+        lo, hi, olo, ohi = zlo, zhi, xlo, xhi
+    inv = _inverse_expansion(den, hi - lo + 1)
+    out = {}
+    for o in range(olo, ohi + 1):
+        for i in range(lo - d, hi - d + 1):
+            acc = Fraction(0)
+            for s, u in enumerate(inv):
+                src = i + d + s
+                if src > hi:
+                    break
+                key = (src, o) if axis == 0 else (o, src)
+                c = series.coeffs.get(key)
+                if c is not None:
+                    acc = acc + u * c
+            if acc:
+                out[(i, o) if axis == 0 else (o, i)] = acc
+    box = (lo - d, hi - d, olo, ohi) if axis == 0 else (olo, ohi, lo - d, hi - d)
+    return WaveSeries(out, box)
+
+
+def _reference_exp_division(series, den):
+    d = den.degree
+    lo, hi = series.box
+    inv = _inverse_expansion(den, hi - lo + 1)
+    out = {}
+    for i in range(lo - d, hi - d + 1):
+        acc = None
+        for s, u in enumerate(inv):
+            src = i + d + s
+            if src > hi:
+                break
+            c = series.coeffs.get(src)
+            if c is not None:
+                acc = u * c if acc is None else acc + u * c
+        if acc is not None and acc:
+            out[i] = acc
+    return ExpSeries(series.var, series.rate, out, (lo - d, hi - d))
+
+
+def _denominators_away_from_zero(rng, var, scalar):
+    """Degree 1-6 denominators with a root away from 0: non-monic, x * p(x)
+    with p(0) != 0, and lead * (x - r)^deg with a repeated root r != 0."""
+
+    def nonzero():
+        c = scalar()
+        while not c:
+            c = scalar()
+        return c
+
+    for deg in range(1, 7):
+        cs = [scalar() for _ in range(deg)] + [nonzero()]
+        while cs[-1] == 1:
+            cs[-1] = nonzero()
+        cs[0] = nonzero()
+        yield Poly(var, cs)
+        if deg >= 2:
+            p = Poly(var, [nonzero()] + [scalar() for _ in range(deg - 1)])
+            if p.degree < deg - 1:
+                p = p + Poly.monomial(var, deg - 1, nonzero())
+            yield Poly.monomial(var, 1) * p
+        yield (Poly(var, [-nonzero(), 1]) ** deg).scale(nonzero())
+
+
+def _random_wave(rng, box):
+    """Random entries with gaps, including whole missing rows and columns."""
+    xlo, xhi, zlo, zhi = box
+    skip_i, skip_j = rng.randint(xlo, xhi), rng.randint(zlo, zhi)
+    return WaveSeries({(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                       for i in range(xlo, xhi + 1) for j in range(zlo, zhi + 1)
+                       if i != skip_i and j != skip_j and rng.random() < 0.8},
+                      box)
+
+
+def test_wave_division_matches_inverse_expansion():
+    rng = random.Random(35)
+
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    checked = 0
+    for axis, var in ((0, "x"), (1, "z")):
+        for box in ((-7, 0, -5, 1), (-3, 4, -6, -1)):
+            psi = _random_wave(rng, box)
+            for den in _denominators_away_from_zero(rng, var, scalar):
+                assert not RationalFunction(Poly.const(var, 1), den).is_laurent
+                want = _reference_wave_division(psi, den, axis)
+                got = psi._mul_inverse_poly(den, axis)
+                assert got.box == want.box and got.coeffs == want.coeffs
+                checked += 1
+    assert checked == 4 * 17
+
+
+def test_exp_division_matches_inverse_expansion():
+    rng = random.Random(36)
+    rate = primitive_root(3) * Fraction(-3, 2)
+
+    def scalar():
+        return Cyclotomic(3, (Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                              rng.randint(-2, 2)))
+
+    for lo, hi in ((-8, 0), (-2, 5)):
+        series = ExpSeries("x", rate, {d: scalar() for d in range(lo, hi + 1)
+                                       if rng.random() < 0.8}, (lo, hi))
+        for den in _denominators_away_from_zero(rng, "x", scalar):
+            want = _reference_exp_division(series, den)
+            got = series._mul_inverse_poly(den)
+            assert got.box == want.box and got.coeffs == want.coeffs
+            assert got == want
+
+
+def _mixed_op(rng, var, order):
+    """An operator whose coefficients mix num / var^m and num / den."""
+    coeffs = []
+    for k in range(order + 1):
+        num = Poly(var, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(rng.randint(1, 3))])
+        if num.is_zero:
+            num = Poly.const(var, 1)
+        if k % 2:
+            den = Poly(var, [rng.choice([-2, -1, 1, 2]),
+                             rng.randint(-2, 2), rng.choice([1, 3])])
+        else:
+            den = Poly.monomial(var, rng.randint(0, 3))
+        coeffs.append(RationalFunction(num, den))
+    return DiffOp(var, "del", coeffs)
+
+
+def test_wave_apply_is_the_pairwise_sum_of_its_pieces():
+    rng = random.Random(37)
+    piece_boxes = set()
+    for axis, var in ((0, "x"), (1, "z")):
+        for _ in range(6):
+            psi = _random_wave(rng, (-6, 0, -6, 0))
+            op = _mixed_op(rng, var, rng.randint(1, 3))
+            assert any(c.is_laurent for c in op.coeffs)
+            assert not all(c.is_laurent for c in op.coeffs)
+            power, want, boxes = psi, None, set()
+            for k, c in enumerate(op.coeffs):
+                if k:
+                    xlo, xhi, zlo, zhi = power.box
+                    if axis == 0:
+                        deriv = WaveSeries({(i - 1, j): i * v for (i, j), v
+                                            in power.coeffs.items() if i},
+                                           (xlo - 1, xhi - 1, zlo, zhi))
+                        power = power.shift(0, 1) + deriv
+                    else:
+                        deriv = WaveSeries({(i, j - 1): j * v for (i, j), v
+                                            in power.coeffs.items() if j},
+                                           (xlo, xhi, zlo - 1, zhi - 1))
+                        power = power.shift(1, 0) + deriv
+                piece = power.mul_ratfn(c, axis)
+                boxes.add(piece.box)
+                want = piece if want is None else want + piece
+            got = psi.apply(op, var)
+            assert got.box == want.box and got.coeffs == want.coeffs
+            piece_boxes.add(len(boxes))
+    assert max(piece_boxes) > 1
+
+
+def test_exp_apply_is_the_pairwise_sum_of_its_pieces():
+    rng = random.Random(38)
+    rate = primitive_root(3) * 2
+
+    def scalar():
+        return Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3)))
+
+    piece_boxes = set()
+    for _ in range(6):
+        series = ExpSeries("x", rate, {d: scalar() for d in range(-7, 1)},
+                           (-7, 0))
+        op = _mixed_op(rng, "x", rng.randint(1, 3))
+        power, want, boxes = series, None, set()
+        for k, c in enumerate(op.coeffs):
+            if k:
+                lo, hi = power.box
+                deriv = ExpSeries("x", rate, {d - 1: d * v for d, v
+                                              in power.coeffs.items() if d},
+                                  (lo - 1, hi - 1))
+                power = power.scale(rate) + deriv
+            piece = power.mul_ratfn(c)
+            boxes.add(piece.box)
+            want = piece if want is None else want + piece
+        got = series.apply(op)
+        assert got.box == want.box and got.coeffs == want.coeffs
+        piece_boxes.add(len(boxes))
+    assert max(piece_boxes) > 1
