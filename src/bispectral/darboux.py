@@ -34,10 +34,38 @@ from .bessel import BesselIndex, bessel_op, bessel_wave, wave_jet_at
 from .errors import (CertificationError, InconsistentSpecError,
                      RankDeficiencyError, ShapeError, SpecInvalidError,
                      UnsupportedInputError, UsageError)
-from .poly import Poly, RationalFunction
+from .poly import Poly
 from .quasi import QuasiPolynomial
 from .scalars import format_rational, parse_rational
-from .weyl import DEL, DFORM, DiffOp, common_denominator, poly_at_operator
+from .weyl import DEL, DFORM, DiffOp, poly_at_operator
+
+
+# Size caps of a kernel spec document.  ``KernelSpec.from_json`` checks
+# them, and spec, certificate and pair documents all load through it, so
+# an untrusted document cannot start an unbounded build: a single-group
+# spec at the caps builds in about a minute, and the cost grows steeply
+# past them (timings in README.md).
+MAX_N = 3               # length of the weight vector
+MAX_GROUPS = 3          # at-zero plus orbit groups
+MAX_ROWS = 4            # rows of b in one at-zero group
+MAX_LOG_POWER = 1       # len(row) - 1 of one row of b
+MAX_JET_ORDER = 3       # len(a) - 1 of one orbit group
+
+
+def _check_caps(N, at_zero, at_points):
+    """Reject a spec document above a size cap, before anything is built."""
+    sizes = [("N", N, "MAX_N", MAX_N), ("number of groups",
+             len(at_zero) + len(at_points), "MAX_GROUPS", MAX_GROUPS)]
+    for g in at_zero:
+        sizes.append(("rows of b", len(g["b"]), "MAX_ROWS", MAX_ROWS))
+        sizes += [("log power", len(row) - 1, "MAX_LOG_POWER", MAX_LOG_POWER)
+                  for row in g["b"]]
+    sizes += [("jet order", len(g["a"]) - 1, "MAX_JET_ORDER", MAX_JET_ORDER)
+              for g in at_points]
+    for what, value, name, cap in sizes:
+        if value > cap:
+            raise SpecInvalidError(f"spec too large: {what} {value} is above "
+                                   f"the cap darboux.{name} = {cap}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +159,11 @@ class KernelSpec:
 
     @classmethod
     def from_json(cls, data):
-        return cls(BesselIndex.from_json(data["beta"]),
-                   tuple(AtZeroGroup.from_json(g) for g in data.get("at_zero", ())),
-                   tuple(AtPointGroup.from_json(g) for g in data.get("at_points", ())))
+        beta = BesselIndex.from_json(data["beta"])
+        at_zero, at_points = data.get("at_zero", ()), data.get("at_points", ())
+        _check_caps(beta.N, at_zero, at_points)
+        return cls(beta, tuple(AtZeroGroup.from_json(g) for g in at_zero),
+                   tuple(AtPointGroup.from_json(g) for g in at_points))
 
 
 def monomial_kernel(beta: BesselIndex, rows) -> KernelSpec:
@@ -345,46 +375,40 @@ def _point_condition_rows(jet, avec, n, N, bound):
 
 
 def _assemble(beta, n, N, solution, bound):
-    """Turn an ansatz coefficient vector into the monic rational-form operator."""
-    pks = []
-    for k in range(n + 1):
-        pks.append(Poly("y", solution[k * (bound + 1):(k + 1) * (bound + 1)]))
-    pks = Poly.primitive_parts(pks)
+    """Turn an ansatz coefficient vector into the monic cleared-form operator
+    (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k."""
+    pks = [Poly("y", solution[k * (bound + 1):(k + 1) * (bound + 1)])
+           for k in range(n + 1)]
     if pks[-1].is_zero:
         return None
-    xn = Poly.monomial("x", n)
-    coeffs = [RationalFunction(p.expand_arg_power(N, var="x"), xn) for p in pks]
-    op = DiffOp("x", DFORM, coeffs)
-    lead = op.coeffs[-1]
-    return op.lmul_fn(1 / (lead * RationalFunction(xn)))
+    nums = [p.expand_arg_power(N, var="x") for p in pks]
+    return DiffOp.from_cleared("x", DFORM, nums[-1].shift_mul(n), nums)
 
 
 def cleared_coefficients(P: DiffOp, N: int):
     """(n, [p_k in y]) with P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k.
 
-    The p_k have no common polynomial factor and p_n is monic.  A
-    coefficient that does not live in x^N raises ShapeError.
+    This is the normal form of x^n P in DFORM read in y = x^N: its
+    numerators have no common factor with its denominator, and p_n is
+    scaled monic (so the identity holds as written when P's leading
+    coefficient is x^-n, as for every certified factor).  A coefficient
+    that does not live in x^N raises ShapeError.
     """
     d = P.convert(DFORM)
     if d.is_zero:
         raise ShapeError("zero operator has no structured form")
     n = d.order
-    xn = RationalFunction(Poly.monomial(d.var, n))
-    nums, dens = [], []
-    for k, c in enumerate(d.coeffs):
-        r = c * xn
-        if not (r.num.is_power_pattern(N) and r.den.is_power_pattern(N)):
-            raise ShapeError(
-                f"coefficient {c} of D^{k} does not live in x^{N}")
-        nums.append(r.num.contract_arg_power(N, var="y"))
-        dens.append(r.den.contract_arg_power(N, var="y"))
-    den = Poly.lcm("y", dens)
-    pks = Poly.primitive_parts(
-        [num * (den // dd) for num, dd in zip(nums, dens)])
-    lead = pks[-1].leading
-    if lead != 1:
-        pks = [p.scale(1 / lead) for p in pks]
-    return n, pks
+    cleared = d.lmul_fn(Poly.monomial(d.var, n))
+    # the normal form is unique, so it is one in x^N exactly when every
+    # coefficient lives in x^N; the reduced coefficients name the culprit
+    if not all(p.is_power_pattern(N) for p in (cleared.den, *cleared.nums)):
+        for k, c in enumerate(cleared.coeffs):
+            if not (c.num.is_power_pattern(N) and c.den.is_power_pattern(N)):
+                raise ShapeError(
+                    f"coefficient {d.coeff(k)} of D^{k} does not live in x^{N}")
+    lead = cleared.nums[-1].leading
+    return n, [p.contract_arg_power(N, var="y").scale(1 / lead)
+               for p in cleared.nums]
 
 
 def default_depth(h_degree: int, N: int, n: int) -> int:
@@ -524,7 +548,10 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     is a complete proof because the ``shape`` witness is checked first: it
     puts P in the cleared form x^{-n} sum_k p_k(x^N) D^k, and such a P
     annihilates the branch-j jet exactly when it annihilates the branch-0
-    jet (module docstring).
+    jet (module docstring).  ``depth`` sets the series windows and is
+    recorded in the certificate; the orbit jets of the kernel witness use
+    at least the default depth, below which P's image of a jet can vanish
+    on the window although the jet is not annihilated.
     """
     witnesses = {}
     if g.is_zero or g.leading != 1:
@@ -558,13 +585,14 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             raise CertificationError(
                 "certificate polynomials do not match the kernel group counts")
         witnesses["counts"] = True
-        _, cleared = common_denominator(P.convert(DFORM))
+        cleared = DiffOp(P.var, DFORM, P.convert(DFORM).nums)
         for q in val.elements_at_zero:
             if not q.apply(cleared).is_zero:
                 raise CertificationError(
                     f"kernel element {q} is not annihilated by P")
+        K_orbit = max(K, default_depth(h.degree, beta.N, n))
         for lam, avec, _d in val.point_groups:
-            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, K)
+            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, K_orbit)
             if jet.combine(avec).apply(cleared).coeffs:
                 raise CertificationError(
                     f"orbit kernel element at {lam} (branch 0) "

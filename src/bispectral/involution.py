@@ -65,7 +65,7 @@ from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
                       default_depth, validate_spec)
 from .errors import (AssociationError, RankDeficiencyError, ShapeError,
                      UsageError, VerificationError)
-from .poly import Poly, RationalFunction
+from .poly import Poly
 from .weyl import DEL, DFORM, DiffOp, poly_at_operator
 
 
@@ -99,8 +99,8 @@ def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
         if p.is_zero:
             continue
         out = out + (dee ** k) * poly_at_operator(p, lbeta)
-    gx = Poly(P.var, g.coeffs)
-    out = out.lmul_fn(RationalFunction(Poly.const(P.var, 1), gx))
+    out = DiffOp.from_cleared(P.var, DFORM, out.den * Poly(P.var, g.coeffs),
+                              out.nums)
     g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
     return _reduced(out, g_b, beta, right=True)
 
@@ -132,8 +132,8 @@ def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
 
     lbeta = bessel_op(beta, var)
     dee = DiffOp.dee(var)
-    fx = Poly(var, f.coeffs)
-    inv_f = DiffOp.mult(var, RationalFunction(Poly.const(var, 1), fx), DFORM)
+    inv_f = DiffOp.from_cleared(var, DFORM, Poly(var, f.coeffs),
+                                [Poly.const(var, 1)])
     out = DiffOp.zero(var, DFORM)
     for s, q in enumerate(qs):
         if q.is_zero:
@@ -307,13 +307,12 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
         w_terms[pI[comb]] = w_terms.get(pI[comb], Fraction(0)) + c
     wpoly = Poly(var, [w_terms.get(k, Fraction(0))
                        for k in range(max(w_terms) + 1)])
-    inv_w = RationalFunction(Poly.const(var, 1), wpoly)
 
     P = DiffOp.zero(var, DFORM)
     for comb, c in subsets:
         term = ladder_op([gammas[i] for i in comb], var)
         P = P + term.lmul_fn(Poly.monomial(var, pI[comb], c))
-    P = P.lmul_fn(inv_w)
+    P = DiffOp.from_cleared(var, DFORM, P.den * wpoly, P.nums)
 
     Q = DiffOp.zero(var, DFORM)
     for comb, c in subsets:
@@ -321,7 +320,7 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
         term = ladder_op([gammas[i] - n for i in complement], var)
         xp = DiffOp.mult(var, Poly.monomial(var, pI[comb], c), DFORM)
         Q = Q + term * xp
-    Q = Q * DiffOp.mult(var, inv_w, DFORM)
+    Q = Q * DiffOp.from_cleared(var, DFORM, wpoly, [Poly.const(var, 1)])
 
     lbeta = bessel_op(beta, var)
     P_b = DiffOp.zero(var, DFORM)

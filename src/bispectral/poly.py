@@ -2,16 +2,14 @@
 
 Coefficients are exact scalars (Fraction, or Cyclotomic where a root of
 unity is in play).  A RationalFunction keeps its denominator monic and
-coprime to the numerator, so equal functions have equal representations
-and operators can be compared structurally.  ``RationalFunction(num, den)``
-normalizes whatever it is given; arithmetic builds its results with the
-private ``RationalFunction._reduced``, which trusts operands that are
-already in that form.
+coprime to the numerator, so equal functions have equal representations.
+``RationalFunction(num, den)`` normalizes whatever it is given; it is the
+reduced per-coefficient view of an operator (see ``weyl``).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedInputError, UsageError
@@ -112,6 +110,10 @@ class Poly:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.var)
+        for p, q in ((self, other), (other, self)):
+            if q.valuation() == q.degree:  # q = c*var**k: shift and scale
+                c = q.leading
+                return (p if c == 1 else p.scale(c)).shift_mul(q.degree)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -159,6 +161,7 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs) + 1
         quot = [Fraction(0)] * max(0, dq)
+        terms = [(i, b) for i, b in enumerate(other.coeffs) if b]
         while len(rem) >= len(other.coeffs):
             while rem and not rem[-1]:
                 rem.pop()
@@ -167,7 +170,7 @@ class Poly:
             k = len(rem) - 1 - db
             c = rem[-1] / lead
             quot[k] = c
-            for i, b in enumerate(other.coeffs):
+            for i, b in terms:
                 rem[k + i] -= c * b
         return Poly(self.var, quot), Poly(self.var, rem)
 
@@ -185,34 +188,27 @@ class Poly:
 
     @staticmethod
     def gcd(a, b):
-        """Monic greatest common divisor."""
+        """Monic greatest common divisor, by Euclid on the contracted parts
+        (see ``_contracted``)."""
         a._check(b)
         if a.degree == 0 or b.degree == 0:
             return Poly.const(a.var, 1)  # a nonzero constant is a unit
-        for p, q in ((a, b), (b, a)):
-            k = p.degree
-            if p and p.valuation() == k:
-                # p = c*var**k: the gcd is the common power of var
-                return Poly.monomial(p.var, min(k, q.valuation()) if q else k)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        if a.is_zero or b.is_zero:
+            return (b if a.is_zero else a).monic()
+        i, j, m, u, w = _contracted(a, b)
+        return _euclid(u, w).expand_arg_power(m).shift_mul(min(i, j))
 
     @staticmethod
     def lcm(var, polys):
-        """Least common multiple of monic polynomials (1 when there are none)."""
-        out = Poly.const(var, 1)
-        for p in polys:
-            out = out * (p // Poly.gcd(out, p))
-        return out
+        """Least common multiple of monic polynomials (1 when there are none).
 
-    @staticmethod
-    def primitive_parts(polys):
-        """The polynomials divided by their common polynomial factor."""
-        content = functools.reduce(Poly.gcd, polys)
-        if content.degree <= 0:
-            return list(polys)
-        return [p // content for p in polys]
+        Taken largest first, so a divisor of the running lcm costs one
+        division and no gcd."""
+        out = Poly.const(var, 1)
+        for p in sorted(polys, key=lambda p: -p.degree):
+            if not (out % p).is_zero:
+                out = out * (p // Poly.gcd(out, p))
+        return out
 
     def derivative(self):
         return Poly(self.var, tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
@@ -292,32 +288,54 @@ class Poly:
     __str__ = to_str
 
 
+def _contracted(a, b):
+    """(i, j, m, u, w) with a = x^i u(x^m), b = x^j w(x^m), x dividing
+    neither u nor w, and m the largest common degree pattern; a and b are
+    nonzero.  Then gcd(a, b) = x^min(i, j) gcd(u, w)(x^m), so gcds and
+    cancellations run on the shorter u and w."""
+    i, j = a.valuation(), b.valuation()
+    u, w = a.coeffs[i:], b.coeffs[j:]
+    m = 0
+    for cs in (u, w):
+        for k, c in enumerate(cs):
+            if c and k:
+                m = math.gcd(m, k)
+    m = m or 1
+    return i, j, m, Poly(a.var, u[::m]), Poly(a.var, w[::m])
+
+
+def _euclid(u, w):
+    """Monic gcd of nonzero polynomials by Euclid's algorithm."""
+    while not w.is_zero:
+        u, w = w, u % w
+    return u.monic()
+
+
 def _cancel(num, den):
-    """num and den divided by their monic gcd."""
-    g = Poly.gcd(num, den)
-    if g.degree <= 0:
+    """num and den divided by their monic gcd; both are nonzero."""
+    if num.degree == 0 or den.degree == 0:
         return num, den
-    return num // g, den // g
+    i, j, m, u, w = _contracted(num, den)
+    g = _euclid(u, w)
+    if g.degree > 0:
+        u, w = u // g, w // g
+    lo = min(i, j)
+    return (u.expand_arg_power(m).shift_mul(i - lo),
+            w.expand_arg_power(m).shift_mul(j - lo))
 
 
 class RationalFunction:
     """num/den with den monic and gcd(num, den) = 1.
 
-    The public constructor ``RationalFunction(num, den)`` normalizes any
-    input (documents, hand-built values).  Arithmetic results are built by
-    ``_reduced``, which trusts that its operands are already canonical: sums,
-    products, quotients and derivatives use Henrici's reduced-operand
-    formulas (Knuth, TAOCP vol. 2, 4.5.1), whose gcds involve only factors
-    that can share one, so no gcd of a full product is ever taken.
+    The constructor normalizes any input (documents, hand-built values), so
+    equal functions have equal fields.  Operator arithmetic does not go
+    through this class: ``DiffOp`` keeps one denominator over polynomial
+    numerators, and its ``coeffs`` view is made of these reduced values.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, RationalFunction):
-            base = num if den is None else num / RationalFunction(den)
-            self.num, self.den = base.num, base.den
-            return
         if not isinstance(num, Poly):
             raise UsageError("numerator must be a Poly")
         if den is None:
@@ -340,24 +358,8 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def _reduced(cls, num, den):
-        """num/den from operands already in canonical form: den monic and
-        coprime to num.  Nothing is checked; a zero num gets den 1."""
-        out = cls.__new__(cls)
-        out.num = num
-        out.den = den if num else Poly.const(num.var, 1)
-        return out
-
-    @classmethod
     def const(cls, var, c):
         return cls(Poly.const(var, c))
-
-    @classmethod
-    def x_power(cls, var, m: int):
-        """var**m for any integer m."""
-        if m >= 0:
-            return cls(Poly.monomial(var, m))
-        return cls(Poly.const(var, 1), Poly.monomial(var, -m))
 
     @property
     def var(self):
@@ -389,116 +391,13 @@ class RationalFunction:
         m = self.den.degree
         return [(k - m, c) for k, c in enumerate(self.num.coeffs) if c]
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.var != self.var:
-                raise UsageError("mixed variables")
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(self.var, other)
-        return None
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __neg__(self):
-        return RationalFunction._reduced(-self.num, self.den)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # Henrici's sum a/b + c/d of reduced operands: gcds of the two
-        # denominators and of their common part, never of b*d
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if b == d:
-            return RationalFunction._reduced(*_cancel(a + c, b))
-        g = Poly.gcd(b, d)
-        if g.degree == 0:
-            return RationalFunction._reduced(a * d + c * b, b * d)
-        b, d = b // g, d // g
-        num, g = _cancel(a * d + c * b, g)
-        return RationalFunction._reduced(num, b * d * g)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._times(o.num, o.den)
-
-    __rmul__ = __mul__
-
-    def _times(self, c, d):
-        """self * c/d for reduced c/d: cancel a against d and c against b."""
-        a, d = _cancel(self.num, d)
-        c, b = _cancel(c, self.den)
-        return RationalFunction._reduced(a * c, b * d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise DomainError("division by zero function")
-        num, den = o.den, o.num
-        lead = den.leading
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        return self._times(num, den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def derivative(self):
-        """(n/d)' = (n' r - n d'/g) / (d r) with g = gcd(d, d') and r = d/g.
-
-        Already reduced in characteristic 0: a prime p of multiplicity e in d
-        has multiplicity e - 1 in g, so p divides r but not n d'/g."""
-        n, d = self.num, self.den
-        if d.degree == 0:
-            return RationalFunction._reduced(n.derivative(), d)
-        dd = d.derivative()
-        g = Poly.gcd(d, dd)
-        r, dd = d // g, dd // g
-        return RationalFunction._reduced(n.derivative() * r - n * dd, d * r)
-
-    def theta(self):
-        """x * d/dx."""
-        return self.derivative() * Poly.variable(self.var)
-
-    def evaluate(self, v):
-        dv = self.den.evaluate(v)
-        if not dv:
-            raise DomainError(f"pole at {v}")
-        return self.num.evaluate(v) / dv
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

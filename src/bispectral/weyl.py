@@ -5,14 +5,28 @@ Two coordinate forms are kept for the same algebra:
 * ``DEL``  : sum_k a_k(x) * d^k          (d = d/dx)
 * ``DFORM``: sum_k a_k(x) * D^k          (D = x d/dx)
 
+Normal form.  An operator is stored as one denominator over polynomial
+numerators, den^{-1} sum_k nums[k] del^k (del = d or D), with den monic and
+gcd(den, nums[0], ..., nums[order]) = 1.  The form is canonical: den is the
+lcm of the reduced denominators of the coefficients a_k = nums[k] / den, so
+equal operators have equal fields and are compared structurally.  It is
+the paper's cleared form P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k.  The
+constructor clears the denominators of rational coefficients; every
+arithmetic result is built by ``from_cleared``, which takes out the one
+common factor of den and the numerators with a single content pass.
+``coeffs`` is the per-coefficient reduced view, computed once per operator.
+
 Multiplication uses the Leibniz rule through the form's derivation
-(a -> a' in DEL, a -> x a' in DFORM); conversion between forms is done by
-exact repeated products, so round trips are identities and the two forms
-can cross-check each other.
+(a -> a' in DEL, a -> x a' in DFORM) on the numerators: each power of the
+derivation raises the denominator v of the right factor by r = v / gcd(v,
+delta v).  Conversion between forms uses the Stirling expansions
+x^k d^k = D(D-1)...(D-k+1) and D^j = sum_k S(j, k) x^k d^k, so round trips
+are identities and the two forms can cross-check each other.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
@@ -24,23 +38,38 @@ _FORMS = (DEL, DFORM)
 
 
 def _coerce_rf(var, c):
-    if isinstance(c, RationalFunction):
-        if c.var != var:
-            raise UsageError("coefficient in the wrong variable")
-        return c
-    if isinstance(c, Poly):
-        if c.var != var:
-            raise UsageError("coefficient in the wrong variable")
-        return RationalFunction(c)
     if isinstance(c, (int, Fraction)):
         return RationalFunction.const(var, c)
-    raise UsageError(f"cannot use {c!r} as an operator coefficient")
+    if not isinstance(c, (RationalFunction, Poly)):
+        raise UsageError(f"cannot use {c!r} as an operator coefficient")
+    if c.var != var:
+        raise UsageError("coefficient in the wrong variable")
+    return c if isinstance(c, RationalFunction) else RationalFunction(c)
+
+
+@functools.lru_cache(maxsize=None)
+def _falling(k):
+    """Coefficients of D(D-1)...(D-k+1) = x^k d^k in powers of D."""
+    if not k:
+        return (1,)
+    prev = _falling(k - 1)
+    return tuple(a - (k - 1) * b for a, b in zip((0,) + prev, prev + (0,)))
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling2(j):
+    """S(j, k), k = 0..j, with D^j = sum_k S(j, k) x^k d^k."""
+    if not j:
+        return (1,)
+    prev = _stirling2(j - 1)
+    return tuple(a + k * b for k, (a, b) in
+                 enumerate(zip((0,) + prev, prev + (0,))))
 
 
 class DiffOp:
     """A finite-order differential operator; immutable value semantics."""
 
-    __slots__ = ("var", "form", "coeffs")
+    __slots__ = ("var", "form", "den", "nums", "_coeffs")
 
     def __init__(self, var, form, coeffs=()):
         if form not in _FORMS:
@@ -48,9 +77,40 @@ class DiffOp:
         cs = [_coerce_rf(var, c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.var = var
-        self.form = form
-        self.coeffs = tuple(cs)
+        den = Poly.lcm(var, dict.fromkeys(c.den for c in cs))
+        self.var, self.form, self.den = var, form, den
+        self.nums = tuple(c.num * (den // c.den) for c in cs)
+        self._coeffs = tuple(cs)
+
+    @classmethod
+    def from_cleared(cls, var, form, den, nums, common=None):
+        """den^{-1} sum_k nums[k] del^k in normal form.
+
+        One content pass divides den and the numerators by their common
+        factor, which must divide ``common`` (default: den itself), and
+        makes den monic.
+        """
+        nums = list(nums)
+        while nums and nums[-1].is_zero:
+            nums.pop()
+        if not nums:
+            return cls(var, form)
+        t = den if common is None else common
+        # shortest numerators first: Euclid then starts on the least degree
+        for p in sorted((p for p in nums if p), key=lambda p: p.degree):
+            if t.degree <= 0:
+                break
+            t = Poly.gcd(t, p)
+        if t.degree > 0:
+            den = den // t
+            nums = [p // t for p in nums]
+        if den.leading != 1:
+            inv = 1 / den.leading
+            den, nums = den.scale(inv), [p.scale(inv) for p in nums]
+        out = cls.__new__(cls)
+        out.var, out.form, out.den, out.nums = var, form, den, tuple(nums)
+        out._coeffs = None
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -84,12 +144,20 @@ class DiffOp:
     # -- basics ------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The reduced coefficients nums[k] / den, one per power."""
+        if self._coeffs is None:
+            self._coeffs = tuple(RationalFunction(p, self.den)
+                                 for p in self.nums)
+        return self._coeffs
+
+    @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self):
@@ -98,7 +166,7 @@ class DiffOp:
         return self.coeffs[-1]
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return RationalFunction.const(self.var, 0)
 
@@ -107,34 +175,54 @@ class DiffOp:
             raise UsageError(
                 f"operators in different variables {self.var!r}, {other.var!r}")
 
-    def _derive(self, rf):
-        return rf.derivative() if self.form == DEL else rf.theta()
+    def _derive(self, p):
+        return p.derivative() if self.form == DEL else p.theta()
 
     # -- linear structure ---------------------------------------------------
 
     def __neg__(self):
-        return DiffOp(self.var, self.form, tuple(-c for c in self.coeffs))
+        return DiffOp.from_cleared(self.var, self.form, self.den,
+                                   [-p for p in self.nums], Poly.const(self.var, 1))
 
     def __add__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
         o = other.convert(self.form)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return DiffOp(self.var, self.form,
-                      [self.coeff(k) + o.coeff(k) for k in range(n)])
+        if self.is_zero or o.is_zero:
+            return o if self.is_zero else self
+        # Henrici's sum over the denominators' gcd g: with reduced operands
+        # only a factor of g can divide the new denominator and numerators
+        g = Poly.gcd(self.den, o.den)
+        ra, rb = self.den // g, o.den // g
+        n, pad = max(len(self.nums), len(o.nums)), (Poly.zero(self.var),)
+        nums = [a * rb + b * ra for a, b in
+                zip(self.nums + pad * (n - len(self.nums)),
+                    o.nums + pad * (n - len(o.nums)))]
+        return DiffOp.from_cleared(self.var, self.form, o.den * ra, nums, g)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         """Multiply by a constant scalar."""
-        return DiffOp(self.var, self.form, tuple(c * a for a in self.coeffs))
+        if not c:
+            return DiffOp.zero(self.var, self.form)
+        return DiffOp.from_cleared(self.var, self.form, self.den,
+                                   [p.scale(c) for p in self.nums],
+                                   Poly.const(self.var, 1))
 
     def lmul_fn(self, f):
         """Left-multiply by a function: f(x) . A."""
         f = _coerce_rf(self.var, f)
-        return DiffOp(self.var, self.form, tuple(f * a for a in self.coeffs))
+        if f.is_zero or self.is_zero:
+            return DiffOp.zero(self.var, self.form)
+        # cancel f's numerator against den; only f's denominator can then
+        # share a factor with the numerators
+        g = Poly.gcd(f.num, self.den)
+        c, den = f.num // g, self.den // g
+        return DiffOp.from_cleared(self.var, self.form, den * f.den,
+                                   [c * p for p in self.nums], f.den)
 
     # -- multiplication ------------------------------------------------------
 
@@ -146,27 +234,35 @@ class DiffOp:
         o = other.convert(self.form)
         if self.is_zero or o.is_zero:
             return DiffOp.zero(self.var, self.form)
-        # theta^i o B, computed once per power
-        composed = [o]
-        for _ in range(self.order):
-            prev = composed[-1]
-            cs = [self._derive(prev.coeff(0))]
-            for j in range(1, prev.order + 2):
-                cs.append(self._derive(prev.coeff(j)) + prev.coeff(j - 1))
-            composed.append(DiffOp(self.var, self.form, cs))
-        out = DiffOp.zero(self.var, self.form)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                out = out + composed[i].lmul_fn(a)
-        return out
+        # del^i . (1/v) sum_j b_j del^j = (1/(v r^i)) sum_j c_ij del^j with
+        # r = v / gcd(v, delta v); delta(v r^i) / (v r^(i-1)) = s + i delta r
+        v, zero = o.den, Poly.zero(self.var)
+        dv = self._derive(v)
+        g = Poly.gcd(v, dv)
+        r, s = v // g, dv // g
+        dr = self._derive(r)
+        m = self.order
+        powers = [list(o.nums)]
+        for i in range(m):
+            prev = powers[-1] + [zero]
+            si = s + dr.scale(i)
+            powers.append([self._derive(c) * r - c * si
+                           + (prev[j - 1] * r if j else zero)
+                           for j, c in enumerate(prev)])
+        nums = [zero] * (m + len(o.nums))
+        for i, a in enumerate(self.nums):
+            w = a * r ** (m - i)
+            for j, c in enumerate(powers[i]):
+                nums[j] = nums[j] + w * c
+        return DiffOp.from_cleared(self.var, self.form,
+                                   self.den * v * r ** m, nums)
 
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative power of an operator")
         out = DiffOp.identity(self.var, self.form)
-        base = self
         for _ in range(n):
-            out = out * base
+            out = out * self
         return out
 
     # -- form conversion ------------------------------------------------------
@@ -177,37 +273,44 @@ class DiffOp:
             raise UsageError(f"unknown form {form!r}")
         if form == self.form:
             return self
+        var, m = self.var, self.order
+        out = [Poly.zero(var)] * (m + 1)
         if form == DFORM:
-            # d^k = (x^-1 D)^k, assembled by repeated products in DFORM
-            step = DiffOp(self.var, DFORM,
-                          (0, RationalFunction.x_power(self.var, -1)))
+            # d^k = x^-k D(D-1)...(D-k+1), over the denominator den x^m
+            den = self.den.shift_mul(max(m, 0))
+            for k, p in enumerate(self.nums):
+                for j, c in enumerate(_falling(k)):
+                    out[j] = out[j] + p.shift_mul(m - k).scale(c)
         else:
-            # D^k = (x d)^k, assembled by repeated products in DEL
-            step = DiffOp(self.var, DEL,
-                          (0, RationalFunction(Poly.variable(self.var))))
-        power = DiffOp.identity(self.var, form)
-        out = DiffOp.zero(self.var, form)
-        for k, a in enumerate(self.coeffs):
-            if k:
-                power = step * power
-            if not a.is_zero:
-                out = out + power.lmul_fn(a)
-        return out
+            # D^j = sum_k S(j, k) x^k d^k
+            den = self.den
+            for j, p in enumerate(self.nums):
+                for k, c in enumerate(_stirling2(j)):
+                    out[k] = out[k] + p.scale(c)
+            out = [p.shift_mul(k) for k, p in enumerate(out)]
+        # the Stirling matrices are unitriangular over Z, so only a power
+        # of x can divide den and every new numerator
+        return DiffOp.from_cleared(var, form, den, out,
+                                   Poly.monomial(var, den.valuation()))
 
     # -- adjoint ---------------------------------------------------------------
 
     def adjoint(self):
-        """Formal adjoint: the antiautomorphism with d* = -d and x* = x."""
+        """Formal adjoint: the antiautomorphism with d* = -d and x* = x.
+
+        (den^{-1} sum_k n_k d^k)* = (sum_k (-d)^k . n_k) . den^{-1}.
+        """
         a = self.convert(DEL)
         out = DiffOp.zero(self.var, DEL)
         power = DiffOp.identity(self.var, DEL)
         minus_d = DiffOp(self.var, DEL, (0, -1))
-        for k, c in enumerate(a.coeffs):
+        for k, p in enumerate(a.nums):
             if k:
                 power = minus_d * power
-            if not c.is_zero:
-                out = out + power * DiffOp.mult(self.var, c)
-        return out.convert(self.form)
+            out = out + power * DiffOp.mult(self.var, p)
+        inv_den = DiffOp.from_cleared(self.var, DEL, a.den,
+                                      [Poly.const(self.var, 1)])
+        return (out * inv_den).convert(self.form)
 
     # -- Euclidean division ------------------------------------------------------
 
@@ -224,12 +327,15 @@ class DiffOp:
         if divisor.is_zero:
             raise DomainError("division by the zero operator")
         d = divisor.convert(self.form)
+        var, zero = self.var, Poly.zero(self.var)
         rem = self
-        quot = DiffOp.zero(self.var, self.form)
+        quot = DiffOp.zero(var, self.form)
         while not rem.is_zero and rem.order >= d.order:
             k = rem.order - d.order
-            c = rem.leading / d.leading
-            term = DiffOp.monomial(self.var, self.form, k, c)
+            # leading ratio (rem_lead / rem.den) / (d_lead / d.den)
+            term = DiffOp.from_cleared(
+                var, self.form, rem.den * d.nums[-1],
+                [zero] * k + [rem.nums[-1] * d.den])
             quot = quot + term
             rem = rem - (d * term if divisor_first else term * d)
         return quot, rem
@@ -240,20 +346,21 @@ class DiffOp:
         """The same operator written in another variable name."""
         if var == self.var:
             return self
-        def move(rf):
-            return RationalFunction._reduced(Poly(var, rf.num.coeffs),
-                                             Poly(var, rf.den.coeffs))
-        return DiffOp(var, self.form, tuple(move(c) for c in self.coeffs))
+        return DiffOp.from_cleared(var, self.form, Poly(var, self.den.coeffs),
+                                   [Poly(var, p.coeffs) for p in self.nums],
+                                   Poly.const(var, 1))
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
         if self.var != other.var:
             return False
-        return self.convert(DEL).coeffs == other.convert(DEL).coeffs
+        o = other.convert(self.form)
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
-        return hash((self.var, self.convert(DEL).coeffs))
+        a = self.convert(DEL)
+        return hash((self.var, a.den, a.nums))
 
     def to_json(self):
         return {"var": self.var, "form": self.form,
@@ -304,9 +411,3 @@ def poly_at_operator(p: Poly, a: DiffOp) -> DiffOp:
     for c in reversed(p.coeffs):
         out = out * a + DiffOp.mult(a.var, c, a.form)
     return out
-
-
-def common_denominator(a: DiffOp):
-    """w(x) monic and an operator with polynomial coefficients w . a."""
-    w = Poly.lcm(a.var, (c.den for c in a.coeffs))
-    return w, a.lmul_fn(w)

@@ -150,6 +150,88 @@ def test_perturbed_pair_exits_four(tmp_path):
     assert main(["verify", bad, "-K", "10"]) == 4
 
 
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_small_depth_still_checks_the_orbit_kernel(tmp_path, capsys, depth):
+    # a tampered jet condition is caught below the default depth too: -K
+    # only widens the orbit window of the kernel witness
+    spec = write(tmp_path, "spec.json", ORDER2_SPEC)
+    cert_path = str(tmp_path / "cert.json")
+    pair_path = str(tmp_path / "pair.json")
+    assert main(["build", spec, "--out", cert_path]) == 0
+    assert main(["pair", cert_path, "--out", pair_path]) == 0
+    assert main(["verify", pair_path, "-K", depth]) == 0
+    pair = json.loads(Path(pair_path).read_text())
+    pair["provenance"]["spec"]["at_points"][0]["a"] = ["1", "2"]
+    bad = write(tmp_path, "tampered.json", pair)
+    capsys.readouterr()
+    assert main(["verify", bad, "-K", depth]) == 3
+    assert "orbit kernel element at 1 (branch 0) is not annihilated by P" \
+        in capsys.readouterr().err
+
+
+def _sized_spec(N=2, groups=1, rows=1, log_power=0, jet_order=0):
+    """A spec document of the given sizes; only its shape matters here."""
+    beta = [str(i) for i in range(N)]
+    at_zero = [{"base_index": 0, "b": [["1"] + ["0"] * log_power] * rows}]
+    at_points = [{"lambda": str(k + 1), "a": ["1"] * (jet_order + 1)}
+                 for k in range(groups - 1)]
+    return {"beta": {"N": N, "beta": beta}, "at_zero": at_zero,
+            "at_points": at_points}
+
+
+CAPS = {"N": "MAX_N", "groups": "MAX_GROUPS", "rows": "MAX_ROWS",
+        "log_power": "MAX_LOG_POWER", "jet_order": "MAX_JET_ORDER"}
+
+
+@pytest.mark.parametrize("size", sorted(CAPS))
+def test_specs_above_the_size_caps_exit_two_at_load(tmp_path, monkeypatch,
+                                                    capsys, size):
+    from bispectral import darboux
+    cap = getattr(darboux, CAPS[size])
+    sizes = {"N": 3, "groups": 2, "jet_order": 1, size: cap + 1}
+    built = []
+    monkeypatch.setattr(cli, "build_certificate", built.append)
+    spec = write(tmp_path, "spec.json", _sized_spec(**sizes))
+    assert main(["build", spec]) == 2
+    assert built == []
+    assert f"above the cap darboux.{CAPS[size]} = {cap}" in \
+        capsys.readouterr().err
+    # certificate and pair documents load their spec the same way
+    spec_ok = write(tmp_path, "ok.json", ORDER2_SPEC)
+    cert_path = str(tmp_path / "cert.json")
+    pair_path = str(tmp_path / "pair.json")
+    monkeypatch.undo()
+    assert main(["build", spec_ok, "--out", cert_path]) == 0
+    assert main(["pair", cert_path, "--out", pair_path]) == 0
+    for path, key, argv in ((cert_path, None, ["pair"]),
+                            (pair_path, "provenance", ["verify"])):
+        doc = json.loads(Path(path).read_text())
+        (doc[key] if key else doc)["spec"] = _sized_spec(**sizes)
+        capsys.readouterr()
+        assert main(argv + [write(tmp_path, "big.json", doc)]) == 2
+        assert f"darboux.{CAPS[size]}" in capsys.readouterr().err
+
+
+def test_specs_at_the_size_caps_parse():
+    from bispectral import KernelSpec, darboux
+    at_caps = _sized_spec(N=darboux.MAX_N, groups=darboux.MAX_GROUPS,
+                          rows=darboux.MAX_ROWS,
+                          log_power=darboux.MAX_LOG_POWER,
+                          jet_order=darboux.MAX_JET_ORDER)
+    spec = KernelSpec.from_json(at_caps)
+    assert spec.beta.N == darboux.MAX_N
+    assert len(spec.at_zero) + len(spec.at_points) == darboux.MAX_GROUPS
+    # every stored spec is under the caps
+    root = Path(__file__).resolve().parents[1]
+    docs = sorted((root / "src" / "bispectral" / "golden").glob("*.json"))
+    docs += sorted((root / "perfbench" / "data" / "pairs").glob("*.json"))
+    assert len(docs) >= 5
+    for path in docs:
+        doc = json.loads(path.read_text())
+        doc = doc.get("pair", doc)
+        KernelSpec.from_json(doc["provenance"]["spec"])
+
+
 def test_invalid_spec_exits_two(tmp_path):
     bad = write(tmp_path, "bad.json", {
         "beta": {"N": 2, "beta": ["0", "1"]},

@@ -15,6 +15,7 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         wave_jet_at)
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
+from tests_support import x_power
 
 F = Fraction
 
@@ -95,7 +96,7 @@ def test_orbit_collision_rejected():
 
 def test_build_monomial_reference_factors():
     assert build_P_monomial(rank1_spec()) == \
-        DiffOp("x", "del", [RationalFunction.x_power("x", -1).__neg__(), 1])
+        DiffOp("x", "del", [x_power("x", -1, -1), 1])
     bi = BesselIndex.parse("0,1")
     p = build_P_monomial(monomial_kernel(bi, [[(F(0), F(1))]]))
     assert p == DiffOp.partial("x")
@@ -132,9 +133,9 @@ def test_log_groups_rejected_alongside_points():
 
 def test_compute_q_reference_values():
     bi = BesselIndex.parse("0")
-    p = DiffOp("x", "del", [-RationalFunction.x_power("x", -1), 1])
+    p = DiffOp("x", "del", [x_power("x", -1, -1), 1])
     q = compute_Q(p, Poly("y", [0, 0, 1]), bi)
-    assert q == DiffOp("x", "del", [RationalFunction.x_power("x", -1), 1])
+    assert q == DiffOp("x", "del", [x_power("x", -1), 1])
     # dividing the base operator by itself
     bi2 = BesselIndex.parse("2/3,1/3")
     assert compute_Q(bessel_op(bi2), Poly("y", [0, 1]), bi2) == \

@@ -1,0 +1,122 @@
+"""Independent oracle: the golden pairs checked with sympy's own calculus.
+
+The three golden documents are read as JSON and their operators rebuilt as
+sympy rational functions; nothing here uses the library's operator or
+series code.  Two operators are equal exactly when they agree on x^a for
+a symbolic exponent a: an operator sum_k c_k(x) D^k (D = x d/dx) sends x^a
+to x^a sum_k c_k(x) a^k, a polynomial in a whose coefficients are the c_k.
+So every identity is checked on x^a, carried as x^a * R(x, a) with R in
+sympy's rational function field Q(x, a), where d/dx (x^a R) = x^a (a R / x
++ dR/dx).  The at-zero kernel elements x^g (ln x)^j are checked as sympy
+expressions.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from sympy.polys.fields import field  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parents[1] / "src" / "bispectral" / "golden"
+FIELD, X, A = field("x,a", sympy.QQ)
+x = sympy.Symbol("x")
+
+
+def _poly(coeffs, var):
+    return sum(sympy.Rational(c) * var ** k for k, c in enumerate(coeffs))
+
+
+def _operator(doc, var=X):
+    """(form, coefficients) of an operator document, written in var."""
+    return doc["form"], [_poly(c["num"], var) / _poly(c["den"], var)
+                         for c in doc["coeffs"]]
+
+
+def _apply(op, R):
+    """S with op(x^a R) = x^a S."""
+    form, coeffs = op
+    out, power = FIELD(0), R
+    for k, c in enumerate(coeffs):
+        if k:
+            step = A * power / X + power.diff(X)
+            power = step if form == "del" else X * step
+        out += c * power
+    return out
+
+
+def _chain(*ops):
+    """The image of x^a under the composition ops[0] ... ops[-1], over x^a."""
+    R = FIELD(1)
+    for op in reversed(ops):
+        R = _apply(op, R)
+    return R
+
+
+def _at_base(poly_coeffs, beta):
+    """The image of x^a under p(L_beta), L_beta = x^-N prod (D - b_i)."""
+    R, out = FIELD(1), FIELD(0)
+    for k, c in enumerate(poly_coeffs):
+        if k:
+            # one more L_beta, with D (x^a S) = x^a (a S + x dS/dx)
+            for b in beta:
+                R = A * R + X * R.diff(X) - sympy.Rational(b) * R
+            R = R / X ** len(beta)
+        out += sympy.Rational(c) * R
+    return out
+
+
+def _same(lhs, rhs):
+    return lhs - rhs == 0
+
+
+def _elements(spec):
+    """The at-zero kernel elements x^g (ln x)^j of a spec, as expressions."""
+    ell = sympy.Symbol("ell")
+    N = spec["beta"]["N"]
+    beta = [sympy.Rational(b) for b in spec["beta"]["beta"]]
+    out = []
+    for group in spec["at_zero"]:
+        b0 = beta[group["base_index"]]
+        seed = sum(sympy.Rational(c) * x ** (b0 + k * N) * ell ** j
+                   for k, row in enumerate(group["b"])
+                   for j, c in enumerate(row))
+        for j in range(group["j0"] + 1):
+            out.append(sympy.diff(seed, ell, j).subs(ell, sympy.log(x)))
+    return out
+
+
+def _apply_fn(op, f):
+    """op applied to an explicit function of x."""
+    form, coeffs = op
+    out, power = 0, f
+    for k, c in enumerate(coeffs):
+        if k:
+            power = sympy.diff(power, x)
+            power = power if form == "del" else x * power
+        out += c * power
+    return sympy.simplify(out)
+
+
+@pytest.mark.parametrize("name", ["rank1", "example4", "dg_even"])
+def test_golden_pair_identities(name):
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())["pair"]
+    cert = doc["provenance"]
+    beta = doc["beta"]["beta"]
+    P, Q = _operator(cert["P"]), _operator(cert["Q"])
+    P_expr = _operator(cert["P"], x)
+    P_b, Q_b = _operator(doc["P_b"]), _operator(doc["Q_b"])
+    L, Lambda = _operator(doc["L"]), _operator(doc["Lambda"])  # Lambda in z
+    assert doc["L"]["var"] == "x" and doc["Lambda"]["var"] == "z"
+    assert _same(_chain(L), _chain(P, Q))
+    assert _same(_chain(Q, P), _at_base(cert["h"], beta))
+    assert _same(_chain(Lambda), _chain(P_b, Q_b))
+    assert _same(_chain(Q_b, P_b), _at_base(doc["theta"], beta))
+    # a wrong operator is told apart
+    assert not _same(_chain(Q, P), _at_base(cert["h"] + ["1"], beta))
+    elements = _elements(cert["spec"])
+    for element in elements:
+        assert _apply_fn(P_expr, element) == 0
+    assert _apply_fn(P_expr, x ** sympy.Rational(1, 7)) != 0

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from bispectral import (DEL, DFORM, DiffOp, Poly, RationalFunction,
                         poly_at_operator)
+from tests_support import x_power
 
 
 def rand_rf(rng, var="x"):
@@ -27,7 +28,7 @@ def rand_op(rng, var="x", max_order=3, form=DEL):
 
 x = "x"
 d = DiffOp.partial(x)
-xinv = RationalFunction.x_power(x, -1)
+xinv = x_power(x, -1)
 xop = DiffOp.mult(x, Poly.variable(x))
 
 
@@ -148,3 +149,75 @@ def test_relabel_and_json_round_trip():
         assert DiffOp.from_json(a.to_json()) == a
         b = rand_op(rng, max_order=2, form=DFORM)
         assert DiffOp.from_json(b.to_json()) == b
+
+
+# -- the normal form: one monic denominator over polynomial numerators ------
+
+
+def _rem(a, b):
+    """Remainder of a by b, written out independently of Poly.divmod."""
+    rem = list(a.coeffs)
+    while len(rem) >= len(b.coeffs):
+        c = rem[-1] / b.coeffs[-1]
+        shift = len(rem) - len(b.coeffs)
+        for i, v in enumerate(b.coeffs):
+            rem[shift + i] -= c * v
+        while rem and not rem[-1]:
+            rem.pop()
+    return Poly(a.var, rem)
+
+
+def _quot(a, b):
+    """Exact quotient a / b, written out independently of Poly.divmod."""
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * (len(rem) - len(b.coeffs) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b.coeffs) - 1] / b.coeffs[-1]
+        quot[k] = c
+        for i, v in enumerate(b.coeffs):
+            rem[k + i] -= c * v
+    assert not any(rem)
+    return Poly(a.var, quot)
+
+
+def _gcd(a, b):
+    """Monic gcd by a Euclid written here, independent of Poly.gcd."""
+    while not b.is_zero:
+        a, b = b, _rem(a, b)
+    return a if a.is_zero else Poly(a.var, [c / a.leading for c in a.coeffs])
+
+
+def assert_normal_form(a):
+    assert a.den.leading == 1
+    content = a.den
+    for p in a.nums:
+        content = _gcd(content, p)
+    assert content.degree == 0
+    lcm = Poly.const(a.var, 1)
+    for c in a.coeffs:
+        lcm = _quot(lcm * c.den, _gcd(lcm, c.den))
+    assert lcm == a.den
+    assert a.coeffs == tuple(RationalFunction(p, a.den) for p in a.nums)
+
+
+def test_normal_form_randomized():
+    from tests_support import rand_laurent_op, rand_op, rand_rf
+    rng = random.Random(2008)
+    for _ in range(60):
+        form = rng.choice([DEL, DFORM])
+        other = DFORM if form == DEL else DEL
+        a = rand_op(rng, form=form)
+        b = rand_laurent_op(rng)
+        built = [a, b, a * b, b * a, a + b, a - a, a.convert(other),
+                 a.adjoint(), a.lmul_fn(rand_rf(rng)), a.relabel("z"),
+                 a.scale(Fraction(-3, 2))]
+        if not b.is_zero:
+            built.extend(a.left_divide(b) + a.right_divide(b))
+        for op in built:
+            assert_normal_form(op)
+        # equal operators have equal fields and hashes, however built
+        for c in (DiffOp(a.var, form, a.coeffs), DiffOp.from_json(a.to_json()),
+                  (a + b) - b, a.convert(other).convert(form),
+                  a * DiffOp.identity(a.var, other)):
+            assert c == a and hash(c) == hash(a)
+            assert (c.form, c.den, c.nums) == (a.form, a.den, a.nums)

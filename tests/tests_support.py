@@ -14,6 +14,13 @@ def rand_rf(rng, var="x"):
     return RationalFunction(num, den)
 
 
+def x_power(var, m, c=1):
+    """c * var**m as a rational function, for any integer m."""
+    if m >= 0:
+        return RationalFunction(Poly.monomial(var, m, c))
+    return RationalFunction(Poly.const(var, c), Poly.monomial(var, -m))
+
+
 def rand_op(rng, var="x", max_order=2, form="del"):
     order = rng.randint(0, max_order)
     return DiffOp(var, form, [rand_rf(rng, var) for _ in range(order + 1)])
