@@ -59,15 +59,6 @@ class BesselIndex:
                 count += 1
         return count
 
-    def multiplicity_table(self, bound: int) -> dict:
-        """Exponent -> multiplicity for all ladder exponents below beta_i + bound*N."""
-        table = {}
-        for b in self.beta:
-            for k in range(bound):
-                g = b + k * self.N
-                table[g] = self.multiplicity(g)
-        return table
-
     def to_json(self):
         return {"N": self.N, "beta": [format_rational(b) for b in self.beta]}
 

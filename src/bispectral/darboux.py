@@ -51,6 +51,11 @@ MAX_ROWS = 4            # rows of b in one at-zero group
 MAX_LOG_POWER = 1       # len(row) - 1 of one row of b
 MAX_JET_ORDER = 3       # len(a) - 1 of one orbit group
 
+# Budget of the annihilator ansatz: rounds of coefficient degree bounds,
+# the first up to n * deg h and each next one up to twice the last, before
+# the spec is declared inconsistent.
+MAX_ANSATZ_DOUBLINGS = 5
+
 
 def _check_caps(N, at_zero, at_points):
     """Reject a spec document above a size cap, before anything is built."""
@@ -84,6 +89,8 @@ class AtZeroGroup:
         rows = tuple(tuple(Fraction(c) for c in row) for row in self.b)
         if not rows or not any(any(row) for row in rows):
             raise SpecInvalidError("empty condition group at 0")
+        if not all(rows):
+            raise SpecInvalidError("empty row of b in a condition group at 0")
         object.__setattr__(self, "b", rows)
 
     @property
@@ -143,6 +150,10 @@ class KernelSpec:
     def __post_init__(self):
         object.__setattr__(self, "at_zero", tuple(self.at_zero))
         object.__setattr__(self, "at_points", tuple(self.at_points))
+        for g in self.at_zero:
+            if not 0 <= g.base_index < self.beta.N:
+                raise SpecInvalidError(
+                    f"base index {g.base_index} out of range")
 
     @property
     def is_monomial(self):
@@ -204,8 +215,6 @@ def monomial_kernel(beta: BesselIndex, rows) -> KernelSpec:
 
 def _group_elements(beta: BesselIndex, group: AtZeroGroup):
     """The quasi-polynomial elements of one at-zero group (seed derivatives)."""
-    if not 0 <= group.base_index < beta.N:
-        raise SpecInvalidError(f"base index {group.base_index} out of range")
     b0 = beta.beta[group.base_index]
     seed_terms = []
     for k, row in enumerate(group.b):
@@ -423,11 +432,11 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
     d = max(1, val.h.degree)
     base_bound = max(1, n * d)
     outer = base_bound
-    tried = 0
     bound_start = 0
+    largest, dim = (0, 0), None
     lbeta = bessel_op(beta)
     h_at_l = poly_at_operator(val.h, lbeta)
-    while tried < 5:
+    for _ in range(MAX_ANSATZ_DOUBLINGS):
         for bound in range(bound_start, outer + 1):
             ncols = (n + 1) * (bound + 1)
             rows = _zero_condition_rows(val.elements_at_zero, n, N, bound)
@@ -450,6 +459,9 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
             if not rows:
                 continue
             sols = linalg.nullspace(rows, ncols)
+            largest = max(largest, (len(rows), ncols),
+                          key=lambda shape: shape[0] * shape[1])
+            dim = len(sols)
             for sol in sols:
                 if not any(sol[val.n * (bound + 1):]):
                     continue
@@ -461,9 +473,12 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
                     return op, quot
         bound_start = outer + 1
         outer *= 2
-        tried += 1
     raise InconsistentSpecError(
-        f"no certified annihilator up to coefficient degree {outer // 2}")
+        f"no certified annihilator for coefficient degree bounds "
+        f"0..{bound_start - 1}, doubled from {base_bound} in "
+        f"darboux.MAX_ANSATZ_DOUBLINGS = {MAX_ANSATZ_DOUBLINGS} rounds; "
+        f"largest system {largest[0]} x {largest[1]}, "
+        f"last nullspace dimension {dim}")
 
 
 def build_P_monomial(spec: KernelSpec) -> DiffOp:
@@ -601,16 +616,15 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     psi = bessel_wave(beta, K)
     image = psi.apply(P, "x")
     xlo, xhi, zlo, zhi = image.box
-    for (i, j), c in image.coeffs.items():
-        if i > 0 and c:
+    for i, j in image.nums:
+        if i > 0:
             raise CertificationError(
                 f"normalization: positive power x^{i} survives in P psi")
-    row0 = image.x_row(0)
     if zhi < g.degree:
         raise CertificationError("window too small to read off g; raise depth")
     for j in range(zlo, zhi + 1):
-        want = g.coeff(j) if 0 <= j <= g.degree else Fraction(0)
-        if row0.get(j, Fraction(0)) != want:
+        want = g.coeff(j) if 0 <= j <= g.degree else 0
+        if image.nums.get((0, j), 0) != want * image.den:
             raise CertificationError(
                 f"normalization: x^0 row of P psi is not g at z^{j}")
     witnesses["normalization"] = True

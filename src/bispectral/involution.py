@@ -233,14 +233,14 @@ def verify_pair(pair: BispectralPair, depth: int = None) -> dict:
     lhs = s.apply(pair.L, "x")
     rhs = s.mul_poly(h_z, axis=1)
     res1 = lhs - rhs
-    if any(res1.coeffs.values()):
+    if res1.nums:
         raise VerificationError("L psi - h(z^N) psi has a nonzero residual")
 
     t = psi.apply(pair.P_b, "x")
     lhs2 = t.apply(pair.Lambda.relabel("x"), "x")
     rhs2 = t.mul_poly(theta_z, axis=1)
     res2 = lhs2 - rhs2
-    if any(res2.coeffs.values()):
+    if res2.nums:
         raise VerificationError(
             "Lambda psi - theta(x^N) psi has a nonzero residual")
 

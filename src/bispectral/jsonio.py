@@ -11,6 +11,10 @@ from .darboux import DarbouxCertificate, KernelSpec, certify
 from .errors import UsageError
 from .involution import BispectralPair
 
+# what a document of the wrong shape raises inside a from_json: a missing
+# key, a value of the wrong type, or a list of the wrong length
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
+
 
 def tool_block(**params):
     out = {"name": "bispectral", "version": __version__}
@@ -40,7 +44,7 @@ def read(path):
 def load_spec(data) -> KernelSpec:
     try:
         return KernelSpec.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"malformed kernel spec: {exc}") from exc
 
 
@@ -56,7 +60,7 @@ def load_certificate(data) -> DarbouxCertificate:
     """
     try:
         cert = DarbouxCertificate.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"malformed certificate: {exc}") from exc
     certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
     return cert
@@ -70,5 +74,5 @@ def pair_document(pair: BispectralPair, **params):
 def load_pair(data) -> BispectralPair:
     try:
         return BispectralPair.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"malformed pair: {exc}") from exc

@@ -217,15 +217,6 @@ class Poly:
         """x * d/dx, the degree-weighted derivative."""
         return Poly(self.var, tuple(k * c for k, c in enumerate(self.coeffs)))
 
-    def evaluate(self, v):
-        acc = _coerce_scalar(0) if not isinstance(v, Poly) else Poly.zero(v.var)
-        for c in reversed(self.coeffs):
-            if isinstance(v, Poly):
-                acc = acc * v + Poly.const(v.var, c)
-            else:
-                acc = acc * v + c
-        return acc
-
     def expand_arg_power(self, n: int, var=None) -> "Poly":
         """p(y) -> p(x^n) as a polynomial in x."""
         out = [Fraction(0)] * (n * self.degree + 1 if self.coeffs else 0)
@@ -256,6 +247,9 @@ class Poly:
 
     @classmethod
     def from_json(cls, var, data):
+        if not isinstance(data, list):
+            raise UsageError("polynomial coefficients must be a list, got "
+                             f"{type(data).__name__}")
         return cls(var, [parse_rational(c) for c in data])
 
     def __repr__(self):

@@ -22,10 +22,25 @@ numerator), streamed into one coefficient dict.  Its box is the fold of
 max over the piece boxes, component by component, as the pairwise + builds
 it: a coefficient inside the final box lies inside every partial box, so
 the one-pass sum keeps exactly what the pairwise sums keep.
+
+Integer form.  A WaveSeries keeps integer numerators over one positive
+integer denominator and takes no gcd in its arithmetic; ``coeffs`` is the
+reduced rational view, computed once per series.  An operator is applied
+in integers: its numerators are cleared by the lcm D of their
+denominators, and its monic denominators q with a root away from 0 by the
+one integer E that makes every E * q integral, with leading coefficient E.
+Dividing by E * q from the window top needs no division either: counted
+from the top, the k-th output has a denominator dividing E^(k+1), and the
+recurrence runs on the output times that power (``_divide_row``).  So the
+image of a series over den lies over den * D * E^(w-1), w the window width
+along the acting variable, and E = 1 (integral monic q) costs nothing.
+ExpSeries keeps generic scalars (Q(eps) where a root of unity is in play)
+and runs the same recurrence with a monic divisor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,91 +184,124 @@ def _accumulate(pieces):
     return out, box
 
 
-def _divide_row(row, den: Poly):
-    """Solve den * out = row from the window top down.
+def _divide_row(row, q, lead=1):
+    """Solve (lead x^d + sum_{t<d} q[t] x^t) * out = row from the window top.
 
     row[k] is the coefficient of x^(lo+k) on a window [lo, hi] above which
-    the true coefficients vanish; out[k] is that of x^(lo-d+k), d = deg den.
-    The coefficient of x^(i+d) in den * out gives
-    out_i = (in_{i+d} - sum_{t<d} den_t out_{i+d-t}) / lead, with out_j = 0
-    above hi - d.  Absent entries are 0.
+    the true coefficients vanish; out[k] is that of x^(lo-d+k), d = len(q).
+    The coefficient of x^(lo+k) of the product gives
+    lead out_k = row_k - sum_{t<d} q_t out_{k+d-t}, with out_j = 0 above
+    hi - d, so out_k, the (w-k)-th entry from the window top (w = len(row)),
+    has a denominator dividing lead^(w-k).  The recurrence runs
+    fraction-free on y_k = lead^(w-k) out_k:
+        y_k = lead^(w-1-k) row_k - sum_{s=1..d} q_{d-s} lead^(s-1) y_{k+s},
+    and y is returned.  With lead = 1 it is the plain recurrence, over any
+    scalars.  Absent entries are 0.
     """
-    d = den.degree
-    taps = [(d - t, c) for t, c in reversed(list(enumerate(den.coeffs[:d])))
-            if c]
-    inv = 1 / den.leading
+    d = len(q)
+    taps = [(d - t, c if lead == 1 else c * lead ** (d - t - 1))
+            for t, c in reversed(list(enumerate(q))) if c]
     w = len(row)
-    out = [0] * w
+    y = [0] * w
+    power = 1
     for k in range(w - 1, -1, -1):
-        acc = row[k]
+        acc = row[k] if power == 1 else row[k] * power
         for s, c in taps:
             if k + s >= w:
                 break
-            u = out[k + s]
+            u = y[k + s]
             if u:
                 acc = acc - c * u
-        if acc:
-            out[k] = acc * inv
-    return out
+        y[k] = acc
+        if lead != 1:
+            power *= lead
+    return y
+
+
+def _over(c, m):
+    """The integer numerator of the rational c over a multiple m of its
+    denominator."""
+    return c.numerator * (m // c.denominator)
 
 
 class WaveSeries:
-    """e^{xz} times a truncated double series; see the module docstring."""
+    """e^{xz} times a truncated double series; see the module docstring.
 
-    __slots__ = ("coeffs", "box")
+    Integer numerators ``nums[(i, j)]`` over one positive integer ``den``;
+    ``coeffs`` is the reduced rational view, computed once per series.
+    """
+
+    __slots__ = ("nums", "den", "box", "_coeffs")
 
     def __init__(self, coeffs, box):
+        items = [(k, c) for k, c in
+                 (coeffs.items() if isinstance(coeffs, dict) else coeffs) if c]
+        den = math.lcm(*(c.denominator for _, c in items))
+        self._set({k: _over(c, den) for k, c in items}, box, den)
+
+    def _set(self, nums, box, den):
+        """Integer numerators over den > 0, kept inside the box; no gcd is
+        taken."""
         xlo, xhi, zlo, zhi = box
         if xlo > xhi or zlo > zhi:
             raise TruncationError(f"empty series window {box}")
-        self.box = (xlo, xhi, zlo, zhi)
-        data = {}
-        for (i, j), c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            if xlo <= i <= xhi and zlo <= j <= zhi and c:
-                data[(i, j)] = c
-        self.coeffs = data
+        self.box, self.den, self._coeffs = (xlo, xhi, zlo, zhi), den, None
+        self.nums = {(i, j): v for (i, j), v in nums.items()
+                     if v and xlo <= i <= xhi and zlo <= j <= zhi}
+
+    @classmethod
+    def _make(cls, nums, box, den):
+        """An arithmetic result (see ``_set``)."""
+        out = cls.__new__(cls)
+        out._set(nums, box, den)
+        return out
 
     @property
-    def window(self):
-        return self.box
+    def coeffs(self):
+        """The reduced coefficients nums[(i, j)] / den."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = {k: Fraction(v, den) for k, v in self.nums.items()}
+        return self._coeffs
 
     def coeff(self, i, j):
         return self.coeffs.get((i, j), Fraction(0))
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other):
-        xlo = max(self.box[0], other.box[0])
-        xhi = max(self.box[1], other.box[1])
-        zlo = max(self.box[2], other.box[2])
-        zhi = max(self.box[3], other.box[3])
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return WaveSeries(out, (xlo, xhi, zlo, zhi))
+        g = math.gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        out = {k: v * a for k, v in self.nums.items()}
+        _add_into(out, ((k, v * b) for k, v in other.nums.items()))
+        return WaveSeries._make(out, tuple(map(max, self.box, other.box)),
+                                self.den * a)
 
     def __neg__(self):
-        return WaveSeries({k: -c for k, c in self.coeffs.items()}, self.box)
+        return WaveSeries._make({k: -v for k, v in self.nums.items()},
+                                self.box, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return WaveSeries({k: c * v for k, v in self.coeffs.items()}, self.box)
+        return self.shift(0, 0, c)
 
     def shift(self, dx, dz, c=1):
         """Multiply by c * x^dx * z^dz."""
+        c = Fraction(c)
         xlo, xhi, zlo, zhi = self.box
-        return WaveSeries({(i + dx, j + dz): c * v
-                           for (i, j), v in self.coeffs.items()},
-                          (xlo + dx, xhi + dx, zlo + dz, zhi + dz))
+        return WaveSeries._make({(i + dx, j + dz): c.numerator * v
+                                 for (i, j), v in self.nums.items()},
+                                (xlo + dx, xhi + dx, zlo + dz, zhi + dz),
+                                self.den * c.denominator)
 
     def _shifted(self, terms, axis):
         """The pieces c * x^m * self (axis 0) or c * z^m * self (axis 1)."""
         xlo, xhi, zlo, zhi = self.box
-        items = self.coeffs.items()
+        items = self.nums.items()
         for m, c in terms:
             if axis == 0:
                 yield ((xlo + m, xhi + m, zlo, zhi),
@@ -262,53 +310,94 @@ class WaveSeries:
                 yield ((xlo, xhi, zlo + m, zhi + m),
                        (((i, j + m), c * v) for (i, j), v in items))
 
-    def _mul_terms(self, terms, axis):
-        if not terms:
-            raise UsageError("multiplication by the zero function")
-        return WaveSeries(*_accumulate(self._shifted(terms, axis)))
+    def _mul_inverse_poly(self, den: Poly, axis, E=None):
+        """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1).
 
-    def _mul_inverse_poly(self, den: Poly, axis):
-        """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1)."""
-        d = den.degree
+        A monic den is cleared to E * den, integral with leading coefficient
+        E (default: the lcm of den's denominators), and the result lies over
+        self.den * E^(w-1), w the window width along the axis.
+        """
+        if den.leading != 1:
+            return self.scale(1 / den.leading)._mul_inverse_poly(den.monic(),
+                                                                 axis)
+        if E is None:
+            E = math.lcm(*(c.denominator for c in den.coeffs))
+        q = [_over(c, E) for c in den.coeffs[:-1]]
+        d = len(q)
         xlo, xhi, zlo, zhi = self.box
         lo, hi = (xlo, xhi) if axis == 0 else (zlo, zhi)
+        w = hi - lo + 1
         rows = {}
-        for key, c in self.coeffs.items():
+        for key, c in self.nums.items():
             src, o = key if axis == 0 else key[::-1]
             row = rows.get(o)
             if row is None:
-                row = rows[o] = [0] * (hi - lo + 1)
+                row = rows[o] = [0] * w
             row[src - lo] = c
+        lift = [E ** k for k in range(w)] if E != 1 else None
         out = {}
         for o, row in rows.items():
-            for k, c in enumerate(_divide_row(row, den), lo - d):
-                if c:
-                    out[(k, o) if axis == 0 else (o, k)] = c
+            for k, y in enumerate(_divide_row(row, q, E)):
+                if y:
+                    out[(lo - d + k, o) if axis == 0 else (o, lo - d + k)] = (
+                        y if lift is None else y * lift[k])
         box = (lo - d, hi - d, zlo, zhi) if axis == 0 else (xlo, xhi, lo - d, hi - d)
-        return WaveSeries(out, box)
+        return WaveSeries._make(out, box, self.den * E ** (w - 1))
+
+    def _image(self, fractions, axis):
+        """sum_k (num_k / den_k) DEL^k self for fractions [(num_k, den_k)]
+        with den_k monic, in integers over one denominator.
+
+        Numerators are cleared by the lcm D of their denominators, and every
+        den_k with a root away from 0 by the one integer E that clears all
+        of them, so each piece lies over self.den * D * E^(w-1).
+        """
+        D = math.lcm(*(c.denominator for num, _ in fractions
+                       for c in num.coeffs))
+        E = math.lcm(*(c.denominator for _, den in fractions
+                       for c in den.coeffs))
+        lo, hi = self.box[2 * axis:2 * axis + 2]
+        top = E ** (hi - lo)
+
+        def pieces():
+            power = self
+            for k, (num, den) in enumerate(fractions):
+                if k:
+                    power = power._apply_del(axis)
+                if num.is_zero:
+                    continue
+                m = den.degree
+                if den.valuation() == m:
+                    yield from power._shifted(
+                        [(t - m, _over(c, D) * top)
+                         for t, c in enumerate(num.coeffs) if c], axis)
+                    continue
+                product = WaveSeries._make(*_accumulate(power._shifted(
+                    [(t, _over(c, D)) for t, c in enumerate(num.coeffs) if c],
+                    axis)), power.den)
+                piece = product._mul_inverse_poly(den, axis, E)
+                yield piece.box, piece.nums.items()
+
+        out, box = _accumulate(pieces())
+        if box is None:
+            raise UsageError("cannot apply the zero operator to a series")
+        return WaveSeries._make(out, box, self.den * D * top)
 
     def mul_ratfn(self, rf: RationalFunction, axis):
         """Multiply by a rational function of x (axis 0) or z (axis 1)."""
         if rf.is_zero:
             raise UsageError("multiplication by the zero function")
-        if rf.is_laurent:
-            return self._mul_terms(rf.laurent_terms(), axis)
-        return self.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
-
-    def _ratfn_pieces(self, rf: RationalFunction, axis):
-        if rf.is_laurent:
-            yield from self._shifted(rf.laurent_terms(), axis)
-        else:
-            piece = self.mul_ratfn(rf, axis)
-            yield piece.box, piece.coeffs.items()
+        return self._image([(rf.num, rf.den)], axis)
 
     def mul_poly(self, p: Poly, axis):
-        return self._mul_terms([(k, c) for k, c in enumerate(p.coeffs) if c], axis)
+        if p.is_zero:
+            raise UsageError("multiplication by the zero function")
+        return self._image([(p, Poly.const(p.var, 1))], axis)
 
     def _apply_del(self, axis):
         """(z + d/dx) resp. (x + d/dz) on the bare series: one more DEL."""
         xlo, xhi, zlo, zhi = self.box
-        items = self.coeffs.items()
+        items = self.nums.items()
         if axis == 0:
             pieces = (((xlo, xhi, zlo + 1, zhi + 1),
                        (((i, j + 1), v) for (i, j), v in items)),
@@ -319,7 +408,7 @@ class WaveSeries:
                        (((i + 1, j), v) for (i, j), v in items)),
                       ((xlo, xhi, zlo - 1, zhi - 1),
                        (((i, j - 1), j * v) for (i, j), v in items if j)))
-        return WaveSeries(*_accumulate(pieces))
+        return WaveSeries._make(*_accumulate(pieces), self.den)
 
     def apply(self, op: DiffOp, var: str) -> "WaveSeries":
         """Image under an operator acting in x (var='x') or z (var='z').
@@ -329,30 +418,16 @@ class WaveSeries:
         """
         if var not in ("x", "z"):
             raise UsageError("var must be 'x' or 'z'")
-        a = op.convert(DEL)
-        axis = 0 if var == "x" else 1
-
-        def pieces():
-            power = self
-            for k, c in enumerate(a.coeffs):
-                if k:
-                    power = power._apply_del(axis)
-                if not c.is_zero:
-                    yield from power._ratfn_pieces(c, axis)
-
-        out, box = _accumulate(pieces())
-        if box is None:
-            raise UsageError("cannot apply the zero operator to a series")
-        return WaveSeries(out, box)
-
-    def x_row(self, i):
-        """The z-coefficients of x^i inside the window, as a dict."""
-        return {j: c for (i2, j), c in self.coeffs.items() if i2 == i}
+        return self._image([(c.num, c.den) for c in op.convert(DEL).coeffs],
+                           0 if var == "x" else 1)
 
     def __eq__(self, other):
         if not isinstance(other, WaveSeries):
             return NotImplemented
-        return self.box == other.box and self.coeffs == other.coeffs
+        if self.box != other.box or self.nums.keys() != other.nums.keys():
+            return False
+        a, b = self.den, other.den
+        return all(v * b == other.nums[k] * a for k, v in self.nums.items())
 
     def to_json(self):
         items = sorted(self.coeffs.items())
@@ -365,7 +440,7 @@ class WaveSeries:
                     for i, j, c in data["coeffs"]}, tuple(data["window"]))
 
     def __repr__(self):
-        return f"WaveSeries(window={self.box}, terms={len(self.coeffs)})"
+        return f"WaveSeries(window={self.box}, terms={len(self.nums)})"
 
 
 class ExpSeries:
@@ -429,11 +504,14 @@ class ExpSeries:
     def _mul_inverse_poly(self, den: Poly):
         d = den.degree
         lo, hi = self.box
+        inv = 1 / den.leading
         row = [0] * (hi - lo + 1)
         for i, c in self.coeffs.items():
-            row[i - lo] = c
+            row[i - lo] = c * inv
         return ExpSeries(self.var, self.rate,
-                         enumerate(_divide_row(row, den), lo - d),
+                         enumerate(_divide_row(row, [c * inv for c in
+                                                     den.coeffs[:d]]),
+                                   lo - d),
                          (lo - d, hi - d))
 
     def _shifted(self, terms):

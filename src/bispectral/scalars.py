@@ -16,9 +16,16 @@ from .errors import DomainError, UsageError
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" (or just "p") into an exact rational."""
+    """Parse "p/q" (or just "p") into an exact rational.
+
+    Exponent notation is refused: "1e999999999" would ask for a power of
+    ten with a billion digits before any size cap could be checked.
+    """
+    text = str(text).strip()
+    if "e" in text.lower():
+        raise UsageError(f"not a rational: {text!r} (no exponent notation)")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational: {text!r}") from exc
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -404,3 +406,88 @@ def test_rank_on_a_certificate_rejects_depth_and_a_missing_spec(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no 'spec'" in captured.err
+
+
+# values a mutation puts in place of a node: wrong types, a zero
+# denominator, non-rational strings and huge numbers
+FUZZ_VALUES = (
+    (None, True, 7, 2.5, "x", [], {}, [[]], {"a": 1}),
+    ("1/0", "-3/0"),
+    ("abc", "1/2/3", "", "nan", "inf", "0x10"),
+    ("1e999999999", "-7e99999", 10 ** 9, -10 ** 18, "9" * 5000),
+)
+
+
+def _paths(doc, path=()):
+    """Every key path into a JSON document, the root's own excluded."""
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(rng, doc):
+    """doc with one node dropped or replaced by a value of FUZZ_VALUES."""
+    doc = copy.deepcopy(doc)
+    *head, key = rng.choice(list(_paths(doc)))
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    kind = rng.randrange(len(FUZZ_VALUES) + 1)
+    if kind == len(FUZZ_VALUES):
+        del parent[key]
+    else:
+        parent[key] = rng.choice(FUZZ_VALUES[kind])
+    return doc
+
+
+def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
+    # a malformed spec, certificate or pair document ends in exit code 2,
+    # 3 or 4 (or 0 where the mutation is harmless), never in a traceback
+    rng = random.Random(20)
+    codes = set()
+    for spec in (RANK1_SPEC, ORDER2_SPEC):
+        cert = str(tmp_path / "cert.json")
+        pair = str(tmp_path / "pair.json")
+        assert main(["build", write(tmp_path, "spec.json", spec),
+                     "--out", cert]) == 0
+        assert main(["pair", cert, "--out", pair]) == 0
+        for doc, argv in ((spec, ["build"]),
+                          (json.loads(Path(cert).read_text()), ["rank"]),
+                          (json.loads(Path(pair).read_text()),
+                           ["verify", "-K", "8"])):
+            for _ in range(50):
+                mutant = write(tmp_path, "mutant.json", _mutate(rng, doc))
+                code = main(argv + [mutant])
+                assert code in (0, 2, 3, 4), (argv, Path(mutant).read_text())
+                codes.add(code)
+    capsys.readouterr()
+    assert {2, 3} <= codes
+
+
+@pytest.mark.parametrize("kind, path, value, argv", [
+    ("pair", ("provenance",), "1/0", ["verify", "-K", "8"]),
+    ("spec", ("at_zero", 0, "base_index"), 7, ["betaprime"]),
+    ("spec", ("at_zero", 0, "b", 0), [], ["betaprime"]),
+    ("cert", ("P", "coeffs", 0, "num", 0), "1e999999999", ["rank"]),
+    ("pair", ("provenance", "P", "coeffs", 1, "den"), "9" * 5000,
+     ["verify", "-K", "8"]),
+], ids=["provenance-not-an-object", "base-index-out-of-range",
+        "empty-row-of-b", "exponent-notation", "string-as-coefficients"])
+def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
+                                      argv):
+    # a wrong-typed node, an index out of range, an exponent that would
+    # build a billion-digit integer and a string read as a coefficient list
+    docs = {"spec": write(tmp_path, "spec.json", RANK1_SPEC),
+            "cert": str(tmp_path / "cert.json"),
+            "pair": str(tmp_path / "pair.json")}
+    assert main(["build", docs["spec"], "--out", docs["cert"]]) == 0
+    assert main(["pair", docs["cert"], "--out", docs["pair"]]) == 0
+    doc = json.loads(Path(docs[kind]).read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    assert main(argv + [write(tmp_path, "bad.json", doc)]) == 2
+    assert "error:" in capsys.readouterr().err

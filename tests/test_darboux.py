@@ -5,14 +5,15 @@ import pytest
 
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         CertificationError, Cyclotomic, DarbouxCertificate,
-                        DiffOp, KernelSpec, Poly, RankDeficiencyError,
-                        RationalFunction, SpecInvalidError,
+                        DiffOp, InconsistentSpecError, KernelSpec, Poly,
+                        RankDeficiencyError, RationalFunction, SpecInvalidError,
                         UnsupportedInputError, UsageError, banded_rows,
                         bessel_op, build_P_general, build_P_monomial,
                         build_certificate, certify, cleared_coefficients,
                         compute_Q, euler_phi, kernel_matrix, linalg,
                         monomial_kernel, poly_at_operator, validate_spec,
                         wave_jet_at)
+from bispectral import darboux
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
 from tests_support import x_power
@@ -387,3 +388,30 @@ def test_spec_json_round_trip():
     assert KernelSpec.from_json(spec.to_json()).to_json() == spec.to_json()
     spec2 = rank1_spec()
     assert KernelSpec.from_json(spec2.to_json()).to_json() == spec2.to_json()
+
+
+def test_ansatz_budget_names_what_it_tried(monkeypatch):
+    # no candidate certifies, so the ansatz spends its whole budget
+    monkeypatch.setattr(darboux, "MAX_ANSATZ_DOUBLINGS", 1)
+    monkeypatch.setattr(darboux, "_assemble", lambda *args: None)
+    shapes = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        sols = nullspace(rows, ncols)
+        shapes.append((len(rows), ncols, len(sols)))
+        return sols
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    spec = order2_point_spec()
+    val = validate_spec(spec)
+    base = max(1, val.n * val.h.degree)
+    with pytest.raises(InconsistentSpecError) as exc:
+        build_certificate(spec)
+    msg = str(exc.value)
+    assert f"degree bounds 0..{base}, doubled from {base} in " \
+        "darboux.MAX_ANSATZ_DOUBLINGS = 1 rounds;" in msg
+    assert max(c for _, c, _ in shapes) == (val.n + 1) * (base + 1)
+    rows, cols, _ = max(shapes, key=lambda s: s[0] * s[1])
+    assert f"largest system {rows} x {cols}," in msg
+    assert msg.endswith(f"last nullspace dimension {shapes[-1][2]}")

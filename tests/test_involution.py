@@ -7,11 +7,12 @@ import pytest
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         BispectralError, CertificationError, DiffOp,
                         KernelSpec, Poly, RationalFunction, UsageError,
-                        VerificationError, banded_rows, bessel_op,
-                        bessel_plane_report, beta_prime, build_certificate,
-                        closed_form_monomial, involute_P, involute_Q,
-                        kernel_matrix, linalg, make_pair, monomial_kernel,
-                        spectral_algebra, validate_spec, verify_pair)
+                        VerificationError, WaveSeries, banded_rows,
+                        bessel_op, bessel_plane_report, beta_prime,
+                        build_certificate, closed_form_monomial, involute_P,
+                        involute_Q, kernel_matrix, linalg, make_pair,
+                        monomial_kernel, spectral_algebra, validate_spec,
+                        verify_pair)
 from bispectral.involution import _condition_degrees
 from bispectral.weyl import DEL
 from tests_support import x_power
@@ -126,6 +127,27 @@ def test_verify_pair_and_negative_control():
     bad = dataclasses.replace(pair, theta=pair.theta + Poly.const("y", 1))
     with pytest.raises(VerificationError):
         verify_pair(bad, depth=10)
+
+
+@pytest.mark.parametrize("side, message", [("L", "^L psi"),
+                                           ("Lambda", "^Lambda psi")])
+def test_verify_pair_sees_one_changed_numerator(monkeypatch, side, message):
+    pair = make_pair(order2_cert())
+    assert verify_pair(pair, depth=16)["residuals"] == [0, 0]
+    target = pair.L if side == "L" else pair.Lambda.relabel("x")
+    apply = WaveSeries.apply
+
+    def tampered(self, op, var):
+        image = apply(self, op, var)
+        if op == target:
+            # the top corner of the image's box lies in the residual's box
+            key = (image.box[1], image.box[3])
+            image.nums[key] = image.nums.get(key, 0) + 1
+        return image
+
+    monkeypatch.setattr(WaveSeries, "apply", tampered)
+    with pytest.raises(VerificationError, match=message):
+        verify_pair(pair, depth=16)
 
 
 def test_order2_pair_matches_swap():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from bispectral import (BesselIndex, Cyclotomic, DiffOp, ExpSeries, Poly,
                         RationalFunction, TruncationError,
                         UnsupportedInputError, WaveSeries, bessel_op,
                         bessel_wave, exp_wave, primitive_root, wave_jet_at)
-from tests_support import x_power
+from tests_support import rand_laurent_op, x_power
 
 
 def test_theta_action_on_log_monomial():
@@ -175,8 +176,7 @@ def test_wave_series_laurent_product_matches_inverse_expansion():
 
     for axis, var in ((0, "x"), (1, "z")):
         for rf in _laurent_coefficients(rng, var, scalar):
-            terms = [(k, c) for k, c in enumerate(rf.num.coeffs) if c]
-            want = psi._mul_terms(terms, axis)._mul_inverse_poly(rf.den, axis)
+            want = psi.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
             got = psi.mul_ratfn(rf, axis)
             assert got.box == want.box and got.coeffs == want.coeffs
 
@@ -474,3 +474,88 @@ def test_exp_apply_is_the_pairwise_sum_of_its_pieces():
         assert got.box == want.box and got.coeffs == want.coeffs
         piece_boxes.add(len(boxes))
     assert max(piece_boxes) > 1
+
+
+def _sum_pieces(pieces):
+    """Sum of (coefficients, box) pieces inside the max-folded box."""
+    out, box = {}, None
+    for coeffs, piece_box in pieces:
+        box = piece_box if box is None else tuple(map(max, box, piece_box))
+        for k, v in coeffs.items():
+            out[k] = out.get(k, 0) + v
+    alo, ahi, olo, ohi = box
+    return {(a, o): v for (a, o), v in out.items()
+            if v and alo <= a <= ahi and olo <= o <= ohi}, box
+
+
+def _fraction_image(psi, op, axis):
+    """sum_k a_k DEL^k psi over Fractions read from the coeffs view, keyed
+    (power of the acting variable, power of the other) until the end; the
+    same boxes as the library, and the same division oracle as above."""
+    def swap(key):
+        return tuple(key) if axis == 0 else tuple(key[::-1])
+
+    def swap_box(box):
+        return tuple(box) if axis == 0 else box[2:] + box[:2]
+
+    power = {swap(k): v for k, v in psi.coeffs.items()}
+    box = swap_box(psi.box)
+    out = []
+    for k, rf in enumerate(op.convert("del").coeffs):
+        if k:
+            alo, ahi, olo, ohi = box
+            power, box = _sum_pieces([
+                ({(a, o + 1): v for (a, o), v in power.items()},
+                 (alo, ahi, olo + 1, ohi + 1)),
+                ({(a - 1, o): a * v for (a, o), v in power.items()},
+                 (alo - 1, ahi - 1, olo, ohi))])
+        if rf.is_zero:
+            continue
+        alo, ahi, olo, ohi = box
+        piece, pbox = _sum_pieces(
+            [({(a + m, o): c * v for (a, o), v in power.items()},
+              (alo + m, ahi + m, olo, ohi))
+             for m, c in enumerate(rf.num.coeffs) if c])
+        d = rf.den.degree
+        if rf.is_laurent:
+            piece = {(a - d, o): v for (a, o), v in piece.items()}
+            pbox = (pbox[0] - d, pbox[1] - d) + pbox[2:]
+        else:
+            series = WaveSeries({swap(k): v for k, v in piece.items()},
+                                swap_box(pbox))
+            divided = _reference_wave_division(series, rf.den, axis)
+            piece = {swap(k): v for k, v in divided.coeffs.items()}
+            pbox = swap_box(divided.box)
+        out.append((piece, pbox))
+    image, box = _sum_pieces(out)
+    return {swap(k): v for k, v in image.items()}, swap_box(box)
+
+
+def test_wave_series_integer_form_randomized():
+    rng = random.Random(39)
+    clearing = set()
+    for axis, var in ((0, "x"), (1, "z")):
+        for _ in range(8):
+            psi = _random_wave(rng, (-5, 0, -4, 1))
+            for op in (_mixed_op(rng, var, rng.randint(1, 2)),
+                       rand_laurent_op(rng, var)):
+                got = psi.apply(op, var)
+                for series in (psi, got):
+                    assert all(type(v) is int for v in series.nums.values())
+                    assert type(series.den) is int and series.den > 0
+                want, box = _fraction_image(psi, op, axis)
+                assert got.box == box and got.coeffs == want
+                # equal values over different denominators compare equal
+                assert got == WaveSeries(want, box)
+                assert got == WaveSeries.from_json(got.to_json())
+                assert got.scale(3).scale(Fraction(1, 3)) == got
+                assert got + got == got.scale(2) == got.shift(0, 0, 2)
+                corner = WaveSeries({(box[0], box[2]): 1}, box)
+                assert got + corner != got and (got - got).is_zero
+                # E clears the monic denominators with a root away from 0
+                poles = [rf.den for rf in op.convert("del").coeffs
+                         if not rf.is_laurent]
+                if poles:
+                    clearing.add(math.lcm(*(c.denominator for q in poles
+                                            for c in q.coeffs)) > 1)
+    assert clearing == {False, True}

@@ -21,6 +21,14 @@ def x_power(var, m, c=1):
     return RationalFunction(Poly.const(var, c), Poly.monomial(var, -m))
 
 
+def horner(p, v):
+    """The value of the polynomial p at the scalar v."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
 def rand_op(rng, var="x", max_order=2, form="del"):
     order = rng.randint(0, max_order)
     return DiffOp(var, form, [rand_rf(rng, var) for _ in range(order + 1)])
