@@ -8,8 +8,8 @@ series are used only on conservatively tracked windows.
 """
 
 from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
-                     exp_wave, indicial_poly, kernel_basis, ladder_op,
-                     wave_coeffs, wave_jet_at, zero_exponent_basis)
+                     indicial_poly, kernel_basis, ladder_op, wave_coeffs,
+                     wave_jet_at, zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
                       KernelSpec, banded_rows, build_P_general,
                       build_P_monomial, build_certificate, certify,

@@ -153,16 +153,6 @@ def bessel_wave(bi: BesselIndex, depth: int) -> WaveSeries:
     return WaveSeries(coeffs, (-depth, 0, -depth, 0))
 
 
-def exp_wave(bi: BesselIndex, depth: int) -> ExpSeries:
-    """The one-variable profile e^z (1 + sum a_k z^{-k})."""
-    a = wave_coeffs(bi, depth)
-    coeffs = {0: Fraction(1)}
-    for m, am in enumerate(a, start=1):
-        if am:
-            coeffs[-m] = am
-    return ExpSeries("z", Fraction(1), coeffs, (-depth, 0))
-
-
 def wave_jet_at(bi: BesselIndex, lam, branch: int, jet_order: int,
                 depth: int) -> PointJet:
     """Jets D_z^k at z = eps^branch * lam, as truncated series in x.

@@ -133,10 +133,8 @@ def cmd_involute(args):
 def cmd_rank(args):
     if args.beta is not None:
         beta = BesselIndex.parse(args.beta)
-        rep = bessel_plane_report(beta, args.degree_bound, depth=args.depth)
+        rep = bessel_plane_report(beta, args.degree_bound)
     elif args.certificate is not None:
-        if args.depth is not None:
-            raise UsageError("-K/--depth applies only to rank --beta")
         data = jsonio.read(args.certificate)
         if data.get("kind") != "darboux-certificate":
             raise UsageError("rank expects a certificate document")
@@ -350,8 +348,6 @@ def build_parser():
                    help="report for a bare plane instead of a certificate")
     p.add_argument("--degree-bound", type=non_negative(MAX_DEGREE_BOUND),
                    default=8)
-    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
-                   default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 

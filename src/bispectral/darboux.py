@@ -51,6 +51,19 @@ MAX_ROWS = 4            # rows of b in one at-zero group
 MAX_LOG_POWER = 1       # len(row) - 1 of one row of b
 MAX_JET_ORDER = 3       # len(a) - 1 of one orbit group
 
+# Longest list of coefficients, or of numerator or denominator entries, of
+# an operator in a certificate or pair document.  Write a factor P of order
+# n of h(L) as (x^n tau)^{-1} sum_k p_k(x^N) D^k, tau = p_n(x^N), and let
+# D = N deg h.  The longest lists of a pair are the denominators of
+# L = P Q, of degree D (1 + deg tau), and deg tau <= n D (for monomial
+# kernels by the closed form's subset sums).  One group at the caps above
+# has n <= MAX_N and D <= MAX_N * max(MAX_ROWS, MAX_JET_ORDER + 1) = 12,
+# hence D (1 + n D) + 1 = 445 entries.  Built pairs of one to three groups
+# at N = 2 and 3 measured 37 to 121.  A longer list exits 2 before it is
+# parsed; one 2000-entry den made ``verify -K 8`` run past 20 s.
+_D_CAP = MAX_N * max(MAX_ROWS, MAX_JET_ORDER + 1)
+MAX_COEFF_ENTRIES = _D_CAP * (1 + MAX_N * _D_CAP) + 1
+
 # Budget of the annihilator ansatz: rounds of coefficient degree bounds,
 # the first up to n * deg h and each next one up to twice the last, before
 # the spec is declared inconsistent.
@@ -71,6 +84,18 @@ def _check_caps(N, at_zero, at_points):
         if value > cap:
             raise SpecInvalidError(f"spec too large: {what} {value} is above "
                                    f"the cap darboux.{name} = {cap}")
+
+
+def operator_from_json(data) -> DiffOp:
+    """``DiffOp.from_json`` for documents: a list longer than
+    MAX_COEFF_ENTRIES raises UsageError before any entry is parsed."""
+    longest = max([len(data["coeffs"])] + [len(c[key]) for c in data["coeffs"]
+                                           for key in ("num", "den")])
+    if longest > MAX_COEFF_ENTRIES:
+        raise UsageError(f"operator too large: a list of {longest} entries is "
+                         f"above the cap darboux.MAX_COEFF_ENTRIES = "
+                         f"{MAX_COEFF_ENTRIES}")
+    return DiffOp.from_json(data)
 
 
 @dataclass(frozen=True)
@@ -398,16 +423,19 @@ def cleared_coefficients(P: DiffOp, N: int):
     """(n, [p_k in y]) with P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k.
 
     This is the normal form of x^n P in DFORM read in y = x^N: its
-    numerators have no common factor with its denominator, and p_n is
-    scaled monic (so the identity holds as written when P's leading
-    coefficient is x^-n, as for every certified factor).  A coefficient
-    that does not live in x^N raises ShapeError.
+    numerators have no common factor with its denominator.  The identity
+    needs P's leading coefficient to be x^-n, so that p_n is the
+    denominator; any other leading coefficient, or a coefficient that does
+    not live in x^N, raises ShapeError.
     """
     d = P.convert(DFORM)
     if d.is_zero:
         raise ShapeError("zero operator has no structured form")
     n = d.order
     cleared = d.lmul_fn(Poly.monomial(d.var, n))
+    if cleared.nums[-1] != cleared.den:
+        raise ShapeError(f"leading coefficient {d.coeff(n)} of D^{n} "
+                         f"is not x^-{n}")
     # the normal form is unique, so it is one in x^N exactly when every
     # coefficient lives in x^N; the reduced coefficients name the culprit
     if not all(p.is_power_pattern(N) for p in (cleared.den, *cleared.nums)):
@@ -415,9 +443,7 @@ def cleared_coefficients(P: DiffOp, N: int):
             if not (c.num.is_power_pattern(N) and c.den.is_power_pattern(N)):
                 raise ShapeError(
                     f"coefficient {d.coeff(k)} of D^{k} does not live in x^{N}")
-    lead = cleared.nums[-1].leading
-    return n, [p.contract_arg_power(N, var="y").scale(1 / lead)
-               for p in cleared.nums]
+    return n, [p.contract_arg_power(N, var="y") for p in cleared.nums]
 
 
 def default_depth(h_degree: int, N: int, n: int) -> int:
@@ -539,7 +565,8 @@ class DarbouxCertificate:
         spec = (KernelSpec.from_json(data["spec"])
                 if data.get("spec") is not None else None)
         return cls(beta=BesselIndex.from_json(data["beta"]),
-                   P=DiffOp.from_json(data["P"]), Q=DiffOp.from_json(data["Q"]),
+                   P=operator_from_json(data["P"]),
+                   Q=operator_from_json(data["Q"]),
                    f=Poly.from_json("z", data["f"]),
                    g=Poly.from_json("z", data["g"]),
                    h=Poly.from_json("y", data["h"]),

@@ -55,16 +55,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import (BesselIndex, bessel_op, bessel_wave, exp_wave, ladder_op,
-                     poly_ladder_op)
+from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
+                     ladder_op)
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
-                      default_depth, validate_spec)
-from .errors import (AssociationError, RankDeficiencyError, ShapeError,
-                     UsageError, VerificationError)
+                      default_depth, operator_from_json, validate_spec)
+from .errors import (AssociationError, CertificationError,
+                     RankDeficiencyError, ShapeError, UsageError,
+                     VerificationError)
 from .poly import Poly
 from .weyl import DEL, DFORM, DiffOp, poly_at_operator
 
@@ -176,12 +178,12 @@ class BispectralPair:
     def from_json(cls, data):
         cert = DarbouxCertificate.from_json(data["provenance"])
         return cls(beta=cert.beta,
-                   L=DiffOp.from_json(data["L"]),
-                   Lambda=DiffOp.from_json(data["Lambda"]),
+                   L=operator_from_json(data["L"]),
+                   Lambda=operator_from_json(data["Lambda"]),
                    h=Poly.from_json("y", data["h"]),
                    theta=Poly.from_json("y", data["theta"]),
-                   P_b=DiffOp.from_json(data["P_b"]),
-                   Q_b=DiffOp.from_json(data["Q_b"]),
+                   P_b=operator_from_json(data["P_b"]),
+                   Q_b=operator_from_json(data["Q_b"]),
                    f_b=Poly.from_json("z", data["f_b"]),
                    g_b=Poly.from_json("z", data["g_b"]),
                    certificate=cert,
@@ -458,68 +460,66 @@ def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
     return found
 
 
-def bessel_plane_report(beta: BesselIndex, degree_bound: int,
-                        depth: int = None) -> SpectralAlgebraReport:
-    """Eigen-polynomial degrees of the bare plane, certified by commutators.
+def bessel_plane_report(beta: BesselIndex,
+                        degree_bound: int) -> SpectralAlgebraReport:
+    """Eigen-polynomial degrees of the bare plane, from one exact identity.
 
-    A degree-D candidate is a monic constant-coefficient D-polynomial p with
-    x^{-D} p acting by z^D on the wave profile; candidates are solved from
-    the truncated profile and accepted only when [x^{-D} p(D), L] = 0 holds
-    exactly.  A depth below ``degree_bound`` leaves the top degrees
-    under-determined (see ``_profile_eigen_poly``) and raises UsageError.
+    x^{-a} p(D) x^{-b} = x^{-a-b} p(D - b), so for L = x^{-N} q(D) and a
+    monic p of degree d, [x^{-d} p(D), L] = x^{-d-N} (p(D-N) q(D) -
+    q(D-d) p(D)).  Degree d is found when the roots of such a p exist
+    (``_plane_roots``); the polynomial identity is checked for each.
     """
-    if depth is None:
-        depth = 4 * degree_bound + 16
-    elif depth < degree_bound:
-        raise UsageError(
-            f"depth {depth} cannot determine the degrees up to {degree_bound}; "
-            f"the least sound depth is {degree_bound}")
-    profile = exp_wave(beta, depth)
-    lbeta = bessel_op(beta)
     found = []
     for deg in range(1, degree_bound + 1):
-        sol = _profile_eigen_poly(profile, deg)
-        if sol is None:
+        roots = _plane_roots(beta, deg)
+        if roots is None:
             continue
-        candidate = poly_ladder_op(sol)
-        commutator = candidate * lbeta - lbeta * candidate
-        if commutator.is_zero:
-            found.append(deg)
+        if not _plane_commutes(beta, roots, deg):
+            raise CertificationError(
+                f"degree {deg}: p(D - N) q(D) differs from q(D - {deg}) p(D)")
+        found.append(deg)
     return _report(found, degree_bound, beta.N)
 
 
-def _profile_eigen_poly(profile, deg):
-    """Monic p with p(D + w) t(w) = w^deg t(w) on the window, if any.
+def _plane_roots(beta: BesselIndex, deg: int):
+    """The roots R of the monic p with p(y - N) q(y) = q(y - deg) p(y), or None.
 
-    The conjugated action on the bare profile is u -> w u + D u per power;
-    after j steps the valid window is [lo + j, j].  Power j has top term
-    w^j with coefficient 1, so the rows of degrees 0..deg-1 form a unit
-    triangle and the system is determined exactly when they all lie in the
-    window [lo + deg, deg], that is when the depth -lo is at least deg.
+    With B the weights, the identity says that the multiset unions
+    (R + N) u B and (B + deg) u R agree, so R(t) = B(t) (t^deg - 1) /
+    (t^N - 1) in the group ring Z[t^Q], a domain: R is unique and rational
+    when it exists.  The division runs from the top exponent.  It must leave
+    no negative multiplicity, and it is exact only if no quotient term falls
+    below min B, the lowest exponent of the dividend.
     """
-    lo, _hi = profile.box
-    powers = [dict(profile.coeffs)]
-    blo = lo
-    for _ in range(deg):
-        prev = powers[-1]
-        nxt = {}
-        for d, c in prev.items():
-            nxt[d + 1] = nxt.get(d + 1, Fraction(0)) + c
-            if d:
-                nxt[d] = nxt.get(d, Fraction(0)) + d * c
-        blo += 1
-        powers.append({d: v for d, v in nxt.items() if d >= blo and v})
-    target = {d + deg: c for d, c in profile.coeffs.items()}
-    matrix = []
-    rhs = []
-    for d in range(lo + deg, deg + 1):
-        row = [powers[j].get(d, Fraction(0)) for j in range(deg)]
-        matrix.append(row)
-        rhs.append(target.get(d, Fraction(0)) - powers[deg].get(d, Fraction(0)))
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
-        return None
-    return Poly("y", sol + [Fraction(1)])
+    rest = Counter()
+    for b in beta.beta:
+        rest[b + deg] += 1
+        rest[b] -= 1
+    floor = min(beta.beta)
+    roots = []
+    while any(rest.values()):
+        top = max(e for e, c in rest.items() if c)
+        count = rest.pop(top)
+        if count < 0 or top - beta.N < floor:
+            return None
+        roots += [top - beta.N] * count
+        rest[top - beta.N] += count
+    return roots
+
+
+def _plane_commutes(beta: BesselIndex, roots, deg: int) -> bool:
+    """The witness p(y - N) q(y) == q(y - deg) p(y), p = prod (y - r)."""
+    p, q = indicial_poly(roots), indicial_poly(beta.beta)
+    return _shifted(p, beta.N) * q == _shifted(q, deg) * p
+
+
+def _shifted(p: Poly, s) -> Poly:
+    """p(y - s), by Horner's scheme."""
+    step = Poly(p.var, (-s, 1))
+    out = Poly.zero(p.var)
+    for c in reversed(p.coeffs):
+        out = out * step + Poly.const(p.var, c)
+    return out
 
 
 # ---------------------------------------------------------------------------

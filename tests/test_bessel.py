@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bispectral import (BesselIndex, DiffOp, Poly, UsageError, bessel_op,
-                        bessel_poly, bessel_wave, exp_wave, indicial_poly,
+                        bessel_poly, bessel_wave, indicial_poly,
                         kernel_basis, ladder_op, poly_at_operator,
                         wave_coeffs, zero_exponent_basis)
-from tests_support import horner
+from tests_support import exp_wave, horner
 
 
 def rand_index(rng, n):

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,40 @@ def test_specs_at_the_size_caps_parse():
         KernelSpec.from_json(doc["provenance"]["spec"])
 
 
+def test_stored_documents_load_under_the_operator_cap():
+    from bispectral import BispectralPair, darboux
+    root = Path(__file__).resolve().parents[1]
+    docs = sorted((root / "src" / "bispectral" / "golden").glob("*.json"))
+    docs += sorted((root / "perfbench" / "data" / "pairs").glob("*.json"))
+    assert len(docs) >= 5
+    for path in docs:
+        doc = json.loads(path.read_text())
+        doc = doc.get("pair", doc)
+        pair = BispectralPair.from_json(doc)
+        assert BispectralPair.from_json(pair.to_json()) == pair
+    assert darboux.MAX_COEFF_ENTRIES == 445
+
+
+def test_an_operator_above_the_cap_exits_two_at_once(tmp_path, capsys):
+    from bispectral import darboux
+    cert, pair = str(tmp_path / "cert.json"), str(tmp_path / "pair.json")
+    assert main(["build", write(tmp_path, "spec.json", RANK1_SPEC),
+                 "--out", cert]) == 0
+    assert main(["pair", cert, "--out", pair]) == 0
+    doc = json.loads(Path(pair).read_text())
+    # one 2000-entry den, about 10 KB: verify -K 8 ran past 20 s on it
+    doc["provenance"]["P"]["coeffs"][1]["den"] = ["9"] * 2000
+    start = time.perf_counter()
+    assert main(["verify", write(tmp_path, "bad.json", doc), "-K", "8"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert ("a list of 2000 entries is above the cap "
+            f"darboux.MAX_COEFF_ENTRIES = {darboux.MAX_COEFF_ENTRIES}"
+            ) in capsys.readouterr().err
+    doc["provenance"]["P"]["coeffs"][1]["den"] = ["1"]
+    doc["Lambda"]["coeffs"] = doc["Lambda"]["coeffs"] * 300
+    assert main(["verify", write(tmp_path, "long.json", doc), "-K", "8"]) == 2
+
+
 def test_invalid_spec_exits_two(tmp_path):
     bad = write(tmp_path, "bad.json", {
         "beta": {"N": 2, "beta": ["0", "1"]},
@@ -252,17 +287,16 @@ def test_rank_on_bare_plane(capsys):
     assert main(["rank"]) == 2
 
 
-def test_rank_below_the_least_depth_exits_two(capsys):
-    want = ("degrees up to 8: [2, 4, 6, 8]\n"
-            "generators: [2]; rank = 2; only multiples of N: True\n")
-    for depth in ("0", "7"):
-        assert main(["rank", "--beta", "2/3,1/3", "-K", depth]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "the least sound depth is 8" in captured.err
-    for extra in ([], ["-K", "8"]):
-        assert main(["rank", "--beta", "2/3,1/3"] + extra) == 0
-        assert capsys.readouterr().out == want
+def test_rank_beta_takes_no_depth(capsys):
+    # the bare-plane report is exact, so rank has no depth to get wrong
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--beta", "2/3,1/3", "-K", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -K" in capsys.readouterr().err
+    assert main(["rank", "--beta", "2/3,1/3"]) == 0
+    assert capsys.readouterr().out == (
+        "degrees up to 8: [2, 4, 6, 8]\n"
+        "generators: [2]; rank = 2; only multiples of N: True\n")
 
 
 def test_examples_rank1(capsys):
@@ -343,7 +377,6 @@ def test_documents_that_are_not_objects_exit_two(tmp_path, capsys):
     ["build", "spec.json", "-K", "-5"],
     ["pair", "cert.json", "--verify", "-2"],
     ["verify", "pair.json", "-K", "-3"],
-    ["rank", "--beta", "2/3,1/3", "-K", "-1"],
     ["rank", "cert.json", "--degree-bound", "-2"],
     ["examples", "dg-even", "--d", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
@@ -360,7 +393,6 @@ def test_negative_sizes_are_usage_errors(argv, capsys):
     (["build", "spec.json", "-K", "257"], cli.MAX_DEPTH),
     (["pair", "cert.json", "--verify", "1000"], cli.MAX_DEPTH),
     (["verify", "pair.json", "-K", "257"], cli.MAX_DEPTH),
-    (["rank", "--beta", "2/3,1/3", "-K", "300"], cli.MAX_DEPTH),
     (["rank", "--beta", "2/3,1/3", "--degree-bound", "33"],
      cli.MAX_DEGREE_BOUND),
     (["rank", "cert.json", "--degree-bound", "64"], cli.MAX_DEGREE_BOUND),
@@ -393,10 +425,12 @@ def test_rank_on_a_certificate_rejects_depth_and_a_missing_spec(tmp_path,
     spec = write(tmp_path, "spec.json", RANK1_SPEC)
     cert_path = str(tmp_path / "cert.json")
     assert main(["build", spec, "--out", cert_path]) == 0
-    assert main(["rank", cert_path, "-K", "5"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", cert_path, "-K", "5"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "-K/--depth applies only to rank --beta" in captured.err
+    assert "unrecognized arguments: -K" in captured.err
     cert = json.loads(Path(cert_path).read_text())
     del cert["spec"]
     bare = write(tmp_path, "bare.json", cert)

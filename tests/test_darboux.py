@@ -6,13 +6,13 @@ import pytest
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         CertificationError, Cyclotomic, DarbouxCertificate,
                         DiffOp, InconsistentSpecError, KernelSpec, Poly,
-                        RankDeficiencyError, RationalFunction, SpecInvalidError,
-                        UnsupportedInputError, UsageError, banded_rows,
-                        bessel_op, build_P_general, build_P_monomial,
-                        build_certificate, certify, cleared_coefficients,
-                        compute_Q, euler_phi, kernel_matrix, linalg,
-                        monomial_kernel, poly_at_operator, validate_spec,
-                        wave_jet_at)
+                        RankDeficiencyError, RationalFunction, ShapeError,
+                        SpecInvalidError, UnsupportedInputError, UsageError,
+                        banded_rows, bessel_op, build_P_general,
+                        build_P_monomial, build_certificate, certify,
+                        cleared_coefficients, compute_Q, euler_phi,
+                        kernel_matrix, linalg, monomial_kernel,
+                        poly_at_operator, validate_spec, wave_jet_at)
 from bispectral import darboux
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
@@ -160,6 +160,21 @@ def test_point_build_matches_closed_form():
     assert pks[2] == Poly("y", [F(-20, 9), 1])
     assert pks[1] == Poly("y", [F(20, 9), -3])
     assert pks[0] == Poly("y", [F(-40, 81), F(58, 9), -1])
+
+
+def test_cleared_coefficients_needs_the_lead_x_to_the_minus_n():
+    P = build_certificate(order2_point_spec(F(1, 3), F(1), F(1))).P
+    assert cleared_coefficients(P, 2)[0] == 2
+    # a constant or a polynomial factor on the lead breaks the identity
+    for bad in (P.scale(F(2)),
+                DiffOp.mult("x", Poly("x", [1, 0, 1])) * P):
+        with pytest.raises(ShapeError, match="is not x\\^-2"):
+            cleared_coefficients(bad, 2)
+    # x^-1 (D - 1/2), a first-order factor of a Bessel-type operator
+    n1, pks1 = cleared_coefficients(DiffOp("x", "D", [
+        RationalFunction(Poly("x", [F(-1, 2)]), Poly("x", [0, 1])),
+        RationalFunction(Poly("x", [1]), Poly("x", [0, 1]))]), 1)
+    assert (n1, pks1) == (1, [Poly("y", [F(-1, 2)]), Poly("y", [1])])
 
 
 def test_point_build_random_parameters_certify():

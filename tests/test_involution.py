@@ -13,9 +13,10 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         involute_Q, kernel_matrix, linalg, make_pair,
                         monomial_kernel, spectral_algebra, validate_spec,
                         verify_pair)
-from bispectral.involution import _condition_degrees
+from bispectral.involution import (_condition_degrees, _plane_commutes,
+                                   _plane_roots)
 from bispectral.weyl import DEL
-from tests_support import x_power
+from tests_support import profile_plane_degrees, x_power
 
 F = Fraction
 
@@ -400,13 +401,40 @@ def test_plane_reports():
     assert 1 in rep2.degrees and not rep2.generic_to_bound
 
 
-def test_plane_report_least_depth_is_the_degree_bound():
-    for weights, bound in (("2/3,1/3", 8), ("0,1", 4), ("0,1,2", 6)):
+# non-generic weight vectors: weights that differ by integers, so that the
+# bare plane has degrees off the multiples of N
+NON_GENERIC = ("0,1", "-1,2", "-5,2,6", "3,-2", "-5,6", "-6,2,7", "0,3,0")
+
+
+def test_plane_report_matches_the_profile_oracle():
+    rng = random.Random(71)
+    weights = [BesselIndex.parse(w) for w in NON_GENERIC]
+    for _ in range(8):
+        n = rng.choice([1, 2, 3])
+        entries = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+                   for _ in range(n - 1)]
+        weights.append(BesselIndex(n, (*entries, F(n * (n - 1), 2)
+                                       - sum(entries))))
+    for beta in weights:
+        bound = 4 * beta.N + 4
+        # the least sound profile depth is the degree bound
+        want = profile_plane_degrees(beta, bound, depth=bound)
+        assert bessel_plane_report(beta, bound).degrees == tuple(want), beta
+    assert bessel_plane_report(BesselIndex.parse("-5,2,6"), 16).degrees[:3] \
+        == (3, 6, 7)
+
+
+def test_plane_witness_rejects_a_tampered_root_multiset():
+    for weights, deg in (("2/3,1/3", 4), ("0,1", 3), ("-5,2,6", 7)):
         beta = BesselIndex.parse(weights)
-        default = bessel_plane_report(beta, bound)
-        assert bessel_plane_report(beta, bound, depth=bound) == default
-        with pytest.raises(UsageError, match=f"least sound depth is {bound}"):
-            bessel_plane_report(beta, bound, depth=bound - 1)
+        roots = _plane_roots(beta, deg)
+        assert len(roots) == deg and _plane_commutes(beta, roots, deg)
+        for tampered in ([roots[0] + 1] + roots[1:],
+                         [roots[0] + beta.N] + roots[1:],
+                         roots[:-1] + [F(1, 7)]):
+            assert not _plane_commutes(beta, tampered, deg), tampered
+    # no multiset exists off the algebra: 2/3,1/3 has only even degrees
+    assert _plane_roots(BesselIndex.parse("2/3,1/3"), 3) is None
 
 
 def brute_force_beta_primes(bi, gammas, rows):

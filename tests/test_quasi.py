@@ -8,8 +8,8 @@ from bispectral import (BesselIndex, Cyclotomic, DiffOp, ExpSeries, Poly,
                         QuasiPolynomial,
                         RationalFunction, TruncationError,
                         UnsupportedInputError, WaveSeries, bessel_op,
-                        bessel_wave, exp_wave, primitive_root, wave_jet_at)
-from tests_support import rand_laurent_op, x_power
+                        bessel_wave, primitive_root, wave_jet_at)
+from tests_support import exp_wave, rand_laurent_op, x_power
 
 
 def test_theta_action_on_log_monomial():

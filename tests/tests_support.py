@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from bispectral import DiffOp, Poly, QuasiPolynomial, RationalFunction
+from bispectral import (DiffOp, ExpSeries, Poly, QuasiPolynomial,
+                        RationalFunction, bessel_op, linalg, wave_coeffs)
+from bispectral.bessel import poly_ladder_op
 
 
 def rand_rf(rng, var="x"):
@@ -48,3 +50,56 @@ def rand_quasi(rng):
         g = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
         terms.append(((g, rng.randint(0, 2)), Fraction(rng.randint(-5, 5))))
     return QuasiPolynomial(terms)
+
+
+def exp_wave(bi, depth):
+    """The one-variable profile e^z (1 + sum a_k z^{-k}) of the wave function."""
+    coeffs = {0: Fraction(1)}
+    coeffs.update({-m: am for m, am in enumerate(wave_coeffs(bi, depth), 1)
+                   if am})
+    return ExpSeries("z", Fraction(1), coeffs, (-depth, 0))
+
+
+def _profile_eigen_poly(profile, deg):
+    """Monic p with p(D + w) t(w) = w^deg t(w) on the profile window, if any.
+
+    The conjugated action on the bare profile is u -> w u + D u per power;
+    after j steps the valid window is [lo + j, j].  Power j has top term
+    w^j with coefficient 1, so the rows of degrees 0..deg-1 form a unit
+    triangle, determined when the depth -lo is at least deg.
+    """
+    lo, _hi = profile.box
+    powers = [dict(profile.coeffs)]
+    blo = lo
+    for _ in range(deg):
+        nxt = {}
+        for d, c in powers[-1].items():
+            nxt[d + 1] = nxt.get(d + 1, Fraction(0)) + c
+            if d:
+                nxt[d] = nxt.get(d, Fraction(0)) + d * c
+        blo += 1
+        powers.append({d: v for d, v in nxt.items() if d >= blo and v})
+    target = {d + deg: c for d, c in profile.coeffs.items()}
+    matrix, rhs = [], []
+    for d in range(lo + deg, deg + 1):
+        matrix.append([powers[j].get(d, Fraction(0)) for j in range(deg)])
+        rhs.append(target.get(d, Fraction(0)) - powers[deg].get(d, Fraction(0)))
+    sol = linalg.solve(matrix, rhs)
+    return None if sol is None else Poly("y", sol + [Fraction(1)])
+
+
+def profile_plane_degrees(bi, degree_bound, depth):
+    """Bare-plane degrees by the profile route, an oracle independent of
+    the commutator identity: each degree's candidate p is solved from the
+    truncated profile and kept when [x^{-deg} p(D), L] = 0 as operators."""
+    profile = exp_wave(bi, depth)
+    lbeta = bessel_op(bi)
+    found = []
+    for deg in range(1, degree_bound + 1):
+        sol = _profile_eigen_poly(profile, deg)
+        if sol is None:
+            continue
+        candidate = poly_ladder_op(sol)
+        if (candidate * lbeta - lbeta * candidate).is_zero:
+            found.append(deg)
+    return found
