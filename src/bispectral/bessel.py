@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .poly import Poly, RationalFunction
+from .poly import Poly
 from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
 from .scalars import format_rational, parse_rational, primitive_root
 from .weyl import DFORM, DiffOp
@@ -85,9 +85,8 @@ def ladder_op(entries, var="x") -> DiffOp:
 
 def poly_ladder_op(p: Poly, var="x") -> DiffOp:
     """x^{-deg p} p(D) as an operator."""
-    xl = Poly.monomial(var, p.degree)
-    coeffs = [RationalFunction(Poly.const(var, c), xl) for c in p.coeffs]
-    return DiffOp(var, DFORM, coeffs)
+    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, p.degree),
+                               [Poly.const(var, c) for c in p.coeffs])
 
 
 def bessel_poly(bi: BesselIndex, var="x") -> DiffOp:
@@ -109,7 +108,7 @@ def _conjugated_images(bi: BesselIndex, depth: int):
     acc = DiffOp.identity("z", DFORM)
     for b in bi.beta:
         acc = acc * DiffOp("z", DFORM, (Poly("z", (-b, 1)), 1))
-    polys = [c.as_poly() for c in acc.coeffs]
+    polys = acc.nums  # acc has polynomial coefficients, so its den is 1
     images = []
     for m in range(depth + 1):
         img = {}

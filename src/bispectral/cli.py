@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, jsonio
 from .bessel import BesselIndex, bessel_op, bessel_poly, wave_coeffs
-from .darboux import (AtPointGroup, KernelSpec, banded_rows,
+from .darboux import (MAX_N, AtPointGroup, KernelSpec, banded_rows,
                       build_certificate, certify, cleared_coefficients,
                       kernel_matrix, monomial_kernel)
 from .errors import (BispectralError, CertificationError, ShapeError,
@@ -37,6 +37,12 @@ EXIT_VERIFICATION = 4
 MAX_DEPTH = 256          # -K/--depth and --verify
 MAX_DEGREE_BOUND = 32    # --degree-bound
 MAX_BAND_DEPTH = 2       # examples --d
+MAX_WEIGHTS = 64         # bessel --beta and rank --beta
+
+# options whose values are rationals or comma-separated lists of them; a
+# value like -5,2,6 or -1/2 starts with "-" and is not a plain number, so
+# argparse would read it as an option unless it is joined to its name
+RATIONAL_OPTIONS = ("--beta", "--t", "--nu", "--a", "--lambda")
 
 
 def non_negative(limit=None):
@@ -52,6 +58,27 @@ def non_negative(limit=None):
                 f"must be at most {limit}, got {value}")
         return value
     return size
+
+
+def weight_vector(limit):
+    """argparse type of --beta: comma-separated weights, at most limit of
+    them; the count is checked before any weight is parsed."""
+    def weights(text):
+        count = len([p for p in text.split(",") if p.strip()])
+        if count > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit}, got {count} weights")
+        return text
+    return weights
+
+
+def _join_rational_values(argv):
+    """argv with each "--opt value" of RATIONAL_OPTIONS as "--opt=value"."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in RATIONAL_OPTIONS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
 
 
 def _emit(document, out):
@@ -317,7 +344,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bessel", help="print the base operator and wave data")
-    p.add_argument("--beta", required=True, help="comma-separated weights")
+    p.add_argument("--beta", required=True, type=weight_vector(MAX_WEIGHTS),
+                   help="comma-separated weights")
     p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH), default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bessel)
@@ -344,7 +372,7 @@ def build_parser():
 
     p = sub.add_parser("rank", help="spectral algebra degrees and rank")
     p.add_argument("certificate", nargs="?", default=None)
-    p.add_argument("--beta", default=None,
+    p.add_argument("--beta", default=None, type=weight_vector(MAX_WEIGHTS),
                    help="report for a bare plane instead of a certificate")
     p.add_argument("--degree-bound", type=non_negative(MAX_DEGREE_BOUND),
                    default=8)
@@ -361,7 +389,8 @@ def build_parser():
     p.add_argument("--nu", default="1/3")
     p.add_argument("--a", default="1")
     p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--beta", default=None)
+    # the spec is built in process, so it skips KernelSpec.from_json's caps
+    p.add_argument("--beta", default=None, type=weight_vector(MAX_N))
     p.add_argument("--d", type=non_negative(MAX_BAND_DEPTH), default=2)
     p.add_argument("--t", default="1,2,1,-1")
     p.add_argument("--out")
@@ -380,7 +409,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_rational_values(
+            sys.argv[1:] if argv is None else argv))
         code = args.func(args)
     except (VerificationError, TruncationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

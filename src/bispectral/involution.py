@@ -108,7 +108,11 @@ def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
 
 
 def _right_form(Q: DiffOp):
-    """Coefficients e_s with Q = sum_s D^s e_s(x), by exact peeling."""
+    """Coefficients e_s with Q = sum_s D^s e_s(x), by exact peeling.
+
+    It reads the reduced view ``rem.coeff(s)``, one normalization per
+    order; that is left as it is because it runs once per ``make_pair``.
+    """
     d = Q.convert(DFORM)
     var = d.var
     rem = d

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, UnsupportedInputError, UsageError
+from .errors import DomainError, UsageError
 from .scalars import format_rational, parse_rational
 
 
@@ -367,23 +367,10 @@ class RationalFunction:
     def is_polynomial(self):
         return self.den.degree == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise UsageError(f"{self} is not a polynomial")
-        return self.num
-
     @property
     def is_laurent(self):
         """True when the only pole is at 0 (denominator is a monomial)."""
         return self.den.valuation() == self.den.degree
-
-    def laurent_terms(self):
-        """[(power, coeff)] for a Laurent representative num / x^m."""
-        if not self.is_laurent:
-            raise UnsupportedInputError(
-                f"denominator {self.den} has a pole away from 0")
-        m = self.den.degree
-        return [(k - m, c) for k, c in enumerate(self.num.coeffs) if c]
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):

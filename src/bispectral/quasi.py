@@ -11,31 +11,38 @@
   times the point).
 
 Operators act on WaveSeries/ExpSeries after peeling the exponential
-prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  Laurent
-coefficients num / x^m act by shifts.  Coefficients with poles away from
-0 are handled by division by recurrence from the window top: true
-coefficients vanish above the window, so den * out = in has exactly one
-solution without terms above it, and each row costs O(width * deg den).
+prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  An operator is read
+in its cleared form den^{-1} sum_k nums[k] DEL^k (see ``weyl``), so its
+image is den^{-1} sum_k nums[k] DEL^k psi: the numerator pieces are summed
+once and the sum is divided once.  A denominator x^m acts by a shift; one
+with a root away from 0 by division by recurrence from the window top:
+true coefficients vanish above the window, so den * out = in has exactly
+one solution without terms above it, and each row costs O(width * deg den).
 
-An operator's image is a sum of pieces (one per shifted term or divided
-numerator), streamed into one coefficient dict.  Its box is the fold of
-max over the piece boxes, component by component, as the pairwise + builds
-it: a coefficient inside the final box lies inside every partial box, so
-the one-pass sum keeps exactly what the pairwise sums keep.
+The numerator pieces (one per shifted term) are streamed into one
+coefficient dict.  Their box is the fold of max over the piece boxes,
+component by component, as the pairwise + builds it: a coefficient inside
+the final box lies inside every partial box, so the one-pass sum keeps
+exactly what the pairwise sums keep.  The division then shifts the box by
+-deg den.  Against the per-coefficient route, which divides n_k / den_k
+reduced, each piece's box moves by the same deg n_k - deg den_k, since
+reducing leaves that difference unchanged and the max-fold commutes with
+the common shift; so the windows are the same.
 
 Integer form.  A WaveSeries keeps integer numerators over one positive
 integer denominator and takes no gcd in its arithmetic; ``coeffs`` is the
 reduced rational view, computed once per series.  An operator is applied
-in integers: its numerators are cleared by the lcm D of their
-denominators, and its monic denominators q with a root away from 0 by the
-one integer E that makes every E * q integral, with leading coefficient E.
-Dividing by E * q from the window top needs no division either: counted
-from the top, the k-th output has a denominator dividing E^(k+1), and the
+in integers with one division: its numerators are cleared by the lcm D of
+their denominators, and a monic den with a root away from 0 by the integer
+E that makes E * den integral, with leading coefficient E.  Dividing by
+E * den from the window top needs no division either: counted from the
+top, the k-th output has a denominator dividing E^(k+1), and the
 recurrence runs on the output times that power (``_divide_row``).  So the
-image of a series over den lies over den * D * E^(w-1), w the window width
-along the acting variable, and E = 1 (integral monic q) costs nothing.
-ExpSeries keeps generic scalars (Q(eps) where a root of unity is in play)
-and runs the same recurrence with a monic divisor.
+image of a series over s lies over s * D when den = x^m, and over
+s * D * E^(w-1) otherwise, w the window width along the acting variable;
+E = 1 (integral den) costs nothing.  ExpSeries keeps generic scalars
+(Q(eps) where a root of unity is in play) and runs the same recurrence
+with a monic divisor.
 """
 
 from __future__ import annotations
@@ -44,10 +51,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TruncationError, UsageError
-from .poly import Poly, RationalFunction
+from .errors import TruncationError, UnsupportedInputError, UsageError
+from .poly import Poly
 from .scalars import format_rational, parse_rational
-from .weyl import DEL, DiffOp
+from .weyl import DEL, DFORM, DiffOp
 
 
 class QuasiPolynomial:
@@ -126,17 +133,23 @@ class QuasiPolynomial:
         return QuasiPolynomial(out)
 
     def apply(self, op: DiffOp) -> "QuasiPolynomial":
-        """Exact image under a differential operator with Laurent coefficients."""
-        d = op.convert("D")
-        laurent = [c.laurent_terms() for c in d.coeffs]
+        """Exact image x^{-m} sum_k nums[k] D^k self under an operator whose
+        DFORM denominator is x^m; any other denominator raises
+        UnsupportedInputError."""
+        d = op.convert(DFORM)
+        m = d.den.degree
+        if d.den.valuation() != m:
+            raise UnsupportedInputError(
+                f"denominator {d.den} has a pole away from 0")
         image = {}
         power = self
-        for k, terms in enumerate(laurent):
+        for k, num in enumerate(d.nums):
             if k:
                 power = power.apply_theta()
-            for m, c in terms:
-                _add_into(image, (((g + m, j), c * v)
-                                  for (g, j), v in power.terms.items()))
+            for t, c in enumerate(num.coeffs):
+                if c:
+                    _add_into(image, (((g + t - m, j), c * v)
+                                      for (g, j), v in power.terms.items()))
         return QuasiPolynomial(image)
 
     def to_json(self):
@@ -310,18 +323,17 @@ class WaveSeries:
                 yield ((xlo, xhi, zlo + m, zhi + m),
                        (((i, j + m), c * v) for (i, j), v in items))
 
-    def _mul_inverse_poly(self, den: Poly, axis, E=None):
+    def _mul_inverse_poly(self, den: Poly, axis):
         """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1).
 
         A monic den is cleared to E * den, integral with leading coefficient
-        E (default: the lcm of den's denominators), and the result lies over
+        E, the lcm of den's denominators, and the result lies over
         self.den * E^(w-1), w the window width along the axis.
         """
         if den.leading != 1:
             return self.scale(1 / den.leading)._mul_inverse_poly(den.monic(),
                                                                  axis)
-        if E is None:
-            E = math.lcm(*(c.denominator for c in den.coeffs))
+        E = math.lcm(*(c.denominator for c in den.coeffs))
         q = [_over(c, E) for c in den.coeffs[:-1]]
         d = len(q)
         xlo, xhi, zlo, zhi = self.box
@@ -344,55 +356,37 @@ class WaveSeries:
         box = (lo - d, hi - d, zlo, zhi) if axis == 0 else (xlo, xhi, lo - d, hi - d)
         return WaveSeries._make(out, box, self.den * E ** (w - 1))
 
-    def _image(self, fractions, axis):
-        """sum_k (num_k / den_k) DEL^k self for fractions [(num_k, den_k)]
-        with den_k monic, in integers over one denominator.
+    def _image(self, den: Poly, nums, axis):
+        """den^{-1} sum_k nums[k] DEL^k self for a monic den, in integers.
 
-        Numerators are cleared by the lcm D of their denominators, and every
-        den_k with a root away from 0 by the one integer E that clears all
-        of them, so each piece lies over self.den * D * E^(w-1).
+        The pieces nums[k] DEL^k self are summed once over self.den * D, D
+        the lcm of the numerators' denominators, and the sum is divided
+        once: by a shift when den = var^m, else by ``_mul_inverse_poly``.
         """
-        D = math.lcm(*(c.denominator for num, _ in fractions
-                       for c in num.coeffs))
-        E = math.lcm(*(c.denominator for _, den in fractions
-                       for c in den.coeffs))
-        lo, hi = self.box[2 * axis:2 * axis + 2]
-        top = E ** (hi - lo)
+        D = math.lcm(*(c.denominator for num in nums for c in num.coeffs))
+        m = den.degree
+        laurent = den.valuation() == m
 
         def pieces():
             power = self
-            for k, (num, den) in enumerate(fractions):
+            for k, num in enumerate(nums):
                 if k:
                     power = power._apply_del(axis)
-                if num.is_zero:
-                    continue
-                m = den.degree
-                if den.valuation() == m:
+                if not num.is_zero:
                     yield from power._shifted(
-                        [(t - m, _over(c, D) * top)
+                        [(t - m if laurent else t, _over(c, D))
                          for t, c in enumerate(num.coeffs) if c], axis)
-                    continue
-                product = WaveSeries._make(*_accumulate(power._shifted(
-                    [(t, _over(c, D)) for t, c in enumerate(num.coeffs) if c],
-                    axis)), power.den)
-                piece = product._mul_inverse_poly(den, axis, E)
-                yield piece.box, piece.nums.items()
 
         out, box = _accumulate(pieces())
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        return WaveSeries._make(out, box, self.den * D * top)
-
-    def mul_ratfn(self, rf: RationalFunction, axis):
-        """Multiply by a rational function of x (axis 0) or z (axis 1)."""
-        if rf.is_zero:
-            raise UsageError("multiplication by the zero function")
-        return self._image([(rf.num, rf.den)], axis)
+        total = WaveSeries._make(out, box, self.den * D)
+        return total if laurent else total._mul_inverse_poly(den, axis)
 
     def mul_poly(self, p: Poly, axis):
         if p.is_zero:
             raise UsageError("multiplication by the zero function")
-        return self._image([(p, Poly.const(p.var, 1))], axis)
+        return self._image(Poly.const(p.var, 1), [p], axis)
 
     def _apply_del(self, axis):
         """(z + d/dx) resp. (x + d/dz) on the bare series: one more DEL."""
@@ -418,8 +412,8 @@ class WaveSeries:
         """
         if var not in ("x", "z"):
             raise UsageError("var must be 'x' or 'z'")
-        return self._image([(c.num, c.den) for c in op.convert(DEL).coeffs],
-                           0 if var == "x" else 1)
+        a = op.convert(DEL)
+        return self._image(a.den, a.nums, 0 if var == "x" else 1)
 
     def __eq__(self, other):
         if not isinstance(other, WaveSeries):
@@ -520,22 +514,6 @@ class ExpSeries:
         for m, c in terms:
             yield (lo + m, hi + m), ((d + m, c * v) for d, v in items)
 
-    def _ratfn_pieces(self, rf: RationalFunction):
-        if rf.is_laurent:
-            yield from self._shifted(rf.laurent_terms())
-        else:
-            piece = self.mul_ratfn(rf)
-            yield piece.box, piece.coeffs.items()
-
-    def mul_ratfn(self, rf: RationalFunction) -> "ExpSeries":
-        """Multiply by a rational function, dividing by any denominator."""
-        if rf.is_zero:
-            raise UsageError("multiplication by the zero function")
-        terms = (rf.laurent_terms() if rf.is_laurent else
-                 [(m, c) for m, c in enumerate(rf.num.coeffs) if c])
-        out = ExpSeries(self.var, self.rate, *_accumulate(self._shifted(terms)))
-        return out if rf.is_laurent else out._mul_inverse_poly(rf.den)
-
     def _apply_del(self):
         """(rate + d/dx) on the bare series: one more DEL."""
         lo, hi = self.box
@@ -545,23 +523,29 @@ class ExpSeries:
             ((lo - 1, hi - 1), ((d - 1, d * v) for d, v in items if d)))))
 
     def apply(self, op: DiffOp) -> "ExpSeries":
-        """Image under an operator with rational coefficients in self.var."""
+        """Image den^{-1} sum_k nums[k] DEL^k self under an operator with
+        rational coefficients in self.var, divided once as in WaveSeries."""
         if op.var != self.var:
             raise UsageError("operator in the wrong variable")
         a = op.convert(DEL)
+        m = a.den.degree
+        laurent = a.den.valuation() == m
 
         def pieces():
             power = self
-            for k, c in enumerate(a.coeffs):
+            for k, num in enumerate(a.nums):
                 if k:
                     power = power._apply_del()
-                if not c.is_zero:
-                    yield from power._ratfn_pieces(c)
+                if not num.is_zero:
+                    yield from power._shifted(
+                        [(t - m if laurent else t, c)
+                         for t, c in enumerate(num.coeffs) if c])
 
         out, box = _accumulate(pieces())
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        return ExpSeries(self.var, self.rate, out, box)
+        total = ExpSeries(self.var, self.rate, out, box)
+        return total if laurent else total._mul_inverse_poly(a.den)
 
     def __eq__(self, other):
         if not isinstance(other, ExpSeries):

@@ -145,7 +145,11 @@ class DiffOp:
 
     @property
     def coeffs(self):
-        """The reduced coefficients nums[k] / den, one per power."""
+        """The reduced coefficients nums[k] / den, one per power.
+
+        Documents, printing and error messages read this view; arithmetic
+        and series application work on den and nums.
+        """
         if self._coeffs is None:
             self._coeffs = tuple(RationalFunction(p, self.den)
                                  for p in self.nums)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bispectral import cli
+from bispectral import cli, darboux
 from bispectral.cli import main
 
 
@@ -388,6 +388,11 @@ def test_negative_sizes_are_usage_errors(argv, capsys):
     assert "must be at least 0, got -" in capsys.readouterr().err
 
 
+def _weights(n):
+    """The weight vector 0, 1, ..., n - 1, which sums to n(n - 1)/2."""
+    return ",".join(str(b) for b in range(n))
+
+
 @pytest.mark.parametrize("argv, limit", [
     (["bessel", "--beta", "2/3,1/3", "-K", "257"], cli.MAX_DEPTH),
     (["build", "spec.json", "-K", "257"], cli.MAX_DEPTH),
@@ -397,18 +402,48 @@ def test_negative_sizes_are_usage_errors(argv, capsys):
      cli.MAX_DEGREE_BOUND),
     (["rank", "cert.json", "--degree-bound", "64"], cli.MAX_DEGREE_BOUND),
     (["examples", "dg-even", "--d", "3"], cli.MAX_BAND_DEPTH),
+    (["bessel", "--beta", _weights(cli.MAX_WEIGHTS + 1)], cli.MAX_WEIGHTS),
+    (["rank", "--beta", _weights(cli.MAX_WEIGHTS + 1)], cli.MAX_WEIGHTS),
+    (["rank", "--beta", _weights(100 * cli.MAX_WEIGHTS)], cli.MAX_WEIGHTS),
+    (["examples", "dg-even", "--beta", _weights(darboux.MAX_N + 1)],
+     darboux.MAX_N),
 ], ids=lambda v: " ".join(v[:1] + v[-2:-1]) if isinstance(v, list) else "")
 def test_sizes_above_the_caps_are_usage_errors(argv, limit, capsys):
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert time.perf_counter() - start < 1
     assert exc.value.code == 2
-    assert f"must be at most {limit}, got {argv[-1]}" in \
-        capsys.readouterr().err
+    got = argv[-1]
+    if argv[-2] == "--beta":  # a weight vector: its length is reported
+        got = f"{len(got.split(','))} weights"
+    assert f"must be at most {limit}, got {got}" in capsys.readouterr().err
+
+
+CUSTOM = "custom parameters accepted; certificate checks passed\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["rank", "--beta", "-5,2,6"], "degrees up to 8: [3, 6, 7]\n"),
+    (["rank", "--beta=-5,2,6"], "degrees up to 8: [3, 6, 7]\n"),
+    (["bessel", "--beta", "-1,2"], "L = d_x^2 - 2*x^-2\n"),
+    (["examples", "dg-even", "--t", "-1,2,1,1"], CUSTOM),
+    (["examples", "example4", "--lambda", "-1/2"], CUSTOM),
+    (["examples", "example4", "--nu", "-1/3"], CUSTOM),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_values_with_a_leading_minus_parse(argv, out, capsys):
+    # argparse reads "-5,2,6" or "-1/2" after an option as another option;
+    # main joins the rational-valued options to their values first
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(out)
 
 
 def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
-    assert (cli.MAX_DEPTH, cli.MAX_DEGREE_BOUND, cli.MAX_BAND_DEPTH) == \
-        (256, 32, 2)
+    assert (cli.MAX_DEPTH, cli.MAX_DEGREE_BOUND, cli.MAX_BAND_DEPTH,
+            cli.MAX_WEIGHTS) == (256, 32, 2, 64)
+    assert main(["rank", "--beta", _weights(cli.MAX_WEIGHTS)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "degrees up to 8: [1, 2, 3, 4, 5, 6, 7, 8]\n")
     assert main(["bessel", "--beta", "0", "-K", str(cli.MAX_DEPTH)]) == 0
     spec = write(tmp_path, "spec.json", RANK1_SPEC)
     cert_path = str(tmp_path / "cert.json")

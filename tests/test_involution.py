@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,10 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         KernelSpec, Poly, RationalFunction, UsageError,
                         VerificationError, WaveSeries, banded_rows,
                         bessel_op, bessel_plane_report, beta_prime,
-                        build_certificate, closed_form_monomial, involute_P,
-                        involute_Q, kernel_matrix, linalg, make_pair,
-                        monomial_kernel, spectral_algebra, validate_spec,
-                        verify_pair)
+                        build_certificate, certify, closed_form_monomial,
+                        involute_P, involute_Q, jsonio, kernel_matrix, linalg,
+                        make_pair, monomial_kernel, spectral_algebra,
+                        validate_spec, verify_pair)
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL
@@ -149,6 +150,26 @@ def test_verify_pair_sees_one_changed_numerator(monkeypatch, side, message):
     monkeypatch.setattr(WaveSeries, "apply", tampered)
     with pytest.raises(VerificationError, match=message):
         verify_pair(pair, depth=16)
+
+
+def test_series_checks_read_no_reduced_operator_view(monkeypatch):
+    # verify_pair and certify apply operators through den and nums; the
+    # reduced per-coefficient view costs one normalization per coefficient
+    fresh = make_pair(order2_cert())
+    root = Path(__file__).resolve().parents[1]
+    stored = jsonio.load_pair(jsonio.read(
+        root / "perfbench" / "data" / "pairs" / "dg-even.json"))
+    reads = []
+    view = DiffOp.coeffs
+    monkeypatch.setattr(DiffOp, "coeffs", property(
+        lambda op: reads.append(op) or view.fget(op)))
+    for pair in (fresh, stored):
+        cert = pair.certificate
+        certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
+        assert reads == []
+        assert verify_pair(pair)["residuals"] == [0, 0]
+        assert reads == []
+    assert fresh.certificate.spec.at_points
 
 
 def test_order2_pair_matches_swap():

@@ -61,16 +61,12 @@ def test_rational_function_canonical_form():
     assert r.num == Poly("x", [Fraction(1, 2)])
     assert r.den == Poly("x", [0, 1])
     assert r.is_laurent
-    assert r.laurent_terms() == [(-1, Fraction(1, 2))]
     assert RationalFunction(x2).is_polynomial
 
 
 def test_non_laurent_rejected():
     r = RationalFunction(Poly("x", [1]), Poly("x", [1, 1]))
     assert not r.is_laurent
-    from bispectral import UnsupportedInputError
-    with pytest.raises(UnsupportedInputError):
-        r.laurent_terms()
 
 
 def test_zero_denominator_rejected():

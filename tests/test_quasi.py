@@ -36,6 +36,56 @@ def test_quasi_apply_requires_laurent():
         QuasiPolynomial.monomial(1).apply(bad)
 
 
+def _laurent_image(q, op):
+    """sum_k a_k D^k q read per coefficient: each reduced a_k of the DFORM
+    view must be num / x^m, and acts by the shifts (t - m, num[t])."""
+    image = QuasiPolynomial()
+    power = q
+    for k, rf in enumerate(op.convert("D").coeffs):
+        if k:
+            power = power.apply_theta()
+        m = rf.den.degree
+        if rf.den != Poly.monomial("x", m):
+            raise UnsupportedInputError(f"{rf} has a pole away from 0")
+        for t, c in enumerate(rf.num.coeffs):
+            if c:
+                image = image + power.xshift(t - m).scale(c)
+    return image
+
+
+def test_quasi_apply_matches_the_per_coefficient_laurent_oracle():
+    rng = random.Random(40)
+    forms, spreads = set(), set()
+    for _ in range(60):
+        form = rng.choice(["del", "D"])
+        coeffs = []
+        for _ in range(rng.randint(1, 4)):
+            num = Poly("x", [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3))])
+            coeffs.append(RationalFunction(
+                num, Poly.monomial("x", rng.randint(0, 3))))
+        op = DiffOp("x", form, coeffs)
+        if op.is_zero:
+            continue
+        q = QuasiPolynomial([((Fraction(rng.randint(-4, 4), rng.choice([1, 2])),
+                               rng.randint(0, 2)), rng.randint(-5, 5))
+                             for _ in range(rng.randint(1, 4))])
+        assert q.apply(op) == _laurent_image(q, op)
+        forms.add(form)
+        spreads.add(len({c.den.degree for c in op.convert("D").coeffs
+                         if not c.is_zero}))
+        # one coefficient with a pole away from 0 makes the operator
+        # unsupported, whatever its other coefficients
+        k = rng.randrange(len(coeffs))
+        coeffs[k] = RationalFunction(Poly.const("x", 1),
+                                     Poly("x", [-rng.randint(1, 3), 1]))
+        bad = DiffOp("x", form, coeffs)
+        for route in (q.apply, lambda b: _laurent_image(q, b)):
+            with pytest.raises(UnsupportedInputError):
+                route(bad)
+    assert forms == {"del", "D"} and max(spreads) > 1
+
+
 def test_module_action_randomized():
     rng = random.Random(31)
 
@@ -146,7 +196,7 @@ def test_rational_coefficient_action_matches_cleared_identity():
     psi = bessel_wave(BesselIndex.parse("0,1"), 10)
     q = Poly("x", [Fraction(-5), 0, 1])
     rf = RationalFunction(Poly.const("x", 1), q)
-    back = psi.mul_poly(q, axis=0).mul_ratfn(rf, axis=0)
+    back = psi.mul_poly(q, axis=0).apply(DiffOp.mult("x", rf), "x")
     xlo, xhi, zlo, zhi = back.box
     for i in range(xlo, xhi + 1):
         for j in range(zlo, zhi + 1):
@@ -177,7 +227,7 @@ def test_wave_series_laurent_product_matches_inverse_expansion():
     for axis, var in ((0, "x"), (1, "z")):
         for rf in _laurent_coefficients(rng, var, scalar):
             want = psi.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
-            got = psi.mul_ratfn(rf, axis)
+            got = psi.apply(DiffOp.mult(var, rf), var)
             assert got.box == want.box and got.coeffs == want.coeffs
 
 
@@ -196,7 +246,7 @@ def test_exp_series_laurent_product_matches_inverse_expansion():
                 piece = series.xshift(k).scale(c)
                 want = piece if want is None else want + piece
         want = want._mul_inverse_poly(rf.den)
-        got = series.mul_ratfn(rf)
+        got = series.apply(DiffOp.mult("x", rf))
         assert got.box == want.box and got.coeffs == want.coeffs
         assert got == want
 
@@ -438,7 +488,7 @@ def test_wave_apply_is_the_pairwise_sum_of_its_pieces():
                                             in power.coeffs.items() if j},
                                            (xlo, xhi, zlo - 1, zhi - 1))
                         power = power.shift(1, 0) + deriv
-                piece = power.mul_ratfn(c, axis)
+                piece = power.apply(DiffOp.mult(var, c), var)
                 boxes.add(piece.box)
                 want = piece if want is None else want + piece
             got = psi.apply(op, var)
@@ -467,7 +517,7 @@ def test_exp_apply_is_the_pairwise_sum_of_its_pieces():
                                               in power.coeffs.items() if d},
                                   (lo - 1, hi - 1))
                 power = power.scale(rate) + deriv
-            piece = power.mul_ratfn(c)
+            piece = power.apply(DiffOp.mult("x", c))
             boxes.add(piece.box)
             want = piece if want is None else want + piece
         got = series.apply(op)
