@@ -9,6 +9,7 @@ exact product arithmetic rather than trusting a per-order formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,42 +104,54 @@ def bessel_op(bi: BesselIndex, var="x") -> DiffOp:
 def _conjugated_images(bi: BesselIndex, depth: int):
     """Laurent images b_m(z) of z^{-m} under prod(D + z - b_i) - z^N.
 
-    Returned as dicts {absolute power: coefficient}, m = 0..depth.
+    Returned as (E, images): images[m] is a dict {absolute power: integer}
+    holding E * b_m, m = 0..depth, E a positive integer.
     """
-    acc = DiffOp.identity("z", DFORM)
+    # polys[j] is the coefficient of D^j in the product, expanded one
+    # factor at a time; the factors commute, and on the left
+    # (D + z - b) a D^j = ((z - b) a + theta(a)) D^j + a D^(j+1)
+    zero = Poly.zero("z")
+    polys = [Poly.const("z", 1)]
     for b in bi.beta:
-        acc = acc * DiffOp("z", DFORM, (Poly("z", (-b, 1)), 1))
-    polys = acc.nums  # acc has polynomial coefficients, so its den is 1
+        step = Poly("z", (-b, 1))
+        polys = [step * a + a.theta() + lower
+                 for a, lower in zip(polys + [zero], [zero] + polys)]
+    E = math.lcm(*(p.den for p in polys))
+    terms = [[(t, n * (E // p.den)) for t, n in enumerate(p.nums) if n]
+             for p in polys]
     images = []
     for m in range(depth + 1):
         img = {}
-        for j, p in enumerate(polys):
-            w = Fraction(-m) ** j
+        for j, ts in enumerate(terms):
+            w = (-m) ** j
             if not w:
                 continue
-            for t, c in enumerate(p.coeffs):
-                if c:
-                    img[t - m] = img.get(t - m, Fraction(0)) + w * c
-        img[bi.N - m] = img.get(bi.N - m, Fraction(0)) - 1
+            for t, n in ts:
+                img[t - m] = img.get(t - m, 0) + w * n
+        img[bi.N - m] = img.get(bi.N - m, 0) - E
         images.append({k: v for k, v in img.items() if v})
-    return images
+    return E, images
 
 
 def wave_coeffs(bi: BesselIndex, depth: int):
     """The asymptotic coefficients a_1..a_depth of the formal eigenfunction."""
     if depth <= 0:
         return []
-    images = _conjugated_images(bi, depth)
+    # the recursion is homogeneous in the images, so their common
+    # denominator cancels
+    _, images = _conjugated_images(bi, depth)
     a = [Fraction(1)]
     for k in range(1, depth + 1):
         power = bi.N - 1 - k
-        acc = Fraction(0)
+        acc = 0
         for m in range(max(0, k + 1 - bi.N), k):
-            acc += a[m] * images[m].get(power, Fraction(0))
-        pivot = images[k].get(power, Fraction(0))
+            v = images[m].get(power)
+            if v:
+                acc += a[m] * v
+        pivot = images[k].get(power, 0)
         if not pivot:
             raise UsageError("degenerate recursion pivot")  # cannot happen
-        a.append(-acc / pivot)
+        a.append(Fraction(-acc) / pivot)
     return a[1:]
 
 

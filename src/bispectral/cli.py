@@ -72,11 +72,24 @@ def weight_vector(limit):
     return weights
 
 
+def _names_rational_option(arg):
+    """True when arg is one of RATIONAL_OPTIONS or an abbreviation argparse
+    resolves to one: a prefix of exactly one of them.  No other option of
+    any subcommand starts with the same letter after "--", so such a
+    prefix names that option in every subcommand that has it."""
+    if arg in RATIONAL_OPTIONS:
+        return True
+    if len(arg) <= 2 or not arg.startswith("--") or "=" in arg:
+        return False
+    return sum(opt.startswith(arg) for opt in RATIONAL_OPTIONS) == 1
+
+
 def _join_rational_values(argv):
-    """argv with each "--opt value" of RATIONAL_OPTIONS as "--opt=value"."""
+    """argv with each "--opt value" of RATIONAL_OPTIONS, or of an
+    abbreviation of one, as "--opt=value"."""
     out, rest = [], iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg in RATIONAL_OPTIONS else None
+        value = next(rest, None) if _names_rational_option(arg) else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 

@@ -101,7 +101,7 @@ def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
         if p.is_zero:
             continue
         out = out + (dee ** k) * poly_at_operator(p, lbeta)
-    out = DiffOp.from_cleared(P.var, DFORM, out.den * Poly(P.var, g.coeffs),
+    out = DiffOp.from_cleared(P.var, DFORM, out.den * g.relabel(P.var),
                               out.nums)
     g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
     return _reduced(out, g_b, beta, right=True)
@@ -138,7 +138,7 @@ def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
 
     lbeta = bessel_op(beta, var)
     dee = DiffOp.dee(var)
-    inv_f = DiffOp.from_cleared(var, DFORM, Poly(var, f.coeffs),
+    inv_f = DiffOp.from_cleared(var, DFORM, f.relabel(var),
                                 [Poly.const(var, 1)])
     out = DiffOp.zero(var, DFORM)
     for s, q in enumerate(qs):
@@ -208,7 +208,7 @@ def make_pair(cert: DarbouxCertificate) -> BispectralPair:
     bcert = certify(beta, P_b, Q_b, f_b, g_b)
     L = cert.P * cert.Q
     lam_x = P_b * Q_b
-    theta_x = Poly(P_b.var, (f_b * g_b).coeffs)
+    theta_x = (f_b * g_b).relabel(P_b.var)
     if not theta_x.is_power_pattern(beta.N):
         raise ShapeError("f_b * g_b is not a polynomial in x^N")
     theta = theta_x.contract_arg_power(beta.N, var="y")

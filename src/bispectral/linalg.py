@@ -1,13 +1,31 @@
-"""Dense exact linear algebra over the rationals (small systems only)."""
+"""Dense exact linear algebra over the rationals (small systems only).
+
+Fraction-free.  Each row is scaled by the lcm of its denominators to
+integers, which leaves the row space unchanged.  ``rref`` eliminates by
+integer cross-multiplication, takes out each new row's content, and
+divides each pivot row by its pivot once at the end; the reduced row
+echelon form is unique, so it is the one elimination over Q gives.
+``det`` runs Bareiss's fraction-free elimination on the integer rows.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from .poly import _primitive
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(r) for r in rows]
+
+def _integer_row(row):
+    """(ints, d): the row times d, the lcm of its denominators."""
+    d = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (d // v.denominator) for v in row], d
+
+
+def _echelon(rows):
+    """Integer rows in reduced echelon shape (each pivot row a multiple of
+    its reduced row) and the pivot column list."""
+    m = [_primitive(_integer_row(r)[0]) for r in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -22,12 +40,14 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        row = m[r]
+        p = row[c]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], row)])
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -35,25 +55,37 @@ def rref(rows):
     return m[:r], pivots
 
 
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    m, pivots = _echelon(rows)
+    return [[Fraction(v, row[c]) for v in row]
+            for row, c in zip(m, pivots)], pivots
+
+
 def det(rows):
-    """Determinant of a square matrix, by elimination with row swaps."""
-    m = [list(r) for r in rows]
+    """Determinant of a square matrix, by Bareiss elimination with row
+    swaps on the integer rows."""
+    m, scale = [], 1
+    for r in rows:
+        ints, d = _integer_row(r)
+        m.append(ints)
+        scale *= d
     size = len(m)
-    out = Fraction(1)
+    sign, prev = 1, 1
     for c in range(size):
         pivot = next((r for r in range(c, size) if m[r][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
         for r in range(c + 1, size):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return out
+            f = m[r][c]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def nullspace(rows, ncols=None):
@@ -95,4 +127,4 @@ def solve(rows, rhs):
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])

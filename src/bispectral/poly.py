@@ -1,8 +1,26 @@
 """Dense univariate polynomials and reduced rational functions.
 
-Coefficients are exact scalars (Fraction, or Cyclotomic where a root of
-unity is in play).  A RationalFunction keeps its denominator monic and
-coprime to the numerator, so equal functions have equal representations.
+Integer form.  A Poly over Q stores integer numerators ``nums`` (trailing
+zeros stripped) over one positive integer ``den`` with gcd(den, nums...) =
+1, so equal polynomials have equal fields.  Ring operations, derivations
+and argument substitutions work on the integers, and each result goes
+through one normalizer that takes one ``math.gcd(den, *nums)``.
+``divmod`` is fraction-free: it scales the running remainder only when the
+next quotient coefficient would not be integral, and divides by the
+tracked scale once at the end.  ``coeffs``, the tuple of Fractions, is
+built lazily for documents and printing.
+
+Coefficients are rationals only.  A rational Cyclotomic is read through
+``as_rational``; any other scalar is refused with UsageError.  (Q(eps)
+values live in series, never in polynomials.)
+
+Gcds run the primitive polynomial remainder sequence over Z (Collins
+1967, Brown 1971): each pseudo-remainder is replaced by its primitive
+part, and the last nonzero one is made monic.  It is exact and
+deterministic, so it needs no modular step.
+
+A RationalFunction keeps its denominator monic and coprime to the
+numerator, so equal functions have equal representations.
 ``RationalFunction(num, den)`` normalizes whatever it is given; it is the
 reduced per-coefficient view of an operator (see ``weyl``).
 """
@@ -13,28 +31,62 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .scalars import format_rational, parse_rational
+from .scalars import Cyclotomic, format_rational, parse_rational
 
 
-def _coerce_scalar(c):
-    return Fraction(c) if isinstance(c, int) else c
+def _rational(c):
+    """c as an int or a Fraction; the only coefficients a Poly takes."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, Cyclotomic) and c.is_rational:
+        return c.as_rational()
+    raise UsageError(f"polynomial coefficients are rationals, got {c!r}")
+
+
+def _raw(var, nums, den):
+    """A Poly from fields already in canonical form."""
+    out = object.__new__(Poly)
+    out.var, out.nums, out.den, out._coeffs = var, nums, den, None
+    return out
+
+
+def _poly(var, nums, den=1):
+    """The Poly nums / den, nums a list of ints and den > 0: the one
+    normalizer of the arithmetic."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [v // g for v in nums]
+    return _raw(var, tuple(nums), den)
+
+
+def _primitive(nums):
+    """An integer list divided by the gcd of its entries; a list of zeros
+    is returned as it is."""
+    g = math.gcd(*nums)
+    return nums if g <= 1 else [v // g for v in nums]
 
 
 class Poly:
-    """coeffs[k] is the coefficient of var**k; trailing zeros are stripped."""
+    """nums[k] / den is the coefficient of var**k; see the module docstring."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "nums", "den", "_coeffs")
 
     def __init__(self, var, coeffs=()):
-        cs = [_coerce_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.var = var
-        self.coeffs = tuple(cs)
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _poly(var, [c.numerator * (den // c.denominator) for c in cs],
+                  den)
+        self.var, self.nums, self.den, self._coeffs = var, p.nums, p.den, None
 
     @classmethod
     def zero(cls, var):
-        return cls(var)
+        return _raw(var, (), 1)
 
     @classmethod
     def const(cls, var, c):
@@ -46,31 +98,39 @@ class Poly:
 
     @classmethod
     def variable(cls, var):
-        return cls(var, (0, 1))
+        return _raw(var, (0, 1), 1)
+
+    @property
+    def coeffs(self):
+        """The coefficients nums[k] / den as Fractions, built once."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(v, den) for v in self.nums)
+        return self._coeffs
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self):
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def valuation(self):
         """Index of the lowest nonzero coefficient (0 for the zero poly)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, v in enumerate(self.nums):
+            if v:
                 return k
         return 0
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return Fraction(0)
 
@@ -81,26 +141,48 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var == other.var and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        # the hash of (var, coeffs); an integral Fraction hashes as its int
+        return hash((self.var, self.nums if self.den == 1 else self.coeffs))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __neg__(self):
-        return Poly(self.var, tuple(-c for c in self.coeffs))
+        return _raw(self.var, tuple(-v for v in self.nums), self.den)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.var, [self.coeff(k) + other.coeff(k) for k in range(n)])
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        if da == db:
+            fa, fb = 1, sign
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+        out = list(a) if fa == 1 else [v * fa for v in a]
+        if len(b) > len(out):
+            out += [0] * (len(b) - len(out))
+        for k, v in enumerate(b):
+            if v:
+                out[k] += v * fb
+        return _poly(self.var, out, da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,19 +190,23 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        if self.is_zero or other.is_zero:
+        a, b = self.nums, other.nums
+        if not a or not b:
             return Poly.zero(self.var)
-        for p, q in ((self, other), (other, self)):
-            if q.valuation() == q.degree:  # q = c*var**k: shift and scale
-                c = q.leading
-                return (p if c == 1 else p.scale(c)).shift_mul(q.degree)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(self.var, out)
+        den = self.den * other.den
+        for p, q in ((a, b), (b, a)):
+            if not any(q[:-1]):  # q = c*var**k: shift and scale
+                c = q[-1]
+                return _poly(self.var, [0] * (len(q) - 1)
+                             + (list(p) if c == 1 else [c * v for v in p]),
+                             den)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
+        return _poly(self.var, out, den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,8 +214,14 @@ class Poly:
         return NotImplemented
 
     def scale(self, c):
-        c = _coerce_scalar(c)
-        return Poly(self.var, tuple(c * a for a in self.coeffs))
+        c = _rational(c)
+        if not c or not self.nums:
+            return Poly.zero(self.var)
+        if c == 1:
+            return self
+        n = c.numerator
+        return _poly(self.var, [n * v for v in self.nums],
+                     self.den * c.denominator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -144,35 +236,29 @@ class Poly:
         return out
 
     def divmod(self, other):
-        """Exact field division with remainder; other must be nonzero."""
+        """Exact field division with remainder; other must be nonzero.
+
+        Fraction-free: with self = A / da and other = B / db, it finds
+        s * A = Q * B + R in integers (``_pseudo_divide``) and returns
+        Q db / (s da) and R / (s da).
+        """
         if not isinstance(other, Poly):
             raise UsageError("can only divide by a polynomial")
         self._check(other)
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        lead = other.leading
-        db = other.degree
-        if other.valuation() == db:
-            # divisor c*var**db: the quotient and remainder are slices
-            quot = self.coeffs[db:]
-            if lead != 1:
-                quot = [c / lead for c in quot]
-            return Poly(self.var, quot), Poly(self.var, self.coeffs[:db])
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs) + 1
-        quot = [Fraction(0)] * max(0, dq)
-        terms = [(i, b) for i, b in enumerate(other.coeffs) if b]
-        while len(rem) >= len(other.coeffs):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            k = len(rem) - 1 - db
-            c = rem[-1] / lead
-            quot[k] = c
-            for i, b in terms:
-                rem[k + i] -= c * b
-        return Poly(self.var, quot), Poly(self.var, rem)
+        var, a, b = self.var, self.nums, other.nums
+        da, db, nb, lc = self.den, other.den, len(b) - 1, b[-1]
+        if not any(b[:-1]):
+            # divisor c*var**nb: the quotient and remainder are slices
+            s = -1 if lc < 0 else 1
+            return (_poly(var, [s * db * v for v in a[nb:]], da * abs(lc)),
+                    _poly(var, list(a[:nb]), da))
+        if len(a) <= nb:
+            return Poly.zero(var), self
+        quot, rem, scale = _pseudo_divide(a, b)
+        return (_poly(var, [db * v for v in quot], da * scale),
+                _poly(var, rem, da * scale))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -181,18 +267,21 @@ class Poly:
         return self.divmod(other)[1]
 
     def monic(self):
-        if self.is_zero:
+        nums = self.nums
+        if not nums:
             return self
-        lead = self.leading
-        return Poly(self.var, tuple(c / lead for c in self.coeffs))
+        lc = nums[-1]
+        if lc < 0:
+            return _poly(self.var, [-v for v in nums], -lc)
+        return _poly(self.var, list(nums), lc)
 
     @staticmethod
     def gcd(a, b):
-        """Monic greatest common divisor, by Euclid on the contracted parts
-        (see ``_contracted``)."""
+        """Monic greatest common divisor, by the primitive PRS on the
+        contracted parts (see ``_contracted``)."""
         a._check(b)
         if a.degree == 0 or b.degree == 0:
-            return Poly.const(a.var, 1)  # a nonzero constant is a unit
+            return _raw(a.var, (1,), 1)  # a nonzero constant is a unit
         if a.is_zero or b.is_zero:
             return (b if a.is_zero else a).monic()
         i, j, m, u, w = _contracted(a, b)
@@ -211,36 +300,46 @@ class Poly:
         return out
 
     def derivative(self):
-        return Poly(self.var, tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
+        return _poly(self.var, [k * v for k, v in enumerate(self.nums) if k],
+                     self.den)
 
     def theta(self):
         """x * d/dx, the degree-weighted derivative."""
-        return Poly(self.var, tuple(k * c for k, c in enumerate(self.coeffs)))
+        return _poly(self.var, [k * v for k, v in enumerate(self.nums)],
+                     self.den)
 
     def expand_arg_power(self, n: int, var=None) -> "Poly":
         """p(y) -> p(x^n) as a polynomial in x."""
-        out = [Fraction(0)] * (n * self.degree + 1 if self.coeffs else 0)
-        for k, c in enumerate(self.coeffs):
-            out[n * k] = c
-        return Poly(var if var is not None else self.var, out)
+        var = var if var is not None else self.var
+        nums = self.nums
+        if n == 1 or len(nums) <= 1:
+            return _raw(var, nums, self.den)
+        out = [0] * (n * (len(nums) - 1) + 1)
+        out[::n] = nums
+        return _raw(var, tuple(out), self.den)
 
     def shift_mul(self, m: int) -> "Poly":
         """Multiply by var**m, m >= 0."""
         if m < 0:
             raise UsageError("negative shift on a polynomial")
-        if self.is_zero:
+        if self.is_zero or not m:
             return self
-        return Poly(self.var, (0,) * m + tuple(self.coeffs))
+        return _raw(self.var, (0,) * m + self.nums, self.den)
+
+    def relabel(self, var) -> "Poly":
+        """The same polynomial written in another variable name."""
+        return _raw(var, self.nums, self.den)
 
     def is_power_pattern(self, n: int) -> bool:
         """True when only degrees divisible by n carry nonzero coefficients."""
-        return all(not c for k, c in enumerate(self.coeffs) if k % n)
+        return not any(v for k, v in enumerate(self.nums) if k % n)
 
     def contract_arg_power(self, n: int, var=None) -> "Poly":
         """Inverse of expand_arg_power; requires the degree pattern."""
         if not self.is_power_pattern(n):
             raise UsageError(f"polynomial is not a polynomial in {self.var}^{n}")
-        return Poly(var if var is not None else self.var, tuple(self.coeffs[::n]))
+        return _raw(var if var is not None else self.var, self.nums[::n],
+                    self.den)
 
     def to_json(self):
         return [format_rational(c) for c in self.coeffs]
@@ -288,21 +387,58 @@ def _contracted(a, b):
     nonzero.  Then gcd(a, b) = x^min(i, j) gcd(u, w)(x^m), so gcds and
     cancellations run on the shorter u and w."""
     i, j = a.valuation(), b.valuation()
-    u, w = a.coeffs[i:], b.coeffs[j:]
+    u, w = a.nums[i:], b.nums[j:]
     m = 0
     for cs in (u, w):
         for k, c in enumerate(cs):
             if c and k:
                 m = math.gcd(m, k)
     m = m or 1
-    return i, j, m, Poly(a.var, u[::m]), Poly(a.var, w[::m])
+    return i, j, m, _raw(a.var, u[::m], a.den), _raw(a.var, w[::m], b.den)
+
+
+def _pseudo_divide(a, b):
+    """(Q, R, s) with s a = Q b + R over Z, deg R < deg b and s > 0, for
+    integer lists with len(a) >= len(b) >= 2; R has trailing zeros
+    stripped.  The running remainder is scaled by lc(b) / gcd(top, lc(b))
+    only when the next quotient coefficient would not be integral, so an
+    exact division by a primitive b is never scaled."""
+    nb, lc = len(b) - 1, b[-1]
+    rem, quot, scale = list(a), [0] * (len(a) - nb), 1
+    terms = [(i, v) for i, v in enumerate(b[:-1]) if v]
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem[k + nb]
+        if not top:
+            continue
+        f = abs(lc) // math.gcd(top, lc)
+        if f != 1:
+            rem[:k + nb] = [v * f for v in rem[:k + nb]]
+            quot[k + 1:] = [v * f for v in quot[k + 1:]]
+            scale *= f
+            top *= f
+        c = top // lc
+        quot[k] = c
+        for i, v in terms:
+            rem[k + i] -= c * v
+    del rem[nb:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, scale
 
 
 def _euclid(u, w):
-    """Monic gcd of nonzero polynomials by Euclid's algorithm."""
-    while not w.is_zero:
-        u, w = w, u % w
-    return u.monic()
+    """Monic gcd of nonzero polynomials: the primitive PRS over Z."""
+    a, b = _primitive(list(u.nums)), _primitive(list(w.nums))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return _raw(u.var, (1,), 1)
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    # a is primitive, so a over its leading coefficient is reduced
+    if a[-1] < 0:
+        a = [-v for v in a]
+    return _raw(u.var, tuple(a), a[-1])
 
 
 def _cancel(num, den):
@@ -344,10 +480,10 @@ class RationalFunction:
             self.den = Poly.const(num.var, 1)
             return
         num, den = _cancel(num, den)
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        lc, e = den.nums[-1], den.den
+        if lc != e:  # the leading coefficient lc / e is not 1
+            num = num.scale(Fraction(e, lc))
+            den = den.monic()
         self.num = num
         self.den = den
 

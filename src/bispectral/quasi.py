@@ -41,8 +41,9 @@ recurrence runs on the output times that power (``_divide_row``).  So the
 image of a series over s lies over s * D when den = x^m, and over
 s * D * E^(w-1) otherwise, w the window width along the acting variable;
 E = 1 (integral den) costs nothing.  ExpSeries keeps generic scalars
-(Q(eps) where a root of unity is in play) and runs the same recurrence
-with a monic divisor.
+(Q(eps) where a root of unity is in play) and reads the operator the same
+way: integer pieces over D and the recurrence on E * den, after which each
+output is divided once, by D times its power of E.
 """
 
 from __future__ import annotations
@@ -231,12 +232,6 @@ def _divide_row(row, q, lead=1):
     return y
 
 
-def _over(c, m):
-    """The integer numerator of the rational c over a multiple m of its
-    denominator."""
-    return c.numerator * (m // c.denominator)
-
-
 class WaveSeries:
     """e^{xz} times a truncated double series; see the module docstring.
 
@@ -250,7 +245,8 @@ class WaveSeries:
         items = [(k, c) for k, c in
                  (coeffs.items() if isinstance(coeffs, dict) else coeffs) if c]
         den = math.lcm(*(c.denominator for _, c in items))
-        self._set({k: _over(c, den) for k, c in items}, box, den)
+        self._set({k: c.numerator * (den // c.denominator) for k, c in items},
+                  box, den)
 
     def _set(self, nums, box, den):
         """Integer numerators over den > 0, kept inside the box; no gcd is
@@ -326,15 +322,14 @@ class WaveSeries:
     def _mul_inverse_poly(self, den: Poly, axis):
         """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1).
 
-        A monic den is cleared to E * den, integral with leading coefficient
-        E, the lcm of den's denominators, and the result lies over
-        self.den * E^(w-1), w the window width along the axis.
+        A monic den is cleared to E * den = den.nums, integral with leading
+        coefficient E = den.den, and the result lies over self.den *
+        E^(w-1), w the window width along the axis.
         """
-        if den.leading != 1:
+        E, q = den.den, den.nums[:-1]
+        if den.nums[-1] != E:
             return self.scale(1 / den.leading)._mul_inverse_poly(den.monic(),
                                                                  axis)
-        E = math.lcm(*(c.denominator for c in den.coeffs))
-        q = [_over(c, E) for c in den.coeffs[:-1]]
         d = len(q)
         xlo, xhi, zlo, zhi = self.box
         lo, hi = (xlo, xhi) if axis == 0 else (zlo, zhi)
@@ -363,7 +358,7 @@ class WaveSeries:
         the lcm of the numerators' denominators, and the sum is divided
         once: by a shift when den = var^m, else by ``_mul_inverse_poly``.
         """
-        D = math.lcm(*(c.denominator for num in nums for c in num.coeffs))
+        D = math.lcm(*(num.den for num in nums))
         m = den.degree
         laurent = den.valuation() == m
 
@@ -373,9 +368,10 @@ class WaveSeries:
                 if k:
                     power = power._apply_del(axis)
                 if not num.is_zero:
+                    f = D // num.den
                     yield from power._shifted(
-                        [(t - m if laurent else t, _over(c, D))
-                         for t, c in enumerate(num.coeffs) if c], axis)
+                        [(t - m if laurent else t, n * f)
+                         for t, n in enumerate(num.nums) if n], axis)
 
         out, box = _accumulate(pieces())
         if box is None:
@@ -495,18 +491,27 @@ class ExpSeries:
         return ExpSeries(self.var, self.rate,
                          {d: d * v for d, v in self.coeffs.items() if d}, self.box)
 
-    def _mul_inverse_poly(self, den: Poly):
-        d = den.degree
+    def _mul_inverse_poly(self, den: Poly, D=1):
+        """Exact multiplication by 1/(D den(x)), den with a root away from 0.
+
+        The recurrence runs on den.nums = E * den, E = den.den, with
+        leading coefficient L; its k-th output y_k is L^(w-k) times that of
+        division by E * den (see ``_divide_row``), so the k-th coefficient
+        is y_k E / (D L^(w-k)), one division per coefficient.
+        """
+        E, q = den.den, den.nums[:-1]
+        L, d = den.nums[-1], len(q)
         lo, hi = self.box
-        inv = 1 / den.leading
-        row = [0] * (hi - lo + 1)
+        w = hi - lo + 1
+        row = [0] * w
         for i, c in self.coeffs.items():
-            row[i - lo] = c * inv
-        return ExpSeries(self.var, self.rate,
-                         enumerate(_divide_row(row, [c * inv for c in
-                                                     den.coeffs[:d]]),
-                                   lo - d),
-                         (lo - d, hi - d))
+            row[i - lo] = c
+        out = {}
+        for k, y in enumerate(_divide_row(row, q, L)):
+            if y:
+                out[lo - d + k] = y if D == E == L == 1 else y * Fraction(
+                    E, D * L ** (w - k))
+        return ExpSeries(self.var, self.rate, out, (lo - d, hi - d))
 
     def _shifted(self, terms):
         lo, hi = self.box
@@ -530,6 +535,7 @@ class ExpSeries:
         a = op.convert(DEL)
         m = a.den.degree
         laurent = a.den.valuation() == m
+        D = math.lcm(*(num.den for num in a.nums))
 
         def pieces():
             power = self
@@ -537,15 +543,18 @@ class ExpSeries:
                 if k:
                     power = power._apply_del()
                 if not num.is_zero:
+                    f = D // num.den
                     yield from power._shifted(
-                        [(t - m if laurent else t, c)
-                         for t, c in enumerate(num.coeffs) if c])
+                        [(t - m if laurent else t, n * f)
+                         for t, n in enumerate(num.nums) if n])
 
         out, box = _accumulate(pieces())
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
         total = ExpSeries(self.var, self.rate, out, box)
-        return total if laurent else total._mul_inverse_poly(a.den)
+        if not laurent:
+            return total._mul_inverse_poly(a.den, D)
+        return total if D == 1 else total.scale(Fraction(1, D))
 
     def __eq__(self, other):
         if not isinstance(other, ExpSeries):

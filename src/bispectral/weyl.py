@@ -350,8 +350,8 @@ class DiffOp:
         """The same operator written in another variable name."""
         if var == self.var:
             return self
-        return DiffOp.from_cleared(var, self.form, Poly(var, self.den.coeffs),
-                                   [Poly(var, p.coeffs) for p in self.nums],
+        return DiffOp.from_cleared(var, self.form, self.den.relabel(var),
+                                   [p.relabel(var) for p in self.nums],
                                    Poly.const(var, 1))
 
     def __eq__(self, other):

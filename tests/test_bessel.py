@@ -91,6 +91,30 @@ def test_wave_coefficients_against_substitution_oracle():
         assert not (img - rhs).coeffs, bi
 
 
+def test_conjugated_images_match_the_operator_product():
+    # oracle: prod (D + z - b_i) as a DiffOp product, read off as before
+    from bispectral.bessel import _conjugated_images
+    rng = random.Random(45)
+    for n in (1, 2, 3, 5, 8):
+        bi = rand_index(rng, n)
+        acc = DiffOp.identity("z", "D")
+        for b in bi.beta:
+            acc = acc * DiffOp("z", "D", (Poly("z", (-b, 1)), 1))
+        depth = 6
+        want = []
+        for m in range(depth + 1):
+            img = {}
+            for j, p in enumerate(acc.nums):
+                for t, c in enumerate(p.coeffs):
+                    if c:
+                        img[t - m] = img.get(t - m, 0) + Fraction(-m) ** j * c
+            img[n - m] = img.get(n - m, 0) - 1
+            want.append({k: v for k, v in img.items() if v})
+        E, images = _conjugated_images(bi, depth)
+        assert [{k: Fraction(v, E) for k, v in img.items()}
+                for img in images] == want, bi
+
+
 def test_wave_coefficients_closed_recursion_order_two():
     rng = random.Random(44)
     for _ in range(10):

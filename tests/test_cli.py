@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import random
@@ -430,12 +431,31 @@ CUSTOM = "custom parameters accepted; certificate checks passed\n"
     (["examples", "dg-even", "--t", "-1,2,1,1"], CUSTOM),
     (["examples", "example4", "--lambda", "-1/2"], CUSTOM),
     (["examples", "example4", "--nu", "-1/3"], CUSTOM),
+    # abbreviations argparse accepts behave as the full names do
+    (["examples", "example4", "--lam", "-1/2"], CUSTOM),
+    (["examples", "example4", "--lam=-1/2"], CUSTOM),
+    (["examples", "example4", "--n", "-1/3"], CUSTOM),
+    (["examples", "dg-even", "--be", "-3/2,5/2", "--t", "-1,2,1,1"], CUSTOM),
+    (["rank", "--bet", "-5,2,6"], "degrees up to 8: [3, 6, 7]\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_values_with_a_leading_minus_parse(argv, out, capsys):
     # argparse reads "-5,2,6" or "-1/2" after an option as another option;
     # main joins the rational-valued options to their values first
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith(out)
+
+
+def test_rational_option_abbreviations_name_no_other_option():
+    # what _join_rational_values relies on: no other option of any
+    # subcommand starts with the letter after "--" of a rational option
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    letters = {opt[2] for opt in cli.RATIONAL_OPTIONS}
+    for parser in sub.choices.values():
+        for opt in parser._option_string_actions:
+            if opt.startswith("--") and opt not in cli.RATIONAL_OPTIONS:
+                assert opt[2] not in letters, opt
 
 
 def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):

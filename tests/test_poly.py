@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,26 +107,22 @@ def _same(got, want):
 
 
 def test_monomial_gcd_and_divmod_match_euclid():
-    from bispectral import Cyclotomic
     rng = random.Random(14)
 
-    def scalar(kind):
-        if kind == "Q":
-            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        return Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3)))
+    def scalar():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
 
-    def rand(kind, terms):
-        return Poly("x", [scalar(kind) if rng.random() < 0.7 else 0
+    def rand(terms):
+        return Poly("x", [scalar() if rng.random() < 0.7 else 0
                           for _ in range(terms)]).shift_mul(rng.randint(0, 3))
 
     checked = 0
     for _ in range(300):
-        kind = rng.choice("QC")
-        c = scalar(kind)
+        c = scalar()
         if not c:
             continue
         mono = Poly.monomial("x", rng.randint(0, 5), rng.choice([1, c]))
-        other = rand(kind, rng.randint(0, 6))
+        other = rand(rng.randint(0, 6))
         for a, b in ((mono, other), (other, mono)):
             assert _same(Poly.gcd(a, b), _euclid_gcd(a, b))
         q, r = other.divmod(mono)
@@ -140,3 +137,136 @@ def test_monomial_gcd_and_divmod_match_euclid():
     assert Poly.gcd(zero, zero).is_zero
     assert _same(Poly.gcd(Poly.const("x", 5), zero), Poly.const("x", 1))
     assert zero.divmod(x3) == (zero, zero)
+
+
+# -- the integer form against a Fraction-list oracle --------------------------
+# The oracle runs the field algorithms on lists of Fractions (low degree
+# first, trailing zeros stripped): schoolbook products, long division and
+# Euclid's algorithm made monic at the end.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _o_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _trim(x + sign * y for x, y in zip(a, b))
+
+
+def _o_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _o_divmod(a, b):
+    rem = list(a)
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for i, v in enumerate(b):
+            rem[k + i] -= c * v
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+def _o_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def _o_gcd(a, b):
+    while b:
+        a, b = b, _o_divmod(a, b)[1]
+    return _o_monic(a)
+
+
+def _rand_coeffs(rng, deg, zeros=0.2):
+    cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+          if rng.random() > zeros else Fraction(0) for _ in range(deg + 1)]
+    if cs and rng.random() < 0.5:
+        cs[-1] = -abs(cs[-1]) or Fraction(-1)  # negative leading coefficients
+    return _trim(cs)
+
+
+def _check_form(p, want):
+    """p holds the oracle's value, in the canonical integer form."""
+    assert p.coeffs == tuple(want)
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+    assert [Fraction(n, p.den) for n in p.nums] == want
+    assert hash(p) == hash((p.var, tuple(want)))
+
+
+def test_integer_form_matches_the_fraction_oracle():
+    rng = random.Random(15)
+    for _ in range(250):
+        a = _rand_coeffs(rng, rng.randint(0, 7))
+        b = _rand_coeffs(rng, rng.randint(0, 7))
+        pa, pb = Poly("x", a), Poly("x", b)
+        _check_form(pa, a)
+        _check_form(pa + pb, _o_add(a, b))
+        _check_form(pa - pb, _o_add(a, b, -1))
+        _check_form(-pa, [-c for c in a])
+        _check_form(pa * pb, _o_mul(a, b))
+        c = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        _check_form(pa.scale(c), _trim(c * v for v in a))
+        _check_form(pa.derivative(), _trim(k * v for k, v in enumerate(a) if k))
+        _check_form(pa.theta(), _trim(k * v for k, v in enumerate(a)))
+        _check_form(pa.monic(), _o_monic(a))
+        n = rng.randint(1, 3)
+        spread = _trim(c for v in a for c in [v] + [Fraction(0)] * (n - 1))
+        _check_form(pa.expand_arg_power(n), spread)
+        assert pa.expand_arg_power(n).contract_arg_power(n) == pa
+        if b:
+            q, r = pa.divmod(pb)
+            wq, wr = _o_divmod(a, b)
+            _check_form(q, wq)
+            _check_form(r, wr)
+        if a and b:
+            _check_form(Poly.gcd(pa, pb), [Fraction(1)] if len(a) == 1
+                        or len(b) == 1 else _o_gcd(a, b))
+
+
+def test_gcd_and_cancel_with_a_shared_factor_of_high_degree():
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(60):
+        f = _rand_coeffs(rng, rng.randint(4, 8), zeros=0.1)
+        g1 = _rand_coeffs(rng, rng.randint(1, 5), zeros=0.1)
+        g2 = _rand_coeffs(rng, rng.randint(1, 5), zeros=0.1)
+        if len(f) < 5 or len(g1) < 2 or len(g2) < 2:
+            continue
+        a, b = _o_mul(f, g1), _o_mul(f, g2)
+        pa, pb = Poly("x", a), Poly("x", b)
+        g = Poly.gcd(pa, pb)
+        _check_form(g, _o_gcd(a, b))
+        assert g.degree >= len(f) - 1
+        q, r = pa.divmod(Poly("x", f))
+        _check_form(q, _o_divmod(a, f)[0])
+        assert r.is_zero
+        rf = RationalFunction(pa, pb)
+        num, den = _o_divmod(a, _o_gcd(a, b))[0], _o_divmod(b, _o_gcd(a, b))[0]
+        lead = den[-1]
+        _check_form(rf.num, [c / lead for c in num])
+        _check_form(rf.den, _o_monic(den))
+        checked += 1
+    assert checked > 40
+
+
+def test_only_rational_coefficients_are_taken():
+    from bispectral import Cyclotomic, primitive_root
+    half = Cyclotomic.from_rational(3, Fraction(1, 2))
+    assert Poly("x", [half, 1]) == Poly("x", [Fraction(1, 2), 1])
+    for bad in (primitive_root(3), Cyclotomic(4, (0, 1)), 0.5, "1/2", None):
+        with pytest.raises(UsageError):
+            Poly("x", [1, bad])
+        with pytest.raises(UsageError):
+            Poly("x", [1, 2]).scale(bad)

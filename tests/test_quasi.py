@@ -238,8 +238,12 @@ def test_exp_series_laurent_product_matches_inverse_expansion():
     def scalar():
         return Cyclotomic(3, (rng.randint(-3, 3), rng.randint(-3, 3)))
 
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    # Q(eps) values in the series, rational coefficients in the operator
     series = ExpSeries("x", rate, {d: scalar() for d in range(-7, 1)}, (-7, 0))
-    for rf in _laurent_coefficients(rng, "x", scalar):
+    for rf in _laurent_coefficients(rng, "x", rational):
         want = None
         for k, c in enumerate(rf.num.coeffs):
             if c:
@@ -438,10 +442,14 @@ def test_exp_division_matches_inverse_expansion():
         return Cyclotomic(3, (Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                               rng.randint(-2, 2)))
 
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    # Q(eps) values in the series, rational denominators
     for lo, hi in ((-8, 0), (-2, 5)):
         series = ExpSeries("x", rate, {d: scalar() for d in range(lo, hi + 1)
                                        if rng.random() < 0.8}, (lo, hi))
-        for den in _denominators_away_from_zero(rng, "x", scalar):
+        for den in _denominators_away_from_zero(rng, "x", rational):
             want = _reference_exp_division(series, den)
             got = series._mul_inverse_poly(den)
             assert got.box == want.box and got.coeffs == want.coeffs
