@@ -27,6 +27,6 @@ from .poly import Poly, RationalFunction
 from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
 from .scalars import (Cyclotomic, cyclotomic_polynomial, euler_phi,
                       format_rational, parse_rational, primitive_root)
-from .weyl import DEL, DFORM, DiffOp, poly_at_operator
+from .weyl import DEL, DFORM, DiffOp
 
 __version__ = "0.1.0"

@@ -1,10 +1,18 @@
 """Bessel-type operators, their powers, wave expansions and kernels.
 
-The basic object is x^{-N} (D - b_1)...(D - b_N) with D = x d/dx and
-rational weights b_i summing to N(N-1)/2.  Its formal eigenfunction is
-e^{xz} (1 + sum a_k (xz)^{-k}); the a_k are produced by a recursion that
-is derived here generically, by expanding the conjugated operator with
-exact product arithmetic rather than trusting a per-order formula.
+The basic object is L = x^{-N} B(D), B(D) = (D - b_1)...(D - b_N), with
+D = x d/dx and rational weights b_i summing to N(N-1)/2.  Since D x^{-N} =
+x^{-N} (D - N), its powers are Bessel-type again:
+
+    L^j = x^{-jN} B(D - (j-1)N) ... B(D - N) B(D) = ladder_op(beta.power(j)),
+
+so every polynomial in L, and every sum_j L^j T_j(D), is written down in
+closed form (``bessel_power_sum``) rather than multiplied out.
+
+The formal eigenfunction of L is e^{xz} (1 + sum a_k (xz)^{-k}); the a_k
+are produced by a recursion that is derived here generically, by
+expanding the conjugated operator with exact product arithmetic rather
+than trusting a per-order formula.
 """
 
 from __future__ import annotations
@@ -99,6 +107,40 @@ def bessel_poly(bi: BesselIndex, var="x") -> DiffOp:
 def bessel_op(bi: BesselIndex, var="x") -> DiffOp:
     """x^{-N} prod (D - b_i), an operator of order N."""
     return ladder_op(bi.beta, var)
+
+
+def bessel_power_sum(bi: BesselIndex, terms, var="x") -> DiffOp:
+    """sum_j L^j T_j(D) in DFORM, L = x^{-N} B(D) the base operator.
+
+    terms[j] is the polynomial T_j in D.  By the power identity L^j =
+    x^{-jN} I_j(D), I_j = B(D - (j-1)N) ... B(D), the sum is x^{-JN}
+    sum_j x^{(J-j)N} (I_j T_j)(D) with J the last index: one content pass
+    and no operator product.
+    """
+    terms = list(terms)
+    while terms and terms[-1].is_zero:
+        terms.pop()
+    if not terms:
+        return DiffOp.zero(var, DFORM)
+    N, J = bi.N, len(terms) - 1
+    rows = []
+    ladder = Poly.const("y", 1)
+    for j, t in enumerate(terms):
+        if j:
+            ladder = ladder * indicial_poly([b + (j - 1) * N for b in bi.beta])
+        if t.is_zero:
+            continue
+        for i, c in enumerate((ladder * t.relabel("y")).coeffs):
+            if i == len(rows):
+                rows.append([0] * (J * N + 1))
+            rows[i][(J - j) * N] = c
+    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, J * N),
+                               [Poly(var, r) for r in rows])
+
+
+def poly_at_bessel(bi: BesselIndex, p: Poly, var="x") -> DiffOp:
+    """p(L) for a polynomial p, L = x^{-N} B(D) the base operator."""
+    return bessel_power_sum(bi, [Poly.const("y", c) for c in p.coeffs], var)
 
 
 def _conjugated_images(bi: BesselIndex, depth: int):

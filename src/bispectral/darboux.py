@@ -30,14 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import BesselIndex, bessel_op, bessel_wave, wave_jet_at
+from .bessel import BesselIndex, bessel_wave, poly_at_bessel, wave_jet_at
 from .errors import (CertificationError, InconsistentSpecError,
                      RankDeficiencyError, ShapeError, SpecInvalidError,
                      UnsupportedInputError, UsageError)
 from .poly import Poly
 from .quasi import QuasiPolynomial
 from .scalars import format_rational, parse_rational
-from .weyl import DEL, DFORM, DiffOp, poly_at_operator
+from .weyl import DEL, DFORM, DiffOp
 
 
 # Size caps of a kernel spec document.  ``KernelSpec.from_json`` checks
@@ -460,8 +460,7 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
     outer = base_bound
     bound_start = 0
     largest, dim = (0, 0), None
-    lbeta = bessel_op(beta)
-    h_at_l = poly_at_operator(val.h, lbeta)
+    h_at_l = poly_at_bessel(beta, val.h)
     for _ in range(MAX_ANSATZ_DOUBLINGS):
         for bound in range(bound_start, outer + 1):
             ncols = (n + 1) * (bound + 1)
@@ -528,8 +527,7 @@ def build_P_general(spec: KernelSpec, depth=None) -> DiffOp:
 
 def compute_Q(P: DiffOp, h: Poly, beta: BesselIndex) -> DiffOp:
     """Exact left quotient of h evaluated at the base operator by P."""
-    lbeta = bessel_op(beta, P.var)
-    target = poly_at_operator(h, lbeta)
+    target = poly_at_bessel(beta, h, P.var)
     quot, rem = target.left_divide(P)
     if not rem.is_zero:
         raise CertificationError(
@@ -603,8 +601,7 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     h = _eigenvalue_pattern(f, g, beta.N)
     witnesses["eigenvalue_pattern"] = True
 
-    lbeta = bessel_op(beta, P.var)
-    target = poly_at_operator(h, lbeta)
+    target = poly_at_bessel(beta, h, P.var)
     product = Q * P
     if product != target:
         raise CertificationError("remainder nonzero: Q*P differs from h(L)")

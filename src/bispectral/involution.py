@@ -60,15 +60,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
-                     ladder_op)
+from .bessel import (BesselIndex, bessel_op, bessel_power_sum, bessel_wave,
+                     indicial_poly, ladder_op)
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
                       default_depth, operator_from_json, validate_spec)
 from .errors import (AssociationError, CertificationError,
                      RankDeficiencyError, ShapeError, UsageError,
                      VerificationError)
 from .poly import Poly
-from .weyl import DEL, DFORM, DiffOp, poly_at_operator
+from .weyl import DEL, DFORM, DiffOp
 
 
 def _reduced(op: DiffOp, poly: Poly, beta: BesselIndex, right: bool):
@@ -94,57 +94,62 @@ def _reduced(op: DiffOp, poly: Poly, beta: BesselIndex, right: bool):
 def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
     """(P_b, g_b): the involuted left factor and its spectral polynomial."""
     n, pks = cleared_coefficients(P, beta.N)
-    lbeta = bessel_op(beta, P.var)
-    dee = DiffOp.dee(P.var)
-    out = DiffOp.zero(P.var, DFORM)
-    for k, p in enumerate(pks):
-        if p.is_zero:
-            continue
-        out = out + (dee ** k) * poly_at_operator(p, lbeta)
+    # D^k x^{-jN} = x^{-jN} (D - jN)^k, so sum_k D^k p_k(L) is the power
+    # sum with T_j = sum_k p_k[j] (D - jN)^k
+    terms = []
+    for j in range(max(p.degree for p in pks) + 1):
+        shift, t = Poly("y", (-j * beta.N, 1)), Poly.zero("y")
+        for p in reversed(pks):
+            t = t * shift + Poly.const("y", p.coeff(j))
+        terms.append(t)
+    out = bessel_power_sum(beta, terms, P.var)
     out = DiffOp.from_cleared(P.var, DFORM, out.den * g.relabel(P.var),
                               out.nums)
     g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
     return _reduced(out, g_b, beta, right=True)
 
 
-def _right_form(Q: DiffOp):
-    """Coefficients e_s with Q = sum_s D^s e_s(x), by exact peeling.
+def _right_form(Q: DiffOp) -> DiffOp:
+    """sum_s e_s D^s for the coefficients e_s of Q = sum_s D^s e_s.
 
-    It reads the reduced view ``rem.coeff(s)``, one normalization per
-    order; that is left as it is because it runs once per ``make_pair``.
+    With Q = sum_s a_s D^s, applying the antiautomorphism D -> -D twice
+    gives e_t = sum_{s>=t} (-1)^(s-t) C(s, t) theta^(s-t)(a_s).  Over v =
+    Q.den, theta^k(c / v) = c_k / (v r^k) with r = v / gcd(v, theta v), as
+    in ``DiffOp.__mul__``, so every e_t lies over v r^m, m = ord Q.
     """
     d = Q.convert(DFORM)
-    var = d.var
-    rem = d
-    es = [None] * (d.order + 1)
-    for s in range(d.order, -1, -1):
-        c = rem.coeff(s)
-        es[s] = c
-        if not c.is_zero:
-            rem = rem - DiffOp.monomial(var, DFORM, s) * DiffOp.mult(var, c, DFORM)
-        if not rem.is_zero and rem.order >= s:
-            raise ShapeError("right-form extraction failed")
-    if not rem.is_zero:
-        raise ShapeError("right-form extraction failed")
-    return es
+    var, v, m = d.var, d.den, d.order
+    dv = v.theta()
+    g = Poly.gcd(v, dv)
+    r, s = v // g, dv // g
+    dr = r.theta()
+    rpow = [Poly.const(var, 1)]
+    for _ in range(m):
+        rpow.append(rpow[-1] * r)
+    out = [Poly.zero(var)] * (m + 1)
+    for top, c in enumerate(d.nums):
+        for k in range(top + 1):
+            if k:
+                # theta(c / (v r^(k-1))) = (theta(c) r - c (s + (k-1) theta r))
+                # / (v r^k)
+                c = c.theta() * r - c * (s + dr.scale(k - 1))
+            w = (-1) ** k * math.comb(top, k)
+            out[top - k] = out[top - k] + (c * rpow[m - k]).scale(w)
+    return DiffOp.from_cleared(var, DFORM, v * rpow[m], out)
 
 
 def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
     """(Q_b, f_b): the involuted right factor and its spectral polynomial."""
     var = Q.var
     # sum_s e_s D^s carries the right coefficients of Q = sum_s D^s e_s,
-    # so they clear exactly as the left coefficients of P do
-    m, qs = cleared_coefficients(DiffOp(var, DFORM, _right_form(Q)), beta.N)
-
-    lbeta = bessel_op(beta, var)
-    dee = DiffOp.dee(var)
+    # so they clear exactly as the left coefficients of P do; then
+    # sum_s q_s(L) D^s is the power sum with T_j = sum_s q_s[j] D^s
+    m, qs = cleared_coefficients(_right_form(Q), beta.N)
+    terms = [Poly("y", [q.coeff(j) for q in qs])
+             for j in range(max(q.degree for q in qs) + 1)]
     inv_f = DiffOp.from_cleared(var, DFORM, f.relabel(var),
                                 [Poly.const(var, 1)])
-    out = DiffOp.zero(var, DFORM)
-    for s, q in enumerate(qs):
-        if q.is_zero:
-            continue
-        out = out + poly_at_operator(q, lbeta) * (dee ** s) * inv_f
+    out = bessel_power_sum(beta, terms, var) * inv_f
     f_b = qs[-1].expand_arg_power(beta.N, var="z").shift_mul(m)
     return _reduced(out, f_b, beta, right=False)
 

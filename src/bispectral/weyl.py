@@ -408,10 +408,3 @@ class DiffOp:
 
     __str__ = to_str
 
-
-def poly_at_operator(p: Poly, a: DiffOp) -> DiffOp:
-    """p evaluated at an operator, by Horner's scheme."""
-    out = DiffOp.zero(a.var, a.form)
-    for c in reversed(p.coeffs):
-        out = out * a + DiffOp.mult(a.var, c, a.form)
-    return out

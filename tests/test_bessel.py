@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import (BesselIndex, DiffOp, Poly, UsageError, bessel_op,
-                        bessel_poly, bessel_wave, indicial_poly,
-                        kernel_basis, ladder_op, poly_at_operator,
-                        wave_coeffs, zero_exponent_basis)
-from tests_support import exp_wave, horner
+from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
+                        bessel_op, bessel_poly, bessel_wave, indicial_poly,
+                        kernel_basis, ladder_op, wave_coeffs,
+                        zero_exponent_basis)
+from bispectral.bessel import bessel_power_sum, poly_at_bessel
+from tests_support import exp_wave, horner, poly_at_operator
 
 
 def rand_index(rng, n):
@@ -69,6 +70,53 @@ def test_power_sum_consistency():
         bi = rand_index(rng, n)
         total = sum(bi.power(d))
         assert total == Fraction(d * n * (d * n - 1), 2)
+
+
+def _same_in_both_forms(a, b):
+    """Structural equality of the normal forms in DEL and in DFORM."""
+    for form in (DEL, DFORM):
+        ca, cb = a.convert(form), b.convert(form)
+        assert (ca.den, ca.nums) == (cb.den, cb.nums)
+
+
+def _rand_poly(rng, degree, var="y"):
+    return Poly(var, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+                      for _ in range(degree)]
+                + [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 4]))])
+
+
+def test_poly_at_bessel_matches_the_horner_oracle():
+    rng = random.Random(1501)
+    for n in (1, 2, 3):
+        for degree in range(-1, 7):
+            bi = rand_index(rng, n)
+            # degree -1 is the zero polynomial, 0 a nonzero constant
+            p = Poly.zero("y") if degree < 0 else _rand_poly(rng, degree)
+            got = poly_at_bessel(bi, p)
+            assert got.form == DFORM
+            _same_in_both_forms(got, poly_at_operator(p, bessel_op(bi)))
+    assert poly_at_bessel(rand_index(rng, 2), Poly.zero("y")).is_zero
+
+
+def test_power_sum_matches_the_operator_powers():
+    rng = random.Random(1502)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            bi = rand_index(rng, n)
+            L = bessel_op(bi)
+            terms = [Poly.zero("y") if rng.random() < 0.25
+                     else _rand_poly(rng, rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 4))]
+            want = DiffOp.zero("x", DFORM)
+            for j, t in enumerate(terms):
+                want = want + L ** j * DiffOp("x", DFORM, t.coeffs)
+            _same_in_both_forms(bessel_power_sum(bi, terms), want)
+    # a trailing zero term does not change the sum, and the variable is kept
+    bi = BesselIndex.parse("2/3,1/3")
+    t = [Poly("y", [1, 2]), Poly("y", [0, 0, 3])]
+    assert bessel_power_sum(bi, t + [Poly.zero("y")], "z") == \
+        bessel_power_sum(bi, t, "x").relabel("z")
+    assert bessel_power_sum(bi, []).is_zero
 
 
 def test_wave_coefficients_reference_values():

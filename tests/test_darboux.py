@@ -12,11 +12,11 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         build_P_monomial, build_certificate, certify,
                         cleared_coefficients, compute_Q, euler_phi,
                         kernel_matrix, linalg, monomial_kernel,
-                        poly_at_operator, validate_spec, wave_jet_at)
+                        validate_spec, wave_jet_at)
 from bispectral import darboux
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
-from tests_support import x_power
+from tests_support import poly_at_operator, x_power
 
 F = Fraction
 
@@ -229,7 +229,7 @@ def test_order_three_orbit_kernels():
     assert pks[1] == Poly("y", [12, 14])
     assert pks[0] == Poly("y", [0, -24, -1])
     # independent checks: exact product identity and kernel annihilation
-    from bispectral import bessel_op, poly_at_operator, wave_jet_at
+    from bispectral import bessel_op, wave_jet_at
     lb = bessel_op(bi)
     assert cert2.Q * cert2.P == poly_at_operator(Poly("y", [1, -2, 1]), lb)
     for branch in range(3):

@@ -14,10 +14,12 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         involute_P, involute_Q, jsonio, kernel_matrix, linalg,
                         make_pair, monomial_kernel, spectral_algebra,
                         validate_spec, verify_pair)
+from bispectral import involution
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
-from bispectral.weyl import DEL
-from tests_support import profile_plane_degrees, x_power
+from bispectral.weyl import DEL, DFORM
+from tests_support import (poly_at_operator, profile_plane_degrees, rand_op,
+                           x_power)
 
 F = Fraction
 
@@ -99,7 +101,6 @@ def test_make_pair_operator_identities():
     for cert in (rank1_cert(), order2_cert()):
         pair = make_pair(cert)
         assert pair.L == cert.P * cert.Q
-        from bispectral import poly_at_operator
         hofl = poly_at_operator(cert.h, bessel_op(cert.beta))
         assert cert.Q * pair.L == hofl * cert.Q
         assert pair.Lambda.relabel("x") == pair.P_b * pair.Q_b
@@ -152,8 +153,52 @@ def test_verify_pair_sees_one_changed_numerator(monkeypatch, side, message):
         verify_pair(pair, depth=16)
 
 
+def test_operator_products_of_certify_and_the_involution(monkeypatch):
+    # polynomials in L are written down by the power identity: certify
+    # multiplies only for its product and product_dual_form witnesses, and
+    # the involution's one product is Q_b's factor f^{-1}; the peeling of
+    # base-operator factors that follows is division and not counted here
+    certs = (rank1_cert(), order2_cert(), build_certificate(monomial_kernel(
+        BesselIndex.parse("5/2,-3/2"), [[(F(5, 2), F(1)), (F(9, 2), F(2))]])))
+    products = []
+    mul = DiffOp.__mul__
+    monkeypatch.setattr(DiffOp, "__mul__",
+                        lambda a, b: products.append(b) or mul(a, b))
+    monkeypatch.setattr(involution, "_reduced",
+                        lambda op, poly, beta, right: (op, poly))
+    for cert in certs:
+        del products[:]
+        certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
+        assert len(products) == 2
+        del products[:]
+        P_b, g_b = involute_P(cert.P, cert.g, cert.beta)
+        assert products == []
+        Q_b, f_b = involute_Q(cert.Q, cert.f, cert.beta)
+        assert len(products) == 1 and products[0].order == 0
+        # the unpeeled factors multiply to (f_b g_b)(L)
+        assert Q_b * P_b == poly_at_operator(
+            (f_b * g_b).contract_arg_power(cert.beta.N, var="y"),
+            bessel_op(cert.beta)).convert(DFORM)
+
+
+def test_right_form_matches_the_product_oracle():
+    # Q = sum_s D^s e_s, rebuilt from the e_s by operator products
+    rng = random.Random(1503)
+    for _ in range(40):
+        Q = rand_op(rng, max_order=3, form=rng.choice([DEL, DFORM]))
+        if Q.is_zero:
+            continue
+        right = involution._right_form(Q)
+        assert right.form == DFORM and right.order == Q.order
+        rebuilt = DiffOp.zero("x", DFORM)
+        for s, e in enumerate(right.coeffs):
+            rebuilt = rebuilt + (DiffOp.monomial("x", DFORM, s)
+                                 * DiffOp.mult("x", e, DFORM))
+        assert rebuilt == Q
+
+
 def test_series_checks_read_no_reduced_operator_view(monkeypatch):
-    # verify_pair and certify apply operators through den and nums; the
+    # verify_pair, certify and the involution work on den and nums; the
     # reduced per-coefficient view costs one normalization per coefficient
     fresh = make_pair(order2_cert())
     root = Path(__file__).resolve().parents[1]
@@ -168,6 +213,9 @@ def test_series_checks_read_no_reduced_operator_view(monkeypatch):
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
         assert reads == []
         assert verify_pair(pair)["residuals"] == [0, 0]
+        assert reads == []
+        involute_P(cert.P, cert.g, cert.beta)
+        involute_Q(cert.Q, cert.f, cert.beta)
         assert reads == []
     assert fresh.certificate.spec.at_points
 

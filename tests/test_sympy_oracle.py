@@ -1,10 +1,12 @@
-"""Independent oracle: the golden pairs checked with sympy's own calculus.
+"""Independent oracle: pairs checked with sympy's own calculus.
 
-The three golden documents are read as JSON and their operators rebuilt as
-sympy rational functions; nothing here uses the library's operator or
-series code.  Two operators are equal exactly when they agree on x^a for
-a symbolic exponent a: an operator sum_k c_k(x) D^k (D = x d/dx) sends x^a
-to x^a sum_k c_k(x) a^k, a polynomial in a whose coefficients are the c_k.
+The three golden documents, and seeded pairs that the library builds
+(``build_certificate`` + ``make_pair``), are read as JSON and their
+operators rebuilt as sympy rational functions; the checks use none of the
+library's operator or series code.  Two operators are equal exactly when
+they agree on x^a for a symbolic exponent a: an operator sum_k c_k(x) D^k
+(D = x d/dx) sends x^a to x^a sum_k c_k(x) a^k, a polynomial in a whose
+coefficients are the c_k.
 So every identity is checked on x^a, carried as x^a * R(x, a) with R in
 sympy's rational function field Q(x, a), where d/dx (x^a R) = x^a (a R / x
 + dR/dx).  The at-zero kernel elements x^g (ln x)^j are checked as sympy
@@ -12,6 +14,8 @@ expressions.
 """
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from sympy.polys.fields import field  # noqa: E402
+
+from bispectral import (AtPointGroup, BesselIndex, KernelSpec,  # noqa: E402
+                        banded_rows, build_certificate, make_pair,
+                        monomial_kernel)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "bispectral" / "golden"
 FIELD, X, A = field("x,a", sympy.QQ)
@@ -100,9 +108,8 @@ def _apply_fn(op, f):
     return sympy.simplify(out)
 
 
-@pytest.mark.parametrize("name", ["rank1", "example4", "dg_even"])
-def test_golden_pair_identities(name):
-    doc = json.loads((GOLDEN / f"{name}.json").read_text())["pair"]
+def _check_pair(doc):
+    """Both factorizations, both eigenvalue identities and the kernel."""
     cert = doc["provenance"]
     beta = doc["beta"]["beta"]
     P, Q = _operator(cert["P"]), _operator(cert["Q"])
@@ -120,3 +127,41 @@ def test_golden_pair_identities(name):
     for element in elements:
         assert _apply_fn(P_expr, element) == 0
     assert _apply_fn(P_expr, x ** sympy.Rational(1, 7)) != 0
+
+
+@pytest.mark.parametrize("name", ["rank1", "example4", "dg_even"])
+def test_golden_pair_identities(name):
+    _check_pair(json.loads((GOLDEN / f"{name}.json").read_text())["pair"])
+
+
+def _point_spec(rng, beta, lams, avals):
+    group = AtPointGroup(Fraction(rng.choice(lams)),
+                         (Fraction(1), Fraction(rng.choice(avals))))
+    return KernelSpec(BesselIndex.parse(beta), (), (group,))
+
+
+def _banded_spec(rng, k):
+    bi = BesselIndex(2, (Fraction(2 * k + 1, 2), Fraction(1 - 2 * k, 2)))
+    values = [Fraction(s * v) for s in (1, -1)
+              for v in (1, 2, Fraction(1, 2), Fraction(3, 2))]
+    t = {(i, 0): rng.choice(values) for i in range(bi.N)}
+    gammas = bi.power(1)
+    rows = [[(gammas[i], c) for i, c in enumerate(row) if c]
+            for row in banded_rows(bi, 1, t)]
+    return monomial_kernel(bi, rows)
+
+
+BUILT = {
+    "point-N2": lambda rng: _point_spec(rng, "2/3,1/3", (1, -1, 2, -2),
+                                        (1, Fraction(-1, 2), 2)),
+    "point-N3": lambda rng: _point_spec(rng, "1/3,2/3,2", (1, 2),
+                                        (1, Fraction(1, 2))),
+    "banded-k2": lambda rng: _banded_spec(rng, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_pair_identities(name):
+    spec = BUILT[name](random.Random(f"sympy-oracle-{name}"))
+    doc = json.loads(json.dumps(make_pair(build_certificate(spec)).to_json()))
+    _check_pair(doc)

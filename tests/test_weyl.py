@@ -7,9 +7,8 @@ exact, so every assertion is equality of canonical forms.
 import random
 from fractions import Fraction
 
-from bispectral import (DEL, DFORM, DiffOp, Poly, RationalFunction,
-                        poly_at_operator)
-from tests_support import x_power
+from bispectral import DEL, DFORM, DiffOp, Poly, RationalFunction
+from tests_support import poly_at_operator, x_power
 
 
 def rand_rf(rng, var="x"):

@@ -23,6 +23,15 @@ def x_power(var, m, c=1):
     return RationalFunction(Poly.const(var, c), Poly.monomial(var, -m))
 
 
+def poly_at_operator(p, a):
+    """p evaluated at an operator by Horner's scheme: the product-based
+    oracle of ``bessel.bessel_power_sum``."""
+    out = DiffOp.zero(a.var, a.form)
+    for c in reversed(p.coeffs):
+        out = out * a + DiffOp.mult(a.var, c, a.form)
+    return out
+
+
 def horner(p, v):
     """The value of the polynomial p at the scalar v."""
     acc = Fraction(0)
