@@ -6,11 +6,24 @@ integer cross-multiplication, takes out each new row's content, and
 divides each pivot row by its pivot once at the end; the reduced row
 echelon form is unique, so it is the one elimination over Q gives.
 ``det`` runs Bareiss's fraction-free elimination on the integer rows.
+
+``nullspace`` given more rows than columns (the over-determined ansatz
+systems of ``darboux``) first picks a subset of rows that spans the same
+row space, and eliminates only those.  It visits the primitive integer rows
+from the smallest height up and keeps an integer basis B of the null space
+of the rows kept so far, starting from the unit vectors: a row orthogonal
+to all of B is in their span and is skipped; a kept row r takes one b0 with
+d0 = r.b0 != 0 out of B and replaces every other b by the primitive part of
+d0 b - (r.b) b0.  The scan stops when B is empty, so at most ``ncols`` rows
+are kept, and it costs one dot product per remaining basis vector and row.
+Equal row spaces have equal reduced row echelon forms, so the basis it
+returns is the one elimination of all the rows gives, entry for entry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .poly import _primitive
@@ -88,16 +101,46 @@ def det(rows):
     return Fraction(sign * prev, scale)
 
 
+def _spanning_rows(rows, ncols):
+    """Primitive integer rows, a subset of ``rows`` with the same row space.
+
+    Rows are visited from the smallest height up.  B is an integer basis of
+    the null space of the rows kept so far; a row orthogonal to all of B
+    lies in their span and is skipped, and a kept row cuts B down by one.
+    """
+    ints = sorted((_primitive(_integer_row(r)[0]) for r in rows),
+                  key=lambda row: max(map(abs, row), default=0))
+    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    kept = []
+    for row in ints:
+        dots = [sum(map(operator.mul, row, v)) for v in basis]
+        k = next((i for i, d in enumerate(dots) if d), None)
+        if k is None:
+            continue
+        kept.append(row)
+        d0, b0 = dots[k], basis[k]
+        basis = [_primitive([d0 * x - d * y for x, y in zip(v, b0)])
+                 if d else v
+                 for i, (v, d) in enumerate(zip(basis, dots)) if i != k]
+        if not basis:
+            break
+    return kept
+
+
 def nullspace(rows, ncols=None):
     """Basis of the solution space of rows * v = 0.
 
     Each basis vector carries a 1 in one free column and is reduced against
     the pivots, in increasing free-column order (a deterministic choice).
+    Given more rows than columns, it eliminates only a spanning subset of
+    them (``_spanning_rows``); the RREF, and so the basis, is the same.
     """
     if ncols is None:
         if not rows:
             raise ValueError("cannot infer the number of columns")
         ncols = len(rows[0])
+    if len(rows) > ncols:
+        rows = _spanning_rows(rows, ncols)
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -18,8 +18,8 @@ from bispectral import involution
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL, DFORM
-from tests_support import (poly_at_operator, profile_plane_degrees, rand_op,
-                           x_power)
+from tests_support import (basis_off_rref, poly_at_operator,
+                           profile_plane_degrees, rand_op, x_power)
 
 F = Fraction
 
@@ -226,6 +226,39 @@ def test_order2_pair_matches_swap():
     assert verify_pair(pair, depth=16)["residuals"] == [0, 0]
     assert pair.theta == Poly("y", [F(400, 81), F(-40, 9), 1])
     assert pair.h == Poly("y", [1, -2, 1])
+
+
+def _basis_from_all_rows(rows, ncols):
+    """The nullspace basis read off linalg.rref of every row.  Row order
+    does not change a reduced echelon form; ascending size keeps the
+    elimination of these tall systems cheap."""
+    red, pivots = linalg.rref(sorted(
+        rows, key=lambda r: max(abs(v.numerator) * v.denominator for v in r)))
+    return basis_off_rref(red, pivots, ncols)
+
+
+def test_two_orbit_order3_pair(monkeypatch):
+    # two orbits of first-jet conditions for N = 3: an order-6 factor
+    nullspace = linalg.nullspace
+    shapes = []
+
+    def checked(rows, ncols):
+        sols = nullspace(rows, ncols)
+        assert sols == _basis_from_all_rows(rows, ncols)
+        shapes.append((len(rows), ncols))
+        return sols
+
+    monkeypatch.setattr(linalg, "nullspace", checked)
+    bi = BesselIndex.parse("1/3,2/3,2")
+    spec = KernelSpec(bi, (), (AtPointGroup(F(1), (F(1), F(1, 2))),
+                               AtPointGroup(F(2), (F(1), F(1)))))
+    cert = build_certificate(spec)
+    assert cert.P.order == 6
+    assert cert.h == Poly("y", [64, -144, 97, -18, 1])  # ((y - 1)(y - 8))^2
+    assert all(r > c for r, c in shapes) and len(shapes) > 1
+    certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
+    pair = make_pair(cert)
+    assert verify_pair(pair)["residuals"] == [0, 0]
 
 
 def rand_monomial_data(rng, nmax=3, dmax=2):

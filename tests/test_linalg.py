@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from bispectral import linalg
+from tests_support import basis_off_rref
 
 
 def _matmul(a, b):
@@ -140,3 +141,90 @@ def test_integer_and_fraction_entries_give_exact_fractions():
     assert all(isinstance(v, Fraction) for row in red for v in row)
     assert linalg.nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
     assert linalg.rank([[0, 0], [0, 0]]) == 0
+
+
+# -- nullspace of over-determined systems -------------------------------------
+
+def _check_tall(rows, ncols):
+    """nullspace of a tall matrix against the basis off Gauss-Jordan over Q."""
+    assert len(rows) > ncols
+    kept = linalg._spanning_rows(rows, ncols)
+    assert len(kept) <= ncols
+    red, pivots = _oracle_rref(rows)
+    assert linalg.rref(kept) == (red, pivots)
+    basis = linalg.nullspace(rows, ncols)
+    assert basis == basis_off_rref(red, pivots, ncols)
+    return basis
+
+
+def test_tall_nullspace_matches_gauss_jordan_entry_for_entry():
+    rng = random.Random(43)
+    for _ in range(80):
+        ncols = rng.randint(1, 8)
+        k = rng.randint(0, ncols)
+        span = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7]))
+                 for _ in range(ncols)] for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(ncols + 1, 4 * ncols + 2)):
+            # heights from one digit to about 40
+            scale = Fraction(rng.randint(1, 10 ** rng.randint(0, 40)),
+                             rng.randint(1, 10 ** rng.randint(0, 3)))
+            coef = [rng.randint(-3, 3) for _ in span]
+            rows.append([scale * sum((c * r[j] for c, r in zip(coef, span)),
+                                     Fraction(0)) for j in range(ncols)])
+        rows.append([0] * ncols)
+        rows.append(list(rows[0]))
+        rows.append([Fraction(-10 ** 30, 7) * v for v in rows[1]])
+        if rng.random() < 0.3:
+            c = rng.randrange(ncols)
+            for row in rows:
+                row[c] = 0
+        rng.shuffle(rows)
+        _check_tall(rows, ncols)
+
+
+def test_tall_nullspace_special_shapes():
+    F = Fraction
+    # zero, duplicate and proportional rows
+    rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [1, 2, 3], [2, 4, 6],
+            [F(1, 2), 1, F(3, 2)], [-10 ** 40, -2 * 10 ** 40, -3 * 10 ** 40]]
+    assert _check_tall(rows, 3) == [[-2, 1, 0], [-3, 0, 1]]
+    # an all-zero column stays free however many rows there are
+    rows = [[F(i + 1, 3), 0, i * i - 4] for i in range(6)]
+    assert _check_tall(rows, 3) == [[0, 1, 0]]
+    # small rows span a plane; the one row that leaves it is the tallest
+    small = [[a, a + b, b, 0] for a in range(-2, 3) for b in range(-2, 3)]
+    late = [10 ** 40, 10 ** 40 + 3, 3, 10 ** 40 + 1]
+    basis = _check_tall(small + [late], 4)
+    assert len(basis) == 1 and len(_check_tall(small, 4)) == 2
+    # full column rank: the null space is empty
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [10 ** 20, 1, 7]]
+    assert _check_tall(rows, 3) == []
+
+
+def test_ansatz_point_systems_match_gauss_jordan(monkeypatch):
+    from bispectral import (AtPointGroup, BesselIndex, KernelSpec,
+                            validate_spec, wave_jet_at)
+    from bispectral.darboux import _point_condition_rows, default_depth
+
+    beta = BesselIndex.parse("1/3,2/3,2")
+    avec = (Fraction(1), Fraction(1, 2))
+    val = validate_spec(KernelSpec(beta, (), (AtPointGroup(Fraction(2), avec),)))
+    n, N, d = val.n, beta.N, max(1, val.h.degree)
+    shapes = []
+    eliminated = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: eliminated.append(len(rows)) or rref(rows))
+    for bound in range(3):
+        ncols = (n + 1) * (bound + 1)
+        # the depth _solve_annihilator uses at this bound
+        K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
+        jet = wave_jet_at(beta, Fraction(2), 0, len(avec) - 1, K)
+        rows, _slots = _point_condition_rows(jet, avec, n, N, bound)
+        del eliminated[:]
+        basis = _check_tall(rows, ncols)
+        shapes.append((len(rows), ncols, len(basis)))
+        # only a spanning subset of the rows reaches the elimination
+        assert eliminated and max(eliminated) <= ncols
+    assert shapes == [(27, 4, 0), (33, 8, 0), (41, 12, 1)]

@@ -32,6 +32,20 @@ def poly_at_operator(p, a):
     return out
 
 
+def basis_off_rref(red, pivots, ncols):
+    """The null space basis a reduced row echelon form gives: a 1 in each
+    free column, in increasing order, minus that column at the pivots."""
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
 def horner(p, v):
     """The value of the polynomial p at the scalar v."""
     acc = Fraction(0)
