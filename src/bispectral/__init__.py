@@ -12,9 +12,8 @@ from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
                      wave_jet_at, zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
                       KernelSpec, banded_rows, build_P_general,
-                      build_P_monomial, build_certificate, certify,
-                      cleared_coefficients, compute_Q, kernel_matrix,
-                      monomial_kernel, validate_spec)
+                      build_certificate, certify, cleared_coefficients,
+                      kernel_matrix, monomial_kernel, validate_spec)
 from .errors import (AssociationError, BispectralError, CertificationError,
                      DomainError, InconsistentSpecError, RankDeficiencyError,
                      ShapeError, SpecInvalidError, TruncationError,

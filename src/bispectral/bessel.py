@@ -1,12 +1,21 @@
 """Bessel-type operators, their powers, wave expansions and kernels.
 
 The basic object is L = x^{-N} B(D), B(D) = (D - b_1)...(D - b_N), with
-D = x d/dx and rational weights b_i summing to N(N-1)/2.  Since D x^{-N} =
-x^{-N} (D - N), its powers are Bessel-type again:
+D = x d/dx and rational weights b_i summing to N(N-1)/2.
 
-    L^j = x^{-jN} B(D - (j-1)N) ... B(D - N) B(D) = ladder_op(beta.power(j)),
+Graded form.  An operator whose denominator is a power of x is a finite
+sum sum_a x^a c_a(D), the x^a f(D) basis of W_{1+infinity} (Kac-Radul
+1993); ``graded_op`` writes such a sum as a ``DiffOp``.  Since D x^b =
+x^b (D + b), the product rule is
 
-so every polynomial in L, and every sum_j L^j T_j(D), is written down in
+    x^a p(D) . x^b q(D) = x^{a+b} p(D + b) q(D),
+
+so products of graded parts are products of polynomials in D.  In
+particular the powers of L are Bessel-type again:
+
+    L^j = x^{-jN} I_j(D),  I_j = B(D - (j-1)N) ... B(D - N) B(D),
+
+and every polynomial in L, and every sum_j L^j T_j(D), is written down in
 closed form (``bessel_power_sum``) rather than multiplied out.
 
 The formal eigenfunction of L is e^{xz} (1 + sum a_k (xz)^{-k}); the a_k
@@ -94,8 +103,7 @@ def ladder_op(entries, var="x") -> DiffOp:
 
 def poly_ladder_op(p: Poly, var="x") -> DiffOp:
     """x^{-deg p} p(D) as an operator."""
-    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, p.degree),
-                               [Poly.const(var, c) for c in p.coeffs])
+    return graded_op({-p.degree: p}, var)
 
 
 def bessel_poly(bi: BesselIndex, var="x") -> DiffOp:
@@ -109,33 +117,49 @@ def bessel_op(bi: BesselIndex, var="x") -> DiffOp:
     return ladder_op(bi.beta, var)
 
 
-def bessel_power_sum(bi: BesselIndex, terms, var="x") -> DiffOp:
-    """sum_j L^j T_j(D) in DFORM, L = x^{-N} B(D) the base operator.
+def graded_op(parts, var="x") -> DiffOp:
+    """sum_a x^a c_a(D) in DFORM, for parts {a: c_a(y)} with integer a.
 
-    terms[j] is the polynomial T_j in D.  By the power identity L^j =
-    x^{-jN} I_j(D), I_j = B(D - (j-1)N) ... B(D), the sum is x^{-JN}
-    sum_j x^{(J-j)N} (I_j T_j)(D) with J the last index: one content pass
-    and no operator product.
+    Over the denominator x^m, m = max(0, -min a), the numerator of D^i has
+    the y^i coefficient of c_a at x^(a+m): one content pass and no
+    operator product.
     """
-    terms = list(terms)
-    while terms and terms[-1].is_zero:
-        terms.pop()
-    if not terms:
+    parts = {a: c for a, c in parts.items() if not c.is_zero}
+    if not parts:
         return DiffOp.zero(var, DFORM)
-    N, J = bi.N, len(terms) - 1
+    m = max(0, -min(parts))
+    width = max(parts) + m + 1
     rows = []
-    ladder = Poly.const("y", 1)
-    for j, t in enumerate(terms):
-        if j:
-            ladder = ladder * indicial_poly([b + (j - 1) * N for b in bi.beta])
-        if t.is_zero:
-            continue
-        for i, c in enumerate((ladder * t.relabel("y")).coeffs):
+    for a, c in parts.items():
+        for i, v in enumerate(c.coeffs):
             if i == len(rows):
-                rows.append([0] * (J * N + 1))
-            rows[i][(J - j) * N] = c
-    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, J * N),
+                rows.append([0] * width)
+            rows[i][a + m] = v
+    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, m),
                                [Poly(var, r) for r in rows])
+
+
+def power_ladders(bi: BesselIndex, J: int):
+    """[I_0, ..., I_J]: L^j = x^{-jN} I_j(D), I_j = B(y - (j-1)N) ... B(y)."""
+    B = indicial_poly(bi.beta)
+    out = [Poly.const("y", 1)]
+    for j in range(1, J + 1):
+        out.append(out[-1] * B.translate(-(j - 1) * bi.N))
+    return out
+
+
+def power_sum_parts(bi: BesselIndex, terms) -> dict:
+    """The graded parts {-jN: I_j T_j} of sum_j L^j T_j(D), terms[j] = T_j."""
+    terms = list(terms)
+    ladders = power_ladders(bi, len(terms) - 1)
+    return {-j * bi.N: ladder * t.relabel("y")
+            for j, (ladder, t) in enumerate(zip(ladders, terms))
+            if not t.is_zero}
+
+
+def bessel_power_sum(bi: BesselIndex, terms, var="x") -> DiffOp:
+    """sum_j L^j T_j(D) in DFORM, L = x^{-N} B(D) the base operator."""
+    return graded_op(power_sum_parts(bi, terms), var)
 
 
 def poly_at_bessel(bi: BesselIndex, p: Poly, var="x") -> DiffOp:

@@ -506,15 +506,6 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
         f"last nullspace dimension {dim}")
 
 
-def build_P_monomial(spec: KernelSpec) -> DiffOp:
-    """The unique monic annihilator for a spec supported entirely at 0."""
-    if spec.at_points:
-        raise UsageError("spec has point conditions; use build_P_general")
-    val = validate_spec(spec)
-    op, _ = _solve_annihilator(val)
-    return op.convert(DEL)
-
-
 def build_P_general(spec: KernelSpec, depth=None) -> DiffOp:
     """Monic annihilator for mixed specs; series-solved, division-certified."""
     val = validate_spec(spec)
@@ -523,16 +514,6 @@ def build_P_general(spec: KernelSpec, depth=None) -> DiffOp:
             "log-bearing conditions are only supported for kernels at 0")
     op, _ = _solve_annihilator(val, depth=depth)
     return op.convert(DEL)
-
-
-def compute_Q(P: DiffOp, h: Poly, beta: BesselIndex) -> DiffOp:
-    """Exact left quotient of h evaluated at the base operator by P."""
-    target = poly_at_bessel(beta, h, P.var)
-    quot, rem = target.left_divide(P)
-    if not rem.is_zero:
-        raise CertificationError(
-            "remainder nonzero: kernel is not inside the eigenvalue kernel")
-    return quot.convert(DEL)
 
 
 @dataclass(frozen=True)

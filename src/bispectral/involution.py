@@ -9,9 +9,11 @@ cleared coefficient presentations
 
 as P_b = g(x)^{-1} sum_k D^k p_k(L) and Q_b = sum_s q_s(L) D^s f(x)^{-1},
 then reduced to minimal representatives by peeling base-operator factors
-and normalizing the spectral polynomials monic.  Everything is exact; the
-pair is re-certified on the involuted side and optionally checked against
-truncated series identities.
+and normalizing the spectral polynomials monic.  The sums are kept as
+graded parts sum_a x^a c_a(D) (``bessel``), and peeling L off one side is
+one exact polynomial division per part, with no operator division.
+Everything is exact; the pair is re-certified on the involuted side and
+optionally checked against truncated series identities.
 
 The spectral algebra of P is the set of u in Q[y] with u(L) ker P inside
 ker P, the condition space description A_C = {f : f C in C} of Wilson
@@ -55,13 +57,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import (BesselIndex, bessel_op, bessel_power_sum, bessel_wave,
-                     indicial_poly, ladder_op)
+from .bessel import (BesselIndex, bessel_op, bessel_wave, graded_op,
+                     indicial_poly, power_ladders, power_sum_parts)
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
                       default_depth, operator_from_json, validate_spec)
 from .errors import (AssociationError, CertificationError,
@@ -71,42 +73,59 @@ from .poly import Poly
 from .weyl import DEL, DFORM, DiffOp
 
 
-def _reduced(op: DiffOp, poly: Poly, beta: BesselIndex, right: bool):
-    """Peel base-operator factors off one side, then make poly monic.
+def _peeled(parts, B: Poly, N: int, right: bool):
+    """The parts of op' with op = op' L (right) or op = L op', or None.
+
+    With L = x^{-N} B(D), the product rule gives op' L = sum_a x^(a-N)
+    r_a(D - N) B(D) and L op' = sum_a x^(a-N) B(D + a) r_a(D), so the
+    factorization holds exactly when each part divides:
+    r_(a+N)(y) = (c_a / B)(y + N), or r_(a+N) = c_a / B(y + a + N).
+    """
+    out = {}
+    for a, c in parts.items():
+        quot, rem = c.divmod(B if right else B.translate(a + N))
+        if not rem.is_zero:
+            return None
+        out[a + N] = quot.translate(N) if right else quot
+    return out
+
+
+def _reduced(parts, poly: Poly, beta: BesselIndex, right: bool):
+    """Peel base-operator factors off one side of sum_a x^a c_a(D), then
+    make poly monic.
 
     Each step takes op = op' L (right) or op = L op' (not right) together
-    with poly = z^N poly'.  Returns op' in DEL form and poly'.
+    with poly = z^N poly', by one exact polynomial division per graded
+    part (``_peeled``).  Returns the parts of op' and poly'.
     """
-    lbeta = bessel_op(beta, op.var)
-    zN = Poly.monomial("z", beta.N)
+    B, zN = indicial_poly(beta.beta), Poly.monomial("z", beta.N)
     while poly.valuation() >= beta.N:
-        quot, rem = op.left_divide(lbeta) if right else op.right_divide(lbeta)
-        if not rem.is_zero:
+        peeled = _peeled(parts, B, beta.N, right)
+        if peeled is None:
             break
-        op = quot
-        poly = poly // zN
+        parts, poly = peeled, poly // zN
     lead = poly.leading
     if lead != 1:
-        op, poly = op.scale(Fraction(1) / lead), poly.scale(1 / lead)
-    return op.convert(DEL), poly
+        parts = {a: c.scale(1 / lead) for a, c in parts.items()}
+        poly = poly.scale(1 / lead)
+    return parts, poly
 
 
 def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
     """(P_b, g_b): the involuted left factor and its spectral polynomial."""
     n, pks = cleared_coefficients(P, beta.N)
     # D^k x^{-jN} = x^{-jN} (D - jN)^k, so sum_k D^k p_k(L) is the power
-    # sum with T_j = sum_k p_k[j] (D - jN)^k
-    terms = []
-    for j in range(max(p.degree for p in pks) + 1):
-        shift, t = Poly("y", (-j * beta.N, 1)), Poly.zero("y")
-        for p in reversed(pks):
-            t = t * shift + Poly.const("y", p.coeff(j))
-        terms.append(t)
-    out = bessel_power_sum(beta, terms, P.var)
+    # sum with T_j(y) = sum_k p_k[j] (y - jN)^k
+    terms = [Poly("y", [p.coeff(j) for p in pks]).translate(-j * beta.N)
+             for j in range(max(p.degree for p in pks) + 1)]
+    g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
+    # g^{-1} S = S' L exactly when S = (g S') L: peel before g^{-1} is
+    # attached, which only multiplies the denominator
+    parts, g_b = _reduced(power_sum_parts(beta, terms), g_b, beta, right=True)
+    out = graded_op(parts, P.var)
     out = DiffOp.from_cleared(P.var, DFORM, out.den * g.relabel(P.var),
                               out.nums)
-    g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
-    return _reduced(out, g_b, beta, right=True)
+    return out.convert(DEL), g_b
 
 
 def _right_form(Q: DiffOp) -> DiffOp:
@@ -147,11 +166,13 @@ def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
     m, qs = cleared_coefficients(_right_form(Q), beta.N)
     terms = [Poly("y", [q.coeff(j) for q in qs])
              for j in range(max(q.degree for q in qs) + 1)]
+    f_b = qs[-1].expand_arg_power(beta.N, var="z").shift_mul(m)
+    # S f^{-1} = L S' exactly when S = L (S' f): peel before the product
+    parts, f_b = _reduced(power_sum_parts(beta, terms), f_b, beta,
+                          right=False)
     inv_f = DiffOp.from_cleared(var, DFORM, f.relabel(var),
                                 [Poly.const(var, 1)])
-    out = bessel_power_sum(beta, terms, var) * inv_f
-    f_b = qs[-1].expand_arg_power(beta.N, var="z").shift_mul(m)
-    return _reduced(out, f_b, beta, right=False)
+    return (graded_op(parts, var) * inv_f).convert(DEL), f_b
 
 
 @dataclass(frozen=True)
@@ -319,30 +340,30 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
     wpoly = Poly(var, [w_terms.get(k, Fraction(0))
                        for k in range(max(w_terms) + 1)])
 
-    P = DiffOp.zero(var, DFORM)
+    # graded parts (``bessel``) of the four subset sums, with the ladders
+    # x^-n A(D) of the subset and x^-(dN-n) C(D) of its complement, and
+    # L^k = x^-kN I_k(D), k = pI / N:
+    #   P   = w^-1 sum c x^pI . x^-n A(D)
+    #   Q   = sum c x^-(dN-n) C(D) . x^pI . w^-1
+    #   P_b = sum c x^-n A(D) . L^k   = x^(-n-kN) A(D - kN) I_k(D)
+    #   Q_b = sum c L^k . x^-(dN-n) C(D)
+    #       = x^(-kN-(dN-n)) I_k(D - (dN-n)) C(D)
+    N, m = beta.N, dN - n
+    ladders = power_ladders(beta, max(pI.values()) // N)
+    P, Q, P_b, Q_b = (defaultdict(lambda: Poly.zero("y")) for _ in range(4))
     for comb, c in subsets:
-        term = ladder_op([gammas[i] for i in comb], var)
-        P = P + term.lmul_fn(Poly.monomial(var, pI[comb], c))
+        p, k = pI[comb], pI[comb] // N
+        A = indicial_poly([gammas[i] for i in comb]).scale(c)
+        C = indicial_poly([gammas[i] - n for i in range(dN)
+                           if i not in comb]).scale(c)
+        P[p - n] += A
+        Q[p - m] += C.translate(p)
+        P_b[-n - k * N] += A.translate(-k * N) * ladders[k]
+        Q_b[-k * N - m] += ladders[k].translate(-m) * C
+    P = graded_op(P, var)
     P = DiffOp.from_cleared(var, DFORM, P.den * wpoly, P.nums)
-
-    Q = DiffOp.zero(var, DFORM)
-    for comb, c in subsets:
-        complement = [i for i in range(dN) if i not in comb]
-        term = ladder_op([gammas[i] - n for i in complement], var)
-        xp = DiffOp.mult(var, Poly.monomial(var, pI[comb], c), DFORM)
-        Q = Q + term * xp
-    Q = Q * DiffOp.from_cleared(var, DFORM, wpoly, [Poly.const(var, 1)])
-
-    lbeta = bessel_op(beta, var)
-    P_b = DiffOp.zero(var, DFORM)
-    Q_b = DiffOp.zero(var, DFORM)
-    for comb, c in subsets:
-        power = lbeta ** (pI[comb] // beta.N)
-        left = ladder_op([gammas[i] for i in comb], var)
-        complement = [i for i in range(dN) if i not in comb]
-        right = ladder_op([gammas[i] - n for i in complement], var)
-        P_b = P_b + (left * power).scale(c)
-        Q_b = Q_b + (power * right).scale(c)
+    Q = graded_op(Q, var) * DiffOp.from_cleared(var, DFORM, wpoly,
+                                                [Poly.const(var, 1)])
 
     g = Poly.monomial("z", n)
     f = Poly.monomial("z", dN - n)
@@ -354,7 +375,8 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
     P_b, g_b = _reduced(P_b, g_b, beta, right=True)
     Q_b, f_b = _reduced(Q_b, f_b, beta, right=False)
     return {"P": P.convert(DEL), "Q": Q.convert(DEL),
-            "P_b": P_b, "Q_b": Q_b,
+            "P_b": graded_op(P_b, var).convert(DEL),
+            "Q_b": graded_op(Q_b, var).convert(DEL),
             "f": f, "g": g, "f_b": f_b, "g_b": g_b, "h": h}
 
 
@@ -519,16 +541,7 @@ def _plane_roots(beta: BesselIndex, deg: int):
 def _plane_commutes(beta: BesselIndex, roots, deg: int) -> bool:
     """The witness p(y - N) q(y) == q(y - deg) p(y), p = prod (y - r)."""
     p, q = indicial_poly(roots), indicial_poly(beta.beta)
-    return _shifted(p, beta.N) * q == _shifted(q, deg) * p
-
-
-def _shifted(p: Poly, s) -> Poly:
-    """p(y - s), by Horner's scheme."""
-    step = Poly(p.var, (-s, 1))
-    out = Poly.zero(p.var)
-    for c in reversed(p.coeffs):
-        out = out * step + Poly.const(p.var, c)
-    return out
+    return p.translate(-beta.N) * q == q.translate(-deg) * p
 
 
 # ---------------------------------------------------------------------------

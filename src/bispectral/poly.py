@@ -330,6 +330,17 @@ class Poly:
         """The same polynomial written in another variable name."""
         return _raw(var, self.nums, self.den)
 
+    def translate(self, s: int) -> "Poly":
+        """p(var + s) for an integer s, by Taylor shift on the numerators.
+
+        The shift is unimodular over Z, so den and the content stay."""
+        c = list(self.nums)
+        if s:
+            for i in range(len(c) - 1):
+                for j in range(len(c) - 2, i - 1, -1):
+                    c[j] += s * c[j + 1]
+        return _raw(self.var, tuple(c), self.den)
+
     def is_power_pattern(self, n: int) -> bool:
         """True when only degrees divisible by n carry nonzero coefficients."""
         return not any(v for k, v in enumerate(self.nums) if k % n)

@@ -119,27 +119,9 @@ class DiffOp:
         return cls(var, form)
 
     @classmethod
-    def identity(cls, var, form=DEL):
-        return cls(var, form, (1,))
-
-    @classmethod
-    def partial(cls, var):
-        """d/dx in DEL form."""
-        return cls(var, DEL, (0, 1))
-
-    @classmethod
-    def dee(cls, var):
-        """D = x d/dx in DFORM."""
-        return cls(var, DFORM, (0, 1))
-
-    @classmethod
     def mult(cls, var, f, form=DEL):
         """Multiplication by the function f."""
         return cls(var, form, (f,))
-
-    @classmethod
-    def monomial(cls, var, form, k, coeff=1):
-        return cls(var, form, (0,) * k + (coeff,))
 
     # -- basics ------------------------------------------------------------
 
@@ -261,14 +243,6 @@ class DiffOp:
         return DiffOp.from_cleared(self.var, self.form,
                                    self.den * v * r ** m, nums)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative power of an operator")
-        out = DiffOp.identity(self.var, self.form)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- form conversion ------------------------------------------------------
 
     def convert(self, form):
@@ -296,25 +270,6 @@ class DiffOp:
         # of x can divide den and every new numerator
         return DiffOp.from_cleared(var, form, den, out,
                                    Poly.monomial(var, den.valuation()))
-
-    # -- adjoint ---------------------------------------------------------------
-
-    def adjoint(self):
-        """Formal adjoint: the antiautomorphism with d* = -d and x* = x.
-
-        (den^{-1} sum_k n_k d^k)* = (sum_k (-d)^k . n_k) . den^{-1}.
-        """
-        a = self.convert(DEL)
-        out = DiffOp.zero(self.var, DEL)
-        power = DiffOp.identity(self.var, DEL)
-        minus_d = DiffOp(self.var, DEL, (0, -1))
-        for k, p in enumerate(a.nums):
-            if k:
-                power = minus_d * power
-            out = out + power * DiffOp.mult(self.var, p)
-        inv_den = DiffOp.from_cleared(self.var, DEL, a.den,
-                                      [Poly.const(self.var, 1)])
-        return (out * inv_den).convert(self.form)
 
     # -- Euclidean division ------------------------------------------------------
 

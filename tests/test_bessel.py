@@ -7,15 +7,10 @@ from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
                         bessel_op, bessel_poly, bessel_wave, indicial_poly,
                         kernel_basis, ladder_op, wave_coeffs,
                         zero_exponent_basis)
-from bispectral.bessel import bessel_power_sum, poly_at_bessel
-from tests_support import exp_wave, horner, poly_at_operator
-
-
-def rand_index(rng, n):
-    entries = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-               for _ in range(n - 1)]
-    entries.append(Fraction(n * (n - 1), 2) - sum(entries))
-    return BesselIndex(n, tuple(entries))
+from bispectral.bessel import (bessel_power_sum, graded_op, poly_at_bessel,
+                               power_ladders)
+from tests_support import (exp_wave, horner, op_of_parts, op_power,
+                           poly_at_operator, rand_index)
 
 
 def test_normalization_enforced():
@@ -27,7 +22,7 @@ def test_normalization_enforced():
 
 
 def test_indicial_reference_values():
-    assert bessel_poly(BesselIndex.parse("0")) == DiffOp.dee("x")
+    assert bessel_poly(BesselIndex.parse("0")) == DiffOp("x", "D", [0, 1])
     assert bessel_poly(BesselIndex.parse("0,1")) == \
         DiffOp("x", "D", [0, -1, 1])
     assert bessel_poly(BesselIndex.parse("2/3,1/3")) == \
@@ -50,7 +45,7 @@ def test_power_vector_and_operator_identity():
     assert bi.power(1) == bi.beta
     single = BesselIndex.parse("0")
     assert single.power(3) == (0, 1, 2)
-    assert bessel_op(single) ** 3 == ladder_op(single.power(3))
+    assert op_power(bessel_op(single), 3) == ladder_op(single.power(3))
 
 
 def test_power_identity_randomized():
@@ -59,7 +54,9 @@ def test_power_identity_randomized():
         n = rng.randint(1, 3)
         d = rng.randint(1, 3)
         bi = rand_index(rng, n)
-        assert bessel_op(bi) ** d == ladder_op(bi.power(d))
+        assert op_power(bessel_op(bi), d) == ladder_op(bi.power(d))
+        for j, ladder in enumerate(power_ladders(bi, d)):
+            assert graded_op({-j * n: ladder}) == op_power(bessel_op(bi), j)
 
 
 def test_power_sum_consistency():
@@ -109,7 +106,7 @@ def test_power_sum_matches_the_operator_powers():
                      for _ in range(rng.randint(1, 4))]
             want = DiffOp.zero("x", DFORM)
             for j, t in enumerate(terms):
-                want = want + L ** j * DiffOp("x", DFORM, t.coeffs)
+                want = want + op_power(L, j) * DiffOp("x", DFORM, t.coeffs)
             _same_in_both_forms(bessel_power_sum(bi, terms), want)
     # a trailing zero term does not change the sum, and the variable is kept
     bi = BesselIndex.parse("2/3,1/3")
@@ -117,6 +114,22 @@ def test_power_sum_matches_the_operator_powers():
     assert bessel_power_sum(bi, t + [Poly.zero("y")], "z") == \
         bessel_power_sum(bi, t, "x").relabel("z")
     assert bessel_power_sum(bi, []).is_zero
+
+
+def test_graded_writer_follows_the_product_rule():
+    # x^a p(D) . x^b q(D) = x^(a+b) p(D + b) q(D), against operator products
+    rng = random.Random(1701)
+    for _ in range(40):
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        p, q = (_rand_poly(rng, rng.randint(0, 3)) for _ in range(2))
+        left, right = op_of_parts({a: p}), op_of_parts({b: q})
+        assert graded_op({a: p}) == left
+        assert graded_op({a: p, b + 9: q}) == left + op_of_parts({b + 9: q})
+        _same_in_both_forms(graded_op({a + b: p.translate(b) * q}),
+                            left * right)
+    assert graded_op({}).is_zero and graded_op({2: Poly.zero("y")}).is_zero
+    assert graded_op({3: Poly("y", [1])}, "z") == \
+        op_of_parts({3: Poly("y", [1])}, "z")
 
 
 def test_wave_coefficients_reference_values():
@@ -145,7 +158,7 @@ def test_conjugated_images_match_the_operator_product():
     rng = random.Random(45)
     for n in (1, 2, 3, 5, 8):
         bi = rand_index(rng, n)
-        acc = DiffOp.identity("z", "D")
+        acc = DiffOp("z", "D", (1,))
         for b in bi.beta:
             acc = acc * DiffOp("z", "D", (Poly("z", (-b, 1)), 1))
         depth = 6

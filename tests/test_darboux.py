@@ -9,14 +9,14 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         RankDeficiencyError, RationalFunction, ShapeError,
                         SpecInvalidError, UnsupportedInputError, UsageError,
                         banded_rows, bessel_op, build_P_general,
-                        build_P_monomial, build_certificate, certify,
-                        cleared_coefficients, compute_Q, euler_phi,
+                        build_certificate, certify, cleared_coefficients,
+                        euler_phi,
                         kernel_matrix, linalg, monomial_kernel,
                         validate_spec, wave_jet_at)
 from bispectral import darboux
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
-from tests_support import poly_at_operator, x_power
+from tests_support import adjoint, compute_Q, poly_at_operator, x_power
 
 F = Fraction
 
@@ -39,7 +39,7 @@ def closed_order2_factor(a, lam2, mu2):
     d0 = ((a + 1) / a ** 2 - lam2 * mu2) * mu2
     p0 = Poly(var, [d0, 0, c0, 0, -lam2])
     den = Poly(var, [0, 0, 1]) * p2
-    dee = DiffOp.dee(var)
+    dee = DiffOp(var, "D", (0, 1))
     op = (DiffOp.mult(var, p2, "D") * dee * dee
           + DiffOp.mult(var, p1, "D") * dee + DiffOp.mult(var, p0, "D"))
     return op.lmul_fn(RationalFunction(Poly.const(var, 1), den))
@@ -96,21 +96,16 @@ def test_orbit_collision_rejected():
 
 
 def test_build_monomial_reference_factors():
-    assert build_P_monomial(rank1_spec()) == \
+    assert build_P_general(rank1_spec()) == \
         DiffOp("x", "del", [x_power("x", -1, -1), 1])
     bi = BesselIndex.parse("0,1")
-    p = build_P_monomial(monomial_kernel(bi, [[(F(0), F(1))]]))
-    assert p == DiffOp.partial("x")
+    p = build_P_general(monomial_kernel(bi, [[(F(0), F(1))]]))
+    assert p == DiffOp("x", "del", (0, 1))
     bi2 = BesselIndex.parse("1/2,1/2")
-    p2 = build_P_monomial(monomial_kernel(bi2, [[(F(1, 2), F(1))]]))
+    p2 = build_P_general(monomial_kernel(bi2, [[(F(1, 2), F(1))]]))
     want = DiffOp("x", "D", [RationalFunction(Poly("x", [F(-1, 2)]), Poly("x", [0, 1])),
                              RationalFunction(Poly("x", [1]), Poly("x", [0, 1]))])
     assert p2 == want
-
-
-def test_build_monomial_rejects_point_specs():
-    with pytest.raises(UsageError):
-        build_P_monomial(order2_point_spec())
 
 
 def test_log_group_build():
@@ -118,7 +113,7 @@ def test_log_group_build():
     spec = KernelSpec(bi, (AtZeroGroup(0, ((F(0), F(1)),)),), ())
     cert = build_certificate(spec)
     assert cert.P == bessel_op(bi)
-    assert cert.Q == DiffOp.identity("x")
+    assert cert.Q == DiffOp("x", "del", (1,))
     assert cert.h == Poly("y", [0, 1])
     assert cert.g == Poly("z", [0, 0, 1])
     assert cert.f == Poly("z", [1])
@@ -140,10 +135,10 @@ def test_compute_q_reference_values():
     # dividing the base operator by itself
     bi2 = BesselIndex.parse("2/3,1/3")
     assert compute_Q(bessel_op(bi2), Poly("y", [0, 1]), bi2) == \
-        DiffOp.identity("x")
+        DiffOp("x", "del", (1,))
     # kernel not inside the eigenvalue kernel
     with pytest.raises(CertificationError):
-        compute_Q(DiffOp.partial("x") - DiffOp.identity("x"),
+        compute_Q(DiffOp("x", "del", (-1, 1)),
                   Poly("y", [0, 1]), bi)
 
 
@@ -154,7 +149,7 @@ def test_point_build_matches_closed_form():
     assert mu2 == F(20, 9)
     assert cert.P == closed_order2_factor(a, lam ** 2, mu2)
     b = -a / (a + 1)
-    assert cert.Q == closed_order2_factor(b, lam ** 2, mu2).adjoint()
+    assert cert.Q == adjoint(closed_order2_factor(b, lam ** 2, mu2))
     n, pks = cleared_coefficients(cert.P, 2)
     assert n == 2
     assert pks[2] == Poly("y", [F(-20, 9), 1])
@@ -197,7 +192,7 @@ def test_single_branch_exponential_kernel():
                       (AtPointGroup(F(1), (F(1),)),))
     cert = build_certificate(spec)
     assert cert.P == DiffOp("x", "del", [-1, 1])
-    assert cert.Q == DiffOp.identity("x")
+    assert cert.Q == DiffOp("x", "del", (1,))
     assert cert.g == Poly("z", [-1, 1])
     assert cert.f == Poly("z", [1])
     assert cert.h == Poly("y", [-1, 1])
@@ -216,7 +211,7 @@ def test_order_three_orbit_kernels():
     # value conditions on the whole orbit of 1: the kernel of d^3 - 1
     cert = build_certificate(KernelSpec(bi, (), (AtPointGroup(F(1), (F(1),)),)))
     assert cert.P == DiffOp("x", "del", [-1, 0, 0, 1])
-    assert cert.Q == DiffOp.identity("x")
+    assert cert.Q == DiffOp("x", "del", (1,))
     assert cert.h == Poly("y", [-1, 1])
 
     # first-jet conditions: order-3 factor, second orbit at z^3 = -6
@@ -349,7 +344,7 @@ def test_mixed_origin_and_orbit_spec():
 def test_certify_negative_controls():
     cert = build_certificate(rank1_spec())
     with pytest.raises(CertificationError, match="remainder nonzero"):
-        certify(cert.beta, cert.P, cert.Q + DiffOp.identity("x"),
+        certify(cert.beta, cert.P, cert.Q + DiffOp("x", "del", (1,)),
                 cert.f, cert.g)
     with pytest.raises(CertificationError):
         certify(cert.beta, cert.P, cert.Q, cert.f,

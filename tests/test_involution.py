@@ -15,11 +15,13 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         make_pair, monomial_kernel, spectral_algebra,
                         validate_spec, verify_pair)
 from bispectral import involution
+from bispectral.bessel import graded_op
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL, DFORM
-from tests_support import (basis_off_rref, poly_at_operator,
-                           profile_plane_degrees, rand_op, x_power)
+from tests_support import (basis_off_rref, op_of_parts, op_power,
+                           poly_at_operator, profile_plane_degrees,
+                           rand_index, rand_op, x_power)
 
 F = Fraction
 
@@ -45,7 +47,7 @@ def test_involute_reference_rank1():
 
 def test_involute_identity_edge():
     bi = BesselIndex.parse("0")
-    one = DiffOp.identity("x")
+    one = DiffOp("x", DEL, (1,))
     P_b, g_b = involute_P(one, Poly("z", [1]), bi)
     assert P_b == one and g_b == Poly("z", [1])
     Q_b, f_b = involute_Q(one, Poly("z", [1]), bi)
@@ -155,17 +157,22 @@ def test_verify_pair_sees_one_changed_numerator(monkeypatch, side, message):
 
 def test_operator_products_of_certify_and_the_involution(monkeypatch):
     # polynomials in L are written down by the power identity: certify
-    # multiplies only for its product and product_dual_form witnesses, and
-    # the involution's one product is Q_b's factor f^{-1}; the peeling of
-    # base-operator factors that follows is division and not counted here
+    # multiplies only for its product and product_dual_form witnesses; the
+    # involution peels base-operator factors off graded parts by polynomial
+    # division, so its one product is Q_b's factor f^{-1}; the closed forms
+    # make one, Q's factor w^{-1}; and no step of make_pair divides operators
+    dg = BesselIndex.parse("5/2,-3/2")
+    t = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], map(F, (1, 2, 1, -1))))
+    kernels = ((dg, dg.power(2), [[F(1), F(2), F(0), F(0)]]),
+               (dg, dg.power(2), banded_rows(dg, 2, t)))
     certs = (rank1_cert(), order2_cert(), build_certificate(monomial_kernel(
-        BesselIndex.parse("5/2,-3/2"), [[(F(5, 2), F(1)), (F(9, 2), F(2))]])))
-    products = []
-    mul = DiffOp.__mul__
+        dg, [[(F(5, 2), F(1)), (F(9, 2), F(2))]])))
+    products, divisions = [], []
+    mul, divide = DiffOp.__mul__, DiffOp._divide
     monkeypatch.setattr(DiffOp, "__mul__",
                         lambda a, b: products.append(b) or mul(a, b))
-    monkeypatch.setattr(involution, "_reduced",
-                        lambda op, poly, beta, right: (op, poly))
+    monkeypatch.setattr(DiffOp, "_divide", lambda a, *rest:
+                        divisions.append(a) or divide(a, *rest))
     for cert in certs:
         del products[:]
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
@@ -175,10 +182,79 @@ def test_operator_products_of_certify_and_the_involution(monkeypatch):
         assert products == []
         Q_b, f_b = involute_Q(cert.Q, cert.f, cert.beta)
         assert len(products) == 1 and products[0].order == 0
-        # the unpeeled factors multiply to (f_b g_b)(L)
-        assert Q_b * P_b == poly_at_operator(
-            (f_b * g_b).contract_arg_power(cert.beta.N, var="y"),
-            bessel_op(cert.beta)).convert(DFORM)
+        make_pair(cert)
+        assert divisions == []
+    for bi, gammas, rows in kernels:
+        del products[:]
+        closed_form_monomial(bi, gammas, rows)
+        assert len(products) <= 1
+    assert divisions == []
+
+
+def _peel_by_division(op, poly, beta, right):
+    """The Euclidean route of ``involution._reduced``, kept as its oracle:
+    (op', poly', steps), dividing by L on one side while poly has a factor
+    z^N and the division is exact."""
+    lbeta = bessel_op(beta, op.var)
+    zN = Poly.monomial("z", beta.N)
+    steps = 0
+    while poly.valuation() >= beta.N:
+        quot, rem = op.left_divide(lbeta) if right else op.right_divide(lbeta)
+        if not rem.is_zero:
+            break
+        op, poly, steps = quot, poly // zN, steps + 1
+    lead = poly.leading
+    return op.scale(1 / lead), poly.scale(1 / lead), steps
+
+
+def _parts_of(op):
+    """{a: c_a} with op = sum_a x^a c_a(D), read off the DFORM numerators
+    over the denominator x^m."""
+    d = op.convert(DFORM)
+    m = d.den.degree
+    assert d.den == Poly.monomial(d.var, m)
+    parts = {a - m: Poly("y", [p.coeff(a) for p in d.nums])
+             for a in range(max(p.degree for p in d.nums) + 1)}
+    return {a: c for a, c in parts.items() if not c.is_zero}
+
+
+def test_peel_matches_repeated_division():
+    # op = (S L^j + E) L^i, or L^i (L^j S + E) on the left, with E a
+    # perturbation or zero, so the peel stops after 0, 1 or several steps;
+    # poly carries z^(N v), so some cases stop on its valuation instead
+    rng = random.Random(1704)
+    seen = set()
+    for N in (1, 2, 3):
+        for case in range(16):
+            beta = rand_index(rng, N)
+            lbeta = bessel_op(beta)
+            right = case % 2 == 0
+            parts = {rng.randint(-3, 3): Poly("y", [
+                rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 3))}
+            op = op_of_parts(parts)
+            if op.is_zero:
+                continue
+            j, i = rng.randint(0, 2), rng.randint(0, 3 - N // 2)
+            op = op * op_power(lbeta, j) if right else op_power(lbeta, j) * op
+            if rng.random() < 0.5:
+                op = op + op_of_parts({rng.randint(-4, 2): Poly("y", [1])})
+            op = op * op_power(lbeta, i) if right else op_power(lbeta, i) * op
+            if op.is_zero:
+                continue
+            v = rng.randint(0, 4)
+            poly = Poly("z", [rng.choice([-2, 1, 3]), 0, 5]).shift_mul(N * v)
+            want, want_poly, steps = _peel_by_division(op, poly, beta, right)
+            got, got_poly = involution._reduced(_parts_of(op), poly, beta,
+                                                right)
+            assert graded_op(got) == want and got_poly == want_poly
+            assert (poly.valuation() - got_poly.valuation()) // N == steps
+            free = _peel_by_division(op, poly.shift_mul(9 * N), beta,
+                                     right)[2]
+            seen.add((min(steps, 2), steps < free))
+    # stops after 0, 1 and several steps, on a division and on poly
+    assert {s for s, _ in seen} == {0, 1, 2}
+    assert {on_poly for _, on_poly in seen} == {True, False}
 
 
 def test_right_form_matches_the_product_oracle():
@@ -192,7 +268,7 @@ def test_right_form_matches_the_product_oracle():
         assert right.form == DFORM and right.order == Q.order
         rebuilt = DiffOp.zero("x", DFORM)
         for s, e in enumerate(right.coeffs):
-            rebuilt = rebuilt + (DiffOp.monomial("x", DFORM, s)
+            rebuilt = rebuilt + (DiffOp("x", DFORM, (0,) * s + (1,))
                                  * DiffOp.mult("x", e, DFORM))
         assert rebuilt == Q
 
@@ -325,7 +401,7 @@ def _division_degrees(cert, degree_bound):
     lbeta = bessel_op(beta, cert.P.var)
     P = cert.P
     remainders = []
-    power = DiffOp.identity(cert.P.var, DEL)
+    power = DiffOp(cert.P.var, DEL, (1,))
     found = []
     for t in range(0, degree_bound // beta.N + 1):
         if t:

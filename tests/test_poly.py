@@ -270,3 +270,17 @@ def test_only_rational_coefficients_are_taken():
             Poly("x", [1, bad])
         with pytest.raises(UsageError):
             Poly("x", [1, 2]).scale(bad)
+
+
+def test_translate_matches_horner_composition():
+    rng = random.Random(1703)
+    for _ in range(60):
+        p = Poly("y", [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 6]))
+                       for _ in range(rng.randint(0, 7))])
+        s = rng.randint(-5, 5)
+        want = Poly.zero("y")
+        for c in reversed(p.coeffs):
+            want = want * Poly("y", [s, 1]) + Poly.const("y", c)
+        got = p.translate(s)
+        assert got == want and (got.nums, got.den) == (want.nums, want.den)
+        assert got.translate(-s) == p

@@ -115,7 +115,7 @@ def test_module_action_randomized():
 
 def test_wave_series_basic_action():
     one = WaveSeries({(0, 0): Fraction(1)}, (-6, 0, -6, 0))
-    dx = DiffOp.partial("x")
+    dx = DiffOp("x", "del", (0, 1))
     img = one.apply(dx, "x")
     assert img.coeff(0, 1) == 1 and len(img.coeffs) == 1
 
@@ -151,8 +151,8 @@ def test_spectral_side_action_matches_homogeneity():
     # the degree-weighted derivatives in either variable coincide
     bi = BesselIndex.parse("2/3,1/3")
     psi = bessel_wave(bi, 10)
-    dz = psi.apply(DiffOp.dee("z"), "z")
-    dx = psi.apply(DiffOp.dee("x"), "x")
+    dz = psi.apply(DiffOp("z", "D", (0, 1)), "z")
+    dx = psi.apply(DiffOp("x", "D", (0, 1)), "x")
     assert not (dz - dx).coeffs
 
 

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
-from bispectral import (DiffOp, ExpSeries, Poly, QuasiPolynomial,
-                        RationalFunction, bessel_op, linalg, wave_coeffs)
+from bispectral import (BesselIndex, CertificationError, DiffOp, ExpSeries,
+                        Poly, QuasiPolynomial, RationalFunction, bessel_op,
+                        linalg, wave_coeffs)
 from bispectral.bessel import poly_ladder_op
+from bispectral.weyl import DEL, DFORM
 
 
 def rand_rf(rng, var="x"):
@@ -23,6 +25,23 @@ def x_power(var, m, c=1):
     return RationalFunction(Poly.const(var, c), Poly.monomial(var, -m))
 
 
+def rand_index(rng, n):
+    entries = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+               for _ in range(n - 1)]
+    entries.append(Fraction(n * (n - 1), 2) - sum(entries))
+    return BesselIndex(n, tuple(entries))
+
+
+def op_of_parts(parts, var="x"):
+    """sum_a x^a c_a(D) from operator products: the oracle of
+    ``bessel.graded_op``."""
+    out = DiffOp.zero(var, DFORM)
+    for a, c in parts.items():
+        out = out + (DiffOp.mult(var, x_power(var, a), DFORM)
+                     * DiffOp(var, DFORM, c.coeffs))
+    return out
+
+
 def poly_at_operator(p, a):
     """p evaluated at an operator by Horner's scheme: the product-based
     oracle of ``bessel.bessel_power_sum``."""
@@ -30,6 +49,40 @@ def poly_at_operator(p, a):
     for c in reversed(p.coeffs):
         out = out * a + DiffOp.mult(a.var, c, a.form)
     return out
+
+
+def op_power(a, n):
+    """a^n by repeated products: the oracle of the power identity."""
+    out = DiffOp(a.var, a.form, (1,))
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+def adjoint(a):
+    """Formal adjoint, the antiautomorphism with d* = -d and x* = x, from
+    general products: (den^{-1} sum_k n_k d^k)* = (sum_k (-d)^k . n_k) .
+    den^{-1}."""
+    op = a.convert(DEL)
+    out = DiffOp.zero(a.var, DEL)
+    power = DiffOp(a.var, DEL, (1,))
+    minus_d = DiffOp(a.var, DEL, (0, -1))
+    for k, p in enumerate(op.nums):
+        if k:
+            power = minus_d * power
+        out = out + power * DiffOp.mult(a.var, p)
+    inv_den = DiffOp.from_cleared(a.var, DEL, op.den,
+                                  [Poly.const(a.var, 1)])
+    return (out * inv_den).convert(a.form)
+
+
+def compute_Q(P, h, beta):
+    """The exact left quotient of h(L) by P, by Euclidean division."""
+    quot, rem = poly_at_operator(h, bessel_op(beta, P.var)).left_divide(P)
+    if not rem.is_zero:
+        raise CertificationError(
+            "remainder nonzero: kernel is not inside the eigenvalue kernel")
+    return quot.convert(DEL)
 
 
 def basis_off_rref(red, pivots, ncols):
