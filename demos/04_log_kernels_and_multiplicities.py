@@ -3,16 +3,18 @@
 When a weight repeats modulo N, powers of x alone cannot span the kernel;
 x^g (ln x)^j terms appear, with the admissible log power bounded by the
 ladder multiplicity of the exponent.  The direct quasi-polynomial algebra
-builds annihilators for these spans exactly.
+builds annihilators for these spans exactly.  The last part mixes a
+condition at 0 with jet conditions on an orbit, which are imposed and
+certified at one point of the orbit over the rationals.
 
 Run:  python demos/04_log_kernels_and_multiplicities.py
 """
 
 from fractions import Fraction as F
 
-from bispectral import (AtZeroGroup, BesselIndex, KernelSpec, bessel_op,
-                        build_certificate, kernel_basis, monomial_kernel,
-                        zero_exponent_basis)
+from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex, KernelSpec,
+                        bessel_op, build_certificate, monomial_kernel,
+                        wave_jet_at, zero_exponent_basis)
 
 bi = BesselIndex.parse("1/2,1/2")
 print("base operator:", bessel_op(bi).convert("del"))
@@ -32,12 +34,17 @@ print("(the factorization collapses to the base operator itself: Q =",
 single = monomial_kernel(bi, [[(F(1, 2), F(1))]])
 print("annihilator of {x^(1/2)}:", build_certificate(single).P)
 
-# a deeper kernel description with both origin and orbit parts
+# a mixed kernel: x^(2/3) at 0 and psi + D_z psi on the orbit of 1
 bi2 = BesselIndex.parse("2/3,1/3")
-kb = kernel_basis(bi2, d0=1, points=[(F(1), 2)], depth=14)
+mixed = KernelSpec(bi2, (AtZeroGroup(0, ((F(1),),)),),
+                   (AtPointGroup(F(1), (F(1), F(1))),))
+cert2 = build_certificate(mixed)
 print()
-print("kernel description for y*(y-1)^2 eigenvalue data over", bi2, ":")
-print("  at 0:", [q.to_str() for q in kb.at_zero])
-lam, depth, jets = kb.at_points[0]
-print(f"  at the orbit of {lam}: {len(jets)} branches x {depth} jets,")
-print("  leading branch series window:", jets[0].series[0].box)
+print(f"mixed kernel over {bi2}: P of order {cert2.P.order},",
+      "h(y) =", cert2.h.to_str("y"), " g =", cert2.g)
+print("  kernel of the base operator at 0:",
+      [q.to_str() for q in zero_exponent_basis(bi2, 1)])
+print("  witnesses:", ", ".join(sorted(cert2.witnesses)))
+jet = wave_jet_at(bi2, F(1), 1, 14)
+print(f"  jets D_z^k psi at z = {jet.lam} (branch 0, over Q), windows:",
+      [s.box[:2] for s in jet.series])

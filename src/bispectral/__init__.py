@@ -1,19 +1,20 @@
 """Exact Darboux factorizations of Bessel-type operators and certified
 bispectral operator pairs.
 
-Everything is computed over the rationals (or a cyclotomic extension where
-roots of unity enter), with structural equality as the only notion of
-correctness: factorizations are certified by exact operator identities,
-series are used only on conservatively tracked windows.
+Everything is computed over the rationals, with structural equality as the
+only notion of correctness: factorizations are certified by exact operator
+identities, series are used only on conservatively tracked windows.  Orbit
+conditions at eps^i lam are imposed and certified at lam alone, since the
+wave function depends on xz only.
 """
 
 from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
-                     indicial_poly, kernel_basis, ladder_op, wave_coeffs,
-                     wave_jet_at, zero_exponent_basis)
+                     indicial_poly, ladder_op, wave_coeffs, wave_jet_at,
+                     zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
-                      KernelSpec, banded_rows, build_P_general,
-                      build_certificate, certify, cleared_coefficients,
-                      kernel_matrix, monomial_kernel, validate_spec)
+                      KernelSpec, banded_rows, build_certificate, certify,
+                      cleared_coefficients, kernel_matrix, monomial_kernel,
+                      validate_spec)
 from .errors import (AssociationError, BispectralError, CertificationError,
                      DomainError, InconsistentSpecError, RankDeficiencyError,
                      ShapeError, SpecInvalidError, TruncationError,
@@ -25,7 +26,7 @@ from .involution import (BispectralPair, SpectralAlgebraReport,
 from .poly import Poly, RationalFunction
 from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
 from .scalars import (Cyclotomic, cyclotomic_polynomial, euler_phi,
-                      format_rational, parse_rational, primitive_root)
+                      format_rational, parse_rational)
 from .weyl import DEL, DFORM, DiffOp
 
 __version__ = "0.1.0"

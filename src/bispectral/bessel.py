@@ -33,8 +33,11 @@ from fractions import Fraction
 from .errors import UsageError
 from .poly import Poly
 from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
-from .scalars import format_rational, parse_rational, primitive_root
-from .weyl import DFORM, DiffOp
+from .scalars import format_rational, parse_rational
+from .weyl import DEL, DFORM, DiffOp
+
+# D = x d/dx = x DEL, in the form that series application reads
+THETA = DiffOp("x", DFORM, (0, 1)).convert(DEL)
 
 
 @dataclass(frozen=True)
@@ -231,42 +234,23 @@ def bessel_wave(bi: BesselIndex, depth: int) -> WaveSeries:
     return WaveSeries(coeffs, (-depth, 0, -depth, 0))
 
 
-def wave_jet_at(bi: BesselIndex, lam, branch: int, jet_order: int,
-                depth: int) -> PointJet:
-    """Jets D_z^k at z = eps^branch * lam, as truncated series in x.
+def wave_jet_at(bi: BesselIndex, lam, jet_order: int, depth: int) -> PointJet:
+    """Jets D_z^k psi at z = lam, k = 0..jet_order, as series in x over Q.
 
-    The homogeneity of the eigenfunction turns z-jets into jets of the
-    one-variable profile; substituting w = (eps^branch lam) x then yields
-    exact series.  On branch 0 the rate is the rational lam and so is every
-    coefficient; other branches live in Q(eps), and their jets are the
-    branch-0 jets taken at eps^branch x.
+    The eigenfunction depends on w = xz alone, so D_z psi = D_x psi with
+    D = x d/dx: jet 0 is the profile at w = lam x, and jet k is D^k of it.
     """
     lam = Fraction(lam)
     if lam == 0:
         raise UsageError("jets require a nonzero point; "
                          "use exponent conditions at 0 instead")
-    if not 0 <= branch < bi.N:
-        raise UsageError("branch index out of range")
-    a = wave_coeffs(bi, depth)
-    cur = {0: Fraction(1)}
-    cur.update({-m: am for m, am in enumerate(a, start=1) if am})
-    lo, hi = -depth, 0
-    jets_w = [dict(cur)]
+    coeffs = {0: Fraction(1)}
+    coeffs.update({-m: am / lam ** m
+                   for m, am in enumerate(wave_coeffs(bi, depth), start=1)})
+    series = [ExpSeries("x", lam, coeffs, (-depth, 0))]
     for _ in range(jet_order):
-        nxt = {}
-        for d, c in cur.items():
-            nxt[d + 1] = nxt.get(d + 1, Fraction(0)) + c
-            if d:
-                nxt[d] = nxt.get(d, Fraction(0)) + d * c
-        lo, hi = lo + 1, hi + 1
-        cur = {d: v for d, v in nxt.items() if lo <= d <= hi and v}
-        jets_w.append(dict(cur))
-    rate = lam if branch == 0 else primitive_root(bi.N) ** branch * lam
-    series = []
-    for k, jw in enumerate(jets_w):
-        coeffs = {d: rate ** d * v for d, v in jw.items()}
-        series.append(ExpSeries("x", rate, coeffs, (-depth + k, k)))
-    return PointJet(lam=lam, branch=branch, rate=rate, series=tuple(series))
+        series.append(series[-1].apply(THETA))
+    return PointJet(lam=lam, series=tuple(series))
 
 
 def zero_exponent_basis(bi: BesselIndex, d0: int):
@@ -284,40 +268,3 @@ def zero_exponent_basis(bi: BesselIndex, d0: int):
         for j in range(mult[g]):
             out.append(QuasiPolynomial.monomial(g, j))
     return out
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Direct-sum description of ker h(L) for factored eigenvalue data."""
-
-    at_zero: tuple          # QuasiPolynomial generators
-    at_points: tuple        # (lam, depth, jets per branch) triples
-
-
-def kernel_basis(bi: BesselIndex, d0: int, points=(), depth: int = 24) -> KernelBasis:
-    """Kernel description for z^{d0} * prod (z - lam_i^N)^{d_i} root data.
-
-    `points` is a list of (lam_i, d_i) with nonzero rational lam_i; the
-    values lam_i^N must be pairwise distinct (each orbit named once).
-    """
-    seen = {}
-    normalized = []
-    for lam, d in points:
-        lam = Fraction(lam)
-        if lam == 0:
-            raise UsageError("points must be nonzero; 0 belongs to d0")
-        if int(d) < 1:
-            raise UsageError("point depth must be >= 1")
-        key = lam ** bi.N
-        if key in seen:
-            raise UsageError(
-                f"points {seen[key]} and {lam} name the same orbit "
-                f"(equal N-th powers)")
-        seen[key] = lam
-        normalized.append((lam, int(d)))
-    at_points = []
-    for lam, d in normalized:
-        jets = tuple(wave_jet_at(bi, lam, j, d - 1, depth) for j in range(bi.N))
-        at_points.append((lam, d, jets))
-    return KernelBasis(at_zero=tuple(zero_exponent_basis(bi, d0)),
-                       at_points=tuple(at_points))

@@ -19,18 +19,20 @@ follows from homogeneity.  The ansatz has that shape, and so does the
 minimal monic annihilator of a dilation-stable space (it is unique, hence
 fixed by dilation), so restricting to branch 0 loses no solution; certify
 checks the shape witness before the kernel witness, so a branch-0 kernel
-witness is a complete proof.  Q(eps) survives only in ``wave_jet_at`` for
-the other branches.
+witness is a complete proof.  No Q(eps) arithmetic is needed anywhere: the
+orbit jets are series over Q with the rational rate lam (``wave_jet_at``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import BesselIndex, bessel_wave, poly_at_bessel, wave_jet_at
+from .bessel import (THETA, BesselIndex, bessel_wave, poly_at_bessel,
+                     wave_jet_at)
 from .errors import (CertificationError, InconsistentSpecError,
                      RankDeficiencyError, ShapeError, SpecInvalidError,
                      UnsupportedInputError, UsageError)
@@ -377,32 +379,34 @@ def _zero_condition_rows(elements, n, N, bound):
 
 
 def _point_condition_rows(jet, avec, n, N, bound):
-    """Rational linear conditions from one orbit group, on branch 0.
+    """Integer linear conditions from one orbit group, on branch 0.
 
-    ``jet`` is the branch-0 ``wave_jet_at`` of the group's point lam, so
-    every coefficient is rational and each degree of the image window gives
-    one row; ``slots`` counts those degrees.  On branch j the row of degree
-    deg over Q(eps) is eps^{j(deg+n)} times this row (module docstring), so
-    the other branches add nothing to the row space or to the nullspace.
+    ``jet`` is the ``wave_jet_at`` of the group's point lam, so every
+    coefficient is rational.  Column (k, j) holds the image x^(jN - n) D^k
+    of the group's jet, and each degree of the image window gives one row,
+    read off the numerators over the lcm of the powers' denominators;
+    ``slots`` counts those degrees.  On branch j the row of degree deg over
+    Q(eps) is eps^{j(deg+n)} times this row (module docstring), so the
+    other branches add nothing to the row space or to the nullspace.
     """
     powers = [jet.combine(avec)]
     for _ in range(n):
-        prev = powers[-1]
-        powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
-    images = {}
-    for k in range(n + 1):
-        for j in range(bound + 1):
-            images[k * (bound + 1) + j] = powers[k].xshift(j * N - n)
-    lo = max(img.box[0] for img in images.values())
-    hi = max(img.box[1] for img in images.values())
+        powers.append(powers[-1].apply(THETA))
+    den = math.lcm(*(p.den for p in powers))
+    scaled = [(k * (bound + 1), p.nums, den // p.den)
+              for k, p in enumerate(powers)]
+    shifts = [j * N - n for j in range(bound + 1)]
+    lo = max(p.box[0] for p in powers) + shifts[-1]
+    hi = max(p.box[1] for p in powers) + shifts[-1]
     ncols = (n + 1) * (bound + 1)
     rows = []
     for deg in range(lo, hi + 1):
-        row = [Fraction(0)] * ncols
-        for col, img in images.items():
-            c = img.coeffs.get(deg)
-            if c is not None:
-                row[col] = c
+        row = [0] * ncols
+        for col, nums, f in scaled:
+            for j, s in enumerate(shifts):
+                v = nums.get((deg - s, 0))
+                if v:
+                    row[col + j] = v * f
         if any(row):
             rows.append(row)
     return rows, hi - lo + 1
@@ -473,7 +477,7 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
                 for lam, avec, _d in val.point_groups:
                     key = (lam, len(avec) - 1)
                     if key not in jets:
-                        jets[key] = wave_jet_at(beta, lam, 0, len(avec) - 1, K)
+                        jets[key] = wave_jet_at(beta, lam, len(avec) - 1, K)
                     new_rows, new_slots = _point_condition_rows(
                         jets[key], avec, n, N, bound)
                     rows.extend(new_rows)
@@ -504,16 +508,6 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
         f"darboux.MAX_ANSATZ_DOUBLINGS = {MAX_ANSATZ_DOUBLINGS} rounds; "
         f"largest system {largest[0]} x {largest[1]}, "
         f"last nullspace dimension {dim}")
-
-
-def build_P_general(spec: KernelSpec, depth=None) -> DiffOp:
-    """Monic annihilator for mixed specs; series-solved, division-certified."""
-    val = validate_spec(spec)
-    if spec.at_points and not spec.is_log_free:
-        raise UnsupportedInputError(
-            "log-bearing conditions are only supported for kernels at 0")
-    op, _ = _solve_annihilator(val, depth=depth)
-    return op.convert(DEL)
 
 
 @dataclass(frozen=True)
@@ -612,8 +606,8 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
                     f"kernel element {q} is not annihilated by P")
         K_orbit = max(K, default_depth(h.degree, beta.N, n))
         for lam, avec, _d in val.point_groups:
-            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, K_orbit)
-            if jet.combine(avec).apply(cleared).coeffs:
+            jet = wave_jet_at(beta, lam, len(avec) - 1, K_orbit)
+            if not jet.combine(avec).apply(cleared).is_zero:
                 raise CertificationError(
                     f"orbit kernel element at {lam} (branch 0) "
                     f"is not annihilated by P")

@@ -11,8 +11,8 @@ tracked scale once at the end.  ``coeffs``, the tuple of Fractions, is
 built lazily for documents and printing.
 
 Coefficients are rationals only.  A rational Cyclotomic is read through
-``as_rational``; any other scalar is refused with UsageError.  (Q(eps)
-values live in series, never in polynomials.)
+``as_rational``; any other scalar is refused with UsageError.  (The series
+are rational too: no library arithmetic runs in Q(eps).)
 
 Gcds run the primitive polynomial remainder sequence over Z (Collins
 1967, Brown 1971): each pseudo-remainder is replaced by its primitive

@@ -7,8 +7,9 @@
   stored coefficient inside the window equals the exact one, so window
   bookkeeping is conservative by construction.
 * ExpSeries: e^{c x} * sum over a degree window, the one-variable analogue
-  used for jets at a nonzero spectral point (c may be a root of unity
-  times the point).
+  used for jets at a nonzero spectral point, with a rational rate c.  It
+  is a WaveSeries of one row (z-power 0) and shares all of its code but
+  the DEL step.
 
 Operators act on WaveSeries/ExpSeries after peeling the exponential
 prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  An operator is read
@@ -40,10 +41,10 @@ top, the k-th output has a denominator dividing E^(k+1), and the
 recurrence runs on the output times that power (``_divide_row``).  So the
 image of a series over s lies over s * D when den = x^m, and over
 s * D * E^(w-1) otherwise, w the window width along the acting variable;
-E = 1 (integral den) costs nothing.  ExpSeries keeps generic scalars
-(Q(eps) where a root of unity is in play) and reads the operator the same
-way: integer pieces over D and the recurrence on E * den, after which each
-output is divided once, by D times its power of E.
+E = 1 (integral den) costs nothing.  An ExpSeries step (c + d/dx) with
+c = p/q is (p u + q u') / q, so each DEL power lies over q times the last
+one; the pieces are summed over the highest power's denominator, which
+every lower one divides.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def _divide_row(row, q, lead=1):
     has a denominator dividing lead^(w-k).  The recurrence runs
     fraction-free on y_k = lead^(w-k) out_k:
         y_k = lead^(w-1-k) row_k - sum_{s=1..d} q_{d-s} lead^(s-1) y_{k+s},
-    and y is returned.  With lead = 1 it is the plain recurrence, over any
-    scalars.  Absent entries are 0.
+    and y is returned.  With lead = 1 it is the plain recurrence.  Absent
+    entries are 0.
     """
     d = len(q)
     taps = [(d - t, c if lead == 1 else c * lead ** (d - t - 1))
@@ -258,10 +259,9 @@ class WaveSeries:
         self.nums = {(i, j): v for (i, j), v in nums.items()
                      if v and xlo <= i <= xhi and zlo <= j <= zhi}
 
-    @classmethod
-    def _make(cls, nums, box, den):
-        """An arithmetic result (see ``_set``)."""
-        out = cls.__new__(cls)
+    def _like(self, nums, box, den):
+        """An arithmetic result of self's kind (see ``_set``)."""
+        out = object.__new__(type(self))
         out._set(nums, box, den)
         return out
 
@@ -285,12 +285,12 @@ class WaveSeries:
         a, b = other.den // g, self.den // g
         out = {k: v * a for k, v in self.nums.items()}
         _add_into(out, ((k, v * b) for k, v in other.nums.items()))
-        return WaveSeries._make(out, tuple(map(max, self.box, other.box)),
-                                self.den * a)
+        return self._like(out, tuple(map(max, self.box, other.box)),
+                          self.den * a)
 
     def __neg__(self):
-        return WaveSeries._make({k: -v for k, v in self.nums.items()},
-                                self.box, self.den)
+        return self._like({k: -v for k, v in self.nums.items()},
+                          self.box, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -302,10 +302,10 @@ class WaveSeries:
         """Multiply by c * x^dx * z^dz."""
         c = Fraction(c)
         xlo, xhi, zlo, zhi = self.box
-        return WaveSeries._make({(i + dx, j + dz): c.numerator * v
-                                 for (i, j), v in self.nums.items()},
-                                (xlo + dx, xhi + dx, zlo + dz, zhi + dz),
-                                self.den * c.denominator)
+        return self._like({(i + dx, j + dz): c.numerator * v
+                           for (i, j), v in self.nums.items()},
+                          (xlo + dx, xhi + dx, zlo + dz, zhi + dz),
+                          self.den * c.denominator)
 
     def _shifted(self, terms, axis):
         """The pieces c * x^m * self (axis 0) or c * z^m * self (axis 1)."""
@@ -349,26 +349,29 @@ class WaveSeries:
                     out[(lo - d + k, o) if axis == 0 else (o, lo - d + k)] = (
                         y if lift is None else y * lift[k])
         box = (lo - d, hi - d, zlo, zhi) if axis == 0 else (xlo, xhi, lo - d, hi - d)
-        return WaveSeries._make(out, box, self.den * E ** (w - 1))
+        return self._like(out, box, self.den * E ** (w - 1))
 
     def _image(self, den: Poly, nums, axis):
         """den^{-1} sum_k nums[k] DEL^k self for a monic den, in integers.
 
-        The pieces nums[k] DEL^k self are summed once over self.den * D, D
-        the lcm of the numerators' denominators, and the sum is divided
-        once: by a shift when den = var^m, else by ``_mul_inverse_poly``.
+        The pieces nums[k] DEL^k self are summed once over T * D, T the den
+        of the highest DEL power (a DEL step multiplies den by an integer,
+        so T is a multiple of every power's den) and D the lcm of the
+        numerators' denominators, and the sum is divided once: by a shift
+        when den = var^m, else by ``_mul_inverse_poly``.
         """
         D = math.lcm(*(num.den for num in nums))
         m = den.degree
         laurent = den.valuation() == m
+        powers = [self]
+        for _ in nums[1:]:
+            powers.append(powers[-1]._apply_del(axis))
+        top = powers[-1].den
 
         def pieces():
-            power = self
-            for k, num in enumerate(nums):
-                if k:
-                    power = power._apply_del(axis)
+            for power, num in zip(powers, nums):
                 if not num.is_zero:
-                    f = D // num.den
+                    f = D // num.den * (top // power.den)
                     yield from power._shifted(
                         [(t - m if laurent else t, n * f)
                          for t, n in enumerate(num.nums) if n], axis)
@@ -376,7 +379,7 @@ class WaveSeries:
         out, box = _accumulate(pieces())
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        total = WaveSeries._make(out, box, self.den * D)
+        total = self._like(out, box, top * D)
         return total if laurent else total._mul_inverse_poly(den, axis)
 
     def mul_poly(self, p: Poly, axis):
@@ -398,7 +401,7 @@ class WaveSeries:
                        (((i + 1, j), v) for (i, j), v in items)),
                       ((xlo, xhi, zlo - 1, zhi - 1),
                        (((i, j - 1), j * v) for (i, j), v in items if j)))
-        return WaveSeries._make(*_accumulate(pieces), self.den)
+        return self._like(*_accumulate(pieces), self.den)
 
     def apply(self, op: DiffOp, var: str) -> "WaveSeries":
         """Image under an operator acting in x (var='x') or z (var='z').
@@ -424,156 +427,76 @@ class WaveSeries:
         return {"window": list(self.box),
                 "coeffs": [[i, j, format_rational(c)] for (i, j), c in items]}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({(int(i), int(j)): parse_rational(c)
-                    for i, j, c in data["coeffs"]}, tuple(data["window"]))
+    @staticmethod
+    def from_json(data):
+        """A WaveSeries document; an ExpSeries writes its row as one."""
+        return WaveSeries({(int(i), int(j)): parse_rational(c)
+                           for i, j, c in data["coeffs"]},
+                          tuple(data["window"]))
 
     def __repr__(self):
-        return f"WaveSeries(window={self.box}, terms={len(self.nums)})"
+        return (f"{type(self).__name__}(window={self.box}, "
+                f"terms={len(self.nums)})")
 
 
-class ExpSeries:
-    """e^{rate * x} times a truncated one-variable series."""
+class ExpSeries(WaveSeries):
+    """e^{rate * var} times a truncated series in var: a one-row WaveSeries.
 
-    __slots__ = ("var", "rate", "coeffs", "box")
+    The coefficient of var^d sits at key (d, 0) of the window (lo, hi, 0,
+    0), and the rate is rational, so the arithmetic, the shifts and the
+    division are WaveSeries'; only the DEL step differs.
+    """
+
+    __slots__ = ("var", "rate")
 
     def __init__(self, var, rate, coeffs, box):
-        lo, hi = box
-        if lo > hi:
-            raise TruncationError(f"empty series window {box}")
-        self.var = var
-        self.rate = rate
-        self.box = (lo, hi)
-        self.coeffs = {d: c for d, c in
-                       (coeffs.items() if isinstance(coeffs, dict) else coeffs)
-                       if lo <= d <= hi and c}
+        self.var, self.rate = var, Fraction(rate)
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        super().__init__({(d, 0): c for d, c in items}, (*box, 0, 0))
 
-    def _check(self, other):
-        if self.var != other.var or self.rate != other.rate:
-            raise UsageError("series at different exponential points")
+    def _like(self, nums, box, den):
+        out = super()._like(nums, box, den)
+        out.var, out.rate = self.var, self.rate
+        return out
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, d):
-        return self.coeffs.get(d, Fraction(0))
+    def _same_point(self, other):
+        return self.var == other.var and self.rate == other.rate
 
     def __add__(self, other):
-        self._check(other)
-        lo = max(self.box[0], other.box[0])
-        hi = max(self.box[1], other.box[1])
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return ExpSeries(self.var, self.rate, out, (lo, hi))
-
-    def __neg__(self):
-        return ExpSeries(self.var, self.rate,
-                         {d: -c for d, c in self.coeffs.items()}, self.box)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ExpSeries(self.var, self.rate,
-                         {d: c * v for d, v in self.coeffs.items()}, self.box)
-
-    def xshift(self, m):
-        lo, hi = self.box
-        return ExpSeries(self.var, self.rate,
-                         {d + m: v for d, v in self.coeffs.items()},
-                         (lo + m, hi + m))
-
-    def theta(self):
-        """Degree-weighted derivative x d/dx of the bare series."""
-        return ExpSeries(self.var, self.rate,
-                         {d: d * v for d, v in self.coeffs.items() if d}, self.box)
-
-    def _mul_inverse_poly(self, den: Poly, D=1):
-        """Exact multiplication by 1/(D den(x)), den with a root away from 0.
-
-        The recurrence runs on den.nums = E * den, E = den.den, with
-        leading coefficient L; its k-th output y_k is L^(w-k) times that of
-        division by E * den (see ``_divide_row``), so the k-th coefficient
-        is y_k E / (D L^(w-k)), one division per coefficient.
-        """
-        E, q = den.den, den.nums[:-1]
-        L, d = den.nums[-1], len(q)
-        lo, hi = self.box
-        w = hi - lo + 1
-        row = [0] * w
-        for i, c in self.coeffs.items():
-            row[i - lo] = c
-        out = {}
-        for k, y in enumerate(_divide_row(row, q, L)):
-            if y:
-                out[lo - d + k] = y if D == E == L == 1 else y * Fraction(
-                    E, D * L ** (w - k))
-        return ExpSeries(self.var, self.rate, out, (lo - d, hi - d))
-
-    def _shifted(self, terms):
-        lo, hi = self.box
-        items = self.coeffs.items()
-        for m, c in terms:
-            yield (lo + m, hi + m), ((d + m, c * v) for d, v in items)
-
-    def _apply_del(self):
-        """(rate + d/dx) on the bare series: one more DEL."""
-        lo, hi = self.box
-        items = self.coeffs.items()
-        return ExpSeries(self.var, self.rate, *_accumulate((
-            ((lo, hi), ((d, self.rate * v) for d, v in items)),
-            ((lo - 1, hi - 1), ((d - 1, d * v) for d, v in items if d)))))
-
-    def apply(self, op: DiffOp) -> "ExpSeries":
-        """Image den^{-1} sum_k nums[k] DEL^k self under an operator with
-        rational coefficients in self.var, divided once as in WaveSeries."""
-        if op.var != self.var:
-            raise UsageError("operator in the wrong variable")
-        a = op.convert(DEL)
-        m = a.den.degree
-        laurent = a.den.valuation() == m
-        D = math.lcm(*(num.den for num in a.nums))
-
-        def pieces():
-            power = self
-            for k, num in enumerate(a.nums):
-                if k:
-                    power = power._apply_del()
-                if not num.is_zero:
-                    f = D // num.den
-                    yield from power._shifted(
-                        [(t - m if laurent else t, n * f)
-                         for t, n in enumerate(num.nums) if n])
-
-        out, box = _accumulate(pieces())
-        if box is None:
-            raise UsageError("cannot apply the zero operator to a series")
-        total = ExpSeries(self.var, self.rate, out, box)
-        if not laurent:
-            return total._mul_inverse_poly(a.den, D)
-        return total if D == 1 else total.scale(Fraction(1, D))
+        if not self._same_point(other):
+            raise UsageError("series at different exponential points")
+        return super().__add__(other)
 
     def __eq__(self, other):
         if not isinstance(other, ExpSeries):
             return NotImplemented
-        return (self.var == other.var and self.rate == other.rate
-                and self.box == other.box and self.coeffs == other.coeffs)
+        return self._same_point(other) and super().__eq__(other)
 
-    def __repr__(self):
-        return (f"ExpSeries(var={self.var!r}, rate={self.rate!r}, "
-                f"window={self.box}, terms={len(self.coeffs)})")
+    def _apply_del(self, axis):
+        """(rate + d/dvar) on the bare series (axis 0): one more DEL.  With
+        rate = p/q the step is (p u + q u') / q, so den grows by q."""
+        p, q = self.rate.numerator, self.rate.denominator
+        xlo, xhi, _, _ = self.box
+        items = self.nums.items()
+        return self._like(*_accumulate((
+            ((xlo, xhi, 0, 0), (((i, 0), p * v) for (i, _), v in items)),
+            ((xlo - 1, xhi - 1, 0, 0),
+             (((i - 1, 0), q * i * v) for (i, _), v in items if i)))),
+            self.den * q)
+
+    def apply(self, op: DiffOp) -> "ExpSeries":
+        """Image under an operator in self.var, as ``WaveSeries.apply``."""
+        if op.var != self.var:
+            raise UsageError("operator in the wrong variable")
+        a = op.convert(DEL)
+        return self._image(a.den, a.nums, 0)
 
 
 @dataclass(frozen=True)
 class PointJet:
-    """Truncated series for D_z^k of a wave function at z = eps^branch * lam."""
+    """Truncated series for D_z^k of a wave function at z = lam."""
 
     lam: Fraction
-    branch: int
-    rate: object          # eps^branch * lam: lam on branch 0, else a Cyclotomic
     series: tuple         # series[k] is the k-th jet, an ExpSeries in x
 
     @property

@@ -118,11 +118,6 @@ class DiffOp:
     def zero(cls, var, form=DEL):
         return cls(var, form)
 
-    @classmethod
-    def mult(cls, var, f, form=DEL):
-        """Multiplication by the function f."""
-        return cls(var, form, (f,))
-
     # -- basics ------------------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ from bispectral import (AtPointGroup, BesselIndex, CertificationError,
                         certify, cleared_coefficients, closed_form_monomial,
                         ladder_op, make_pair, monomial_kernel,
                         spectral_algebra, verify_pair)
-from tests_support import adjoint, op_power
+from tests_support import adjoint, mult, op_power
 
 F = Fraction
 
@@ -63,8 +63,8 @@ def _closed_order2(a, lam2, mu2):
     p0 = Poly(var, [d0, 0, c0, 0, -lam2])
     den = Poly(var, [0, 0, 1]) * p2
     dee = DiffOp(var, "D", (0, 1))
-    op = (DiffOp.mult(var, p2, "D") * dee * dee
-          + DiffOp.mult(var, p1, "D") * dee + DiffOp.mult(var, p0, "D"))
+    op = (mult(var, p2, "D") * dee * dee
+          + mult(var, p1, "D") * dee + mult(var, p0, "D"))
     return op.lmul_fn(RationalFunction(Poly.const(var, 1), den))
 
 

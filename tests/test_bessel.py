@@ -5,8 +5,7 @@ import pytest
 
 from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
                         bessel_op, bessel_poly, bessel_wave, indicial_poly,
-                        kernel_basis, ladder_op, wave_coeffs,
-                        zero_exponent_basis)
+                        ladder_op, wave_coeffs, zero_exponent_basis)
 from bispectral.bessel import (bessel_power_sum, graded_op, poly_at_bessel,
                                power_ladders)
 from tests_support import (exp_wave, horner, op_of_parts, op_power,
@@ -148,7 +147,7 @@ def test_wave_coefficients_against_substitution_oracle():
         depth = 10
         prof = exp_wave(bi, depth)
         img = prof.apply(bessel_poly(bi, var="z").convert("del"))
-        rhs = prof.xshift(n)
+        rhs = prof.shift(n, 0)
         assert not (img - rhs).coeffs, bi
 
 
@@ -202,26 +201,6 @@ def test_zero_exponent_basis():
     assert got == ["1", "x", "x^2", "x^3"]
     logs = zero_exponent_basis(BesselIndex.parse("1/2,1/2"), 1)
     assert [q.to_str() for q in logs] == ["x^1/2", "x^1/2*ln(x)"]
-
-
-def test_kernel_basis_is_annihilated():
-    bi = BesselIndex.parse("2/3,1/3")
-    kb = kernel_basis(bi, d0=1, points=[(Fraction(1), 2)], depth=16)
-    hop = bessel_op(bi)
-    for q in kb.at_zero:
-        assert q.apply(hop).is_zero
-    lam, d, jets = kb.at_points[0]
-    shifted = poly_at_operator(Poly("y", [-lam ** bi.N, 1]) ** d, hop)
-    for jet in jets:
-        for s in jet.series:
-            img = s.apply(shifted.convert("del"))
-            assert not img.coeffs, (jet.branch, s.box)
-
-
-def test_kernel_basis_rejects_colliding_orbits():
-    bi = BesselIndex.parse("0,1")
-    with pytest.raises(UsageError):
-        kernel_basis(bi, 0, points=[(Fraction(1), 1), (Fraction(-1), 1)])
 
 
 def test_wave_series_depth_zero():

@@ -4,19 +4,18 @@ from fractions import Fraction
 import pytest
 
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
-                        CertificationError, Cyclotomic, DarbouxCertificate,
-                        DiffOp, InconsistentSpecError, KernelSpec, Poly,
+                        CertificationError, DarbouxCertificate, DiffOp,
+                        InconsistentSpecError, KernelSpec, Poly,
                         RankDeficiencyError, RationalFunction, ShapeError,
                         SpecInvalidError, UnsupportedInputError, UsageError,
-                        banded_rows, bessel_op, build_P_general,
-                        build_certificate, certify, cleared_coefficients,
-                        euler_phi,
-                        kernel_matrix, linalg, monomial_kernel,
-                        validate_spec, wave_jet_at)
+                        banded_rows, bessel_op, build_certificate, certify,
+                        cleared_coefficients, kernel_matrix, linalg,
+                        monomial_kernel, validate_spec, wave_jet_at)
 from bispectral import darboux
 from bispectral.darboux import (_assemble, _point_condition_rows,
                                 _zero_condition_rows, default_depth)
-from tests_support import adjoint, compute_Q, poly_at_operator, x_power
+from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
+                           compute_Q, mult, poly_at_operator, x_power)
 
 F = Fraction
 
@@ -40,8 +39,8 @@ def closed_order2_factor(a, lam2, mu2):
     p0 = Poly(var, [d0, 0, c0, 0, -lam2])
     den = Poly(var, [0, 0, 1]) * p2
     dee = DiffOp(var, "D", (0, 1))
-    op = (DiffOp.mult(var, p2, "D") * dee * dee
-          + DiffOp.mult(var, p1, "D") * dee + DiffOp.mult(var, p0, "D"))
+    op = (mult(var, p2, "D") * dee * dee
+          + mult(var, p1, "D") * dee + mult(var, p0, "D"))
     return op.lmul_fn(RationalFunction(Poly.const(var, 1), den))
 
 
@@ -96,13 +95,13 @@ def test_orbit_collision_rejected():
 
 
 def test_build_monomial_reference_factors():
-    assert build_P_general(rank1_spec()) == \
+    assert build_certificate(rank1_spec()).P == \
         DiffOp("x", "del", [x_power("x", -1, -1), 1])
     bi = BesselIndex.parse("0,1")
-    p = build_P_general(monomial_kernel(bi, [[(F(0), F(1))]]))
+    p = build_certificate(monomial_kernel(bi, [[(F(0), F(1))]])).P
     assert p == DiffOp("x", "del", (0, 1))
     bi2 = BesselIndex.parse("1/2,1/2")
-    p2 = build_P_general(monomial_kernel(bi2, [[(F(1, 2), F(1))]]))
+    p2 = build_certificate(monomial_kernel(bi2, [[(F(1, 2), F(1))]])).P
     want = DiffOp("x", "D", [RationalFunction(Poly("x", [F(-1, 2)]), Poly("x", [0, 1])),
                              RationalFunction(Poly("x", [1]), Poly("x", [0, 1]))])
     assert p2 == want
@@ -124,7 +123,7 @@ def test_log_groups_rejected_alongside_points():
     spec = KernelSpec(bi, (AtZeroGroup(0, ((F(0), F(1)),)),),
                       (AtPointGroup(F(1), (F(1),)),))
     with pytest.raises(UnsupportedInputError):
-        build_P_general(spec)
+        build_certificate(spec)
 
 
 def test_compute_q_reference_values():
@@ -162,7 +161,7 @@ def test_cleared_coefficients_needs_the_lead_x_to_the_minus_n():
     assert cleared_coefficients(P, 2)[0] == 2
     # a constant or a polynomial factor on the lead breaks the identity
     for bad in (P.scale(F(2)),
-                DiffOp.mult("x", Poly("x", [1, 0, 1])) * P):
+                mult("x", Poly("x", [1, 0, 1])) * P):
         with pytest.raises(ShapeError, match="is not x\\^-2"):
             cleared_coefficients(bad, 2)
     # x^-1 (D - 1/2), a first-order factor of a Bessel-type operator
@@ -224,41 +223,10 @@ def test_order_three_orbit_kernels():
     assert pks[1] == Poly("y", [12, 14])
     assert pks[0] == Poly("y", [0, -24, -1])
     # independent checks: exact product identity and kernel annihilation
-    from bispectral import bessel_op, wave_jet_at
     lb = bessel_op(bi)
     assert cert2.Q * cert2.P == poly_at_operator(Poly("y", [1, -2, 1]), lb)
-    for branch in range(3):
-        jet = wave_jet_at(bi, F(1), branch, 1, 20)
-        element = jet.series[0] + jet.series[1]
-        assert not element.apply(cert2.P).coeffs
-
-
-def _all_branch_rows(beta, lam, avec, n, bound, depth):
-    """The orbit rows on every branch over Q(eps), split into phi(N)
-    rational rows per degree: the construction before branch 0 sufficed."""
-    N, phi = beta.N, euler_phi(beta.N)
-    ncols = (n + 1) * (bound + 1)
-    rows = []
-    for branch in range(N):
-        jet = wave_jet_at(beta, lam, branch, len(avec) - 1, depth)
-        powers = [jet.combine(avec)]
-        for _ in range(n):
-            prev = powers[-1]
-            powers.append(prev.xshift(1).scale(jet.rate) + prev.theta())
-        images = {k * (bound + 1) + j: powers[k].xshift(j * N - n)
-                  for k in range(n + 1) for j in range(bound + 1)}
-        lo = max(img.box[0] for img in images.values())
-        hi = max(img.box[1] for img in images.values())
-        for deg in range(lo, hi + 1):
-            split = [[F(0)] * ncols for _ in range(phi)]
-            for col, img in images.items():
-                c = img.coeffs.get(deg)
-                if c is not None:
-                    for t, coord in enumerate(Cyclotomic(N, (c,)).coords
-                                              if branch == 0 else c.coords):
-                        split[t][col] = coord
-            rows.extend(r for r in split if any(r))
-    return rows
+    residuals = all_branch_residuals(cert2.P, bi, F(1), (F(1), F(1)))
+    assert residuals and not any(residuals)
 
 
 def _all_branch_build(spec):
@@ -274,8 +242,8 @@ def _all_branch_build(spec):
         zero = _zero_condition_rows(val.elements_at_zero, n, N, bound)
         rows, rows0 = list(zero), list(zero)
         for lam, avec, _d in val.point_groups:
-            rows += _all_branch_rows(beta, lam, avec, n, bound, depth)
-            jet = wave_jet_at(beta, lam, 0, len(avec) - 1, depth)
+            rows += all_branch_rows(beta, lam, avec, n, bound, depth)
+            jet = wave_jet_at(beta, lam, len(avec) - 1, depth)
             rows0 += _point_condition_rows(jet, avec, n, N, bound)[0]
         sols = linalg.nullspace(rows, ncols)
         assert sols == linalg.nullspace(rows0, ncols), bound
@@ -316,9 +284,30 @@ def test_branch_zero_build_matches_all_branch_oracle():
         assert (cert.P, cert.Q) == _all_branch_build(spec), spec.to_json()
         # the all-branch kernel witness holds for the branch-0 certificate
         for group in points:
-            for branch in range(beta.N):
-                jet = wave_jet_at(beta, group.lam, branch, group.k0, 24)
-                assert not jet.combine(group.a).apply(cert.P).coeffs
+            residuals = all_branch_residuals(cert.P, beta, group.lam, group.a)
+            assert residuals and not any(residuals)
+
+
+def test_rational_orbit_points_need_no_cyclotomics(monkeypatch):
+    # orbit points with denominators: every jet's DEL step grows its den
+    # by 2, and no stage may fall back on Q(eps) arithmetic
+    from bispectral import make_pair, scalars, spectral_algebra, verify_pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q(eps) arithmetic in the pipeline")
+
+    monkeypatch.setattr(scalars.Cyclotomic, "__init__", refuse)
+    beta = BesselIndex.parse("1/3,2/3,2")
+    points = (AtPointGroup(F(1, 2), (F(1), F(1))),
+              AtPointGroup(F(-3, 2), (F(1), F(-1, 2))))
+    cert = build_certificate(KernelSpec(beta, (), points))
+    assert cert.P.order == 6 and cert.witnesses["kernel"]
+    assert verify_pair(make_pair(cert))["residuals"] == [0, 0]
+    assert spectral_algebra(cert, 8).bound == 8
+    monkeypatch.undo()
+    for group in points:
+        residuals = all_branch_residuals(cert.P, beta, group.lam, group.a)
+        assert residuals and not any(residuals)
 
 
 def test_empty_spec_rejected():

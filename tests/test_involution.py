@@ -19,7 +19,7 @@ from bispectral.bessel import graded_op
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL, DFORM
-from tests_support import (basis_off_rref, op_of_parts, op_power,
+from tests_support import (basis_off_rref, mult, op_of_parts, op_power,
                            poly_at_operator, profile_plane_degrees,
                            rand_index, rand_op, x_power)
 
@@ -269,7 +269,7 @@ def test_right_form_matches_the_product_oracle():
         rebuilt = DiffOp.zero("x", DFORM)
         for s, e in enumerate(right.coeffs):
             rebuilt = rebuilt + (DiffOp("x", DFORM, (0,) * s + (1,))
-                                 * DiffOp.mult("x", e, DFORM))
+                                 * mult("x", e, DFORM))
         assert rebuilt == Q
 
 

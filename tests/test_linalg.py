@@ -220,7 +220,7 @@ def test_ansatz_point_systems_match_gauss_jordan(monkeypatch):
         ncols = (n + 1) * (bound + 1)
         # the depth _solve_annihilator uses at this bound
         K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-        jet = wave_jet_at(beta, Fraction(2), 0, len(avec) - 1, K)
+        jet = wave_jet_at(beta, Fraction(2), len(avec) - 1, K)
         rows, _slots = _point_condition_rows(jet, avec, n, N, bound)
         del eliminated[:]
         basis = _check_tall(rows, ncols)

@@ -262,7 +262,7 @@ def test_gcd_and_cancel_with_a_shared_factor_of_high_degree():
 
 
 def test_only_rational_coefficients_are_taken():
-    from bispectral import Cyclotomic, primitive_root
+    from bispectral.scalars import Cyclotomic, primitive_root
     half = Cyclotomic.from_rational(3, Fraction(1, 2))
     assert Poly("x", [half, 1]) == Poly("x", [Fraction(1, 2), 1])
     for bad in (primitive_root(3), Cyclotomic(4, (0, 1)), 0.5, "1/2", None):

@@ -5,7 +5,8 @@ import pytest
 
 from bispectral import (Cyclotomic, DomainError, Poly, RationalFunction,
                         UsageError, cyclotomic_polynomial, euler_phi,
-                        format_rational, parse_rational, primitive_root)
+                        format_rational, parse_rational)
+from bispectral.scalars import primitive_root
 
 
 def test_cyclotomic_polynomials():

@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 
 from bispectral import DEL, DFORM, DiffOp, Poly, RationalFunction
-from tests_support import adjoint, op_power, poly_at_operator, x_power
+from tests_support import (adjoint, mult, op_power, poly_at_operator,
+                           x_power)
 
 
 def rand_rf(rng, var="x"):
@@ -28,15 +29,15 @@ def rand_op(rng, var="x", max_order=3, form=DEL):
 x = "x"
 d = DiffOp(x, DEL, (0, 1))
 xinv = x_power(x, -1)
-xop = DiffOp.mult(x, Poly.variable(x))
+xop = mult(x, Poly.variable(x))
 
 
 def test_reference_products():
     # d . x = x d + 1
     assert d * xop == DiffOp(x, DEL, [1, Poly.variable(x)])
     # (d + 1/x)(d - 1/x) = d^2
-    plus = d + DiffOp.mult(x, xinv)
-    minus = d - DiffOp.mult(x, xinv)
+    plus = d + mult(x, xinv)
+    minus = d - mult(x, xinv)
     assert plus * minus == DiffOp(x, DEL, [0, 0, 1])
     # (d - 1/x)(d + 1/x) = d^2 - 2/x^2
     assert minus * plus == DiffOp(x, DEL,
@@ -62,7 +63,7 @@ def test_reference_conversions():
 
 def test_reference_adjoints():
     assert adjoint(d) == -d
-    assert adjoint(DiffOp.mult(x, Poly.variable(x)) * d) == \
+    assert adjoint(mult(x, Poly.variable(x)) * d) == \
         DiffOp(x, DEL, [-1, Poly(x, [0, -1])])
     # even-order self-adjoint example
     a = DiffOp(x, DEL, [RationalFunction(Poly(x, [-2]), Poly(x, [0, 0, 1])), 0, 1])
@@ -70,9 +71,9 @@ def test_reference_adjoints():
 
 
 def test_reference_divisions():
-    minus = d - DiffOp.mult(x, xinv)
+    minus = d - mult(x, xinv)
     q, r = (d * d).left_divide(minus)
-    assert r.is_zero and q == d + DiffOp.mult(x, xinv)
+    assert r.is_zero and q == d + mult(x, xinv)
     q, r = minus.left_divide(minus)
     assert q == DiffOp(x, DEL, (1,)) and r.is_zero
     q, r = xop.left_divide(d)

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 from bispectral import (BesselIndex, CertificationError, DiffOp, ExpSeries,
                         Poly, QuasiPolynomial, RationalFunction, bessel_op,
-                        linalg, wave_coeffs)
+                        cleared_coefficients, euler_phi, linalg, wave_coeffs)
 from bispectral.bessel import poly_ladder_op
+from bispectral.scalars import primitive_root
 from bispectral.weyl import DEL, DFORM
+
+
+def mult(var, f, form="del"):
+    """Multiplication by the function f, as an operator."""
+    return DiffOp(var, form, (f,))
 
 
 def rand_rf(rng, var="x"):
@@ -37,7 +43,7 @@ def op_of_parts(parts, var="x"):
     ``bessel.graded_op``."""
     out = DiffOp.zero(var, DFORM)
     for a, c in parts.items():
-        out = out + (DiffOp.mult(var, x_power(var, a), DFORM)
+        out = out + (mult(var, x_power(var, a), DFORM)
                      * DiffOp(var, DFORM, c.coeffs))
     return out
 
@@ -47,7 +53,7 @@ def poly_at_operator(p, a):
     oracle of ``bessel.bessel_power_sum``."""
     out = DiffOp.zero(a.var, a.form)
     for c in reversed(p.coeffs):
-        out = out * a + DiffOp.mult(a.var, c, a.form)
+        out = out * a + mult(a.var, c, a.form)
     return out
 
 
@@ -70,7 +76,7 @@ def adjoint(a):
     for k, p in enumerate(op.nums):
         if k:
             power = minus_d * power
-        out = out + power * DiffOp.mult(a.var, p)
+        out = out + power * mult(a.var, p)
     inv_den = DiffOp.from_cleared(a.var, DEL, op.den,
                                   [Poly.const(a.var, 1)])
     return (out * inv_den).convert(a.form)
@@ -144,8 +150,9 @@ def _profile_eigen_poly(profile, deg):
     w^j with coefficient 1, so the rows of degrees 0..deg-1 form a unit
     triangle, determined when the depth -lo is at least deg.
     """
-    lo, _hi = profile.box
-    powers = [dict(profile.coeffs)]
+    lo = profile.box[0]
+    coeffs = {d: c for (d, _), c in profile.coeffs.items()}
+    powers = [coeffs]
     blo = lo
     for _ in range(deg):
         nxt = {}
@@ -155,7 +162,7 @@ def _profile_eigen_poly(profile, deg):
                 nxt[d] = nxt.get(d, Fraction(0)) + d * c
         blo += 1
         powers.append({d: v for d, v in nxt.items() if d >= blo and v})
-    target = {d + deg: c for d, c in profile.coeffs.items()}
+    target = {d + deg: c for d, c in coeffs.items()}
     matrix, rhs = [], []
     for d in range(lo + deg, deg + 1):
         matrix.append([powers[j].get(d, Fraction(0)) for j in range(deg)])
@@ -179,3 +186,72 @@ def profile_plane_degrees(bi, degree_bound, depth):
         if (candidate * lbeta - lbeta * candidate).is_zero:
             found.append(deg)
     return found
+
+
+def branch_rows(beta, lam, avec, n, bound, depth, branch):
+    """The rows of ``darboux._point_condition_rows`` for the orbit condition
+    sum_k a_k D_z^k at z = eps^branch lam, over Q(eps), each degree's row
+    split into its phi(N) rational coordinate rows.
+
+    The series come from the profile in w = xz, whose D_w-powers are
+    rational, by the substitution w = eps^branch lam x: the coefficient of
+    x^d is (eps^branch lam)^d times that of w^d, and the substitution
+    commutes with D.
+    """
+    N = beta.N
+    theta = DiffOp("z", DFORM, (0, 1))
+    jets = [exp_wave(beta, depth)]
+    for _ in avec[1:]:
+        jets.append(jets[-1].apply(theta))
+    powers = [sum((j.scale(a) for j, a in zip(jets[1:], avec[1:])),
+                  jets[0].scale(avec[0]))]
+    for _ in range(n):
+        powers.append(powers[-1].apply(theta))
+    rate = primitive_root(N) ** branch * lam
+    inverse = 1 / rate
+    images = {}
+    for k, power in enumerate(powers):
+        lo, hi = power.box[:2]
+        scale = inverse ** -lo if lo < 0 else rate ** lo
+        subst = {}
+        for d in range(lo, hi + 1):
+            c = power.coeffs.get((d, 0))
+            if c:
+                subst[d] = scale * c
+            scale = scale * rate
+        for j in range(bound + 1):
+            s = j * N - n
+            images[k * (bound + 1) + j] = (
+                {d + s: v for d, v in subst.items()}, lo + s, hi + s)
+    lo = max(box_lo for _, box_lo, _ in images.values())
+    hi = max(box_hi for _, _, box_hi in images.values())
+    ncols = (n + 1) * (bound + 1)
+    rows = []
+    for deg in range(lo, hi + 1):
+        split = [[Fraction(0)] * ncols for _ in range(euler_phi(N))]
+        for col, (subst, _, _) in images.items():
+            c = subst.get(deg)
+            if c is not None:
+                for t, coord in enumerate(c.coords):
+                    split[t][col] = coord
+        rows.extend(r for r in split if any(r))
+    return rows
+
+
+def all_branch_rows(beta, lam, avec, n, bound, depth):
+    """``branch_rows`` of every branch of the orbit of lam."""
+    return [row for branch in range(beta.N)
+            for row in branch_rows(beta, lam, avec, n, bound, depth, branch)]
+
+
+def all_branch_residuals(P, beta, lam, avec):
+    """rows . coefficients(P) over every branch of the orbit of lam, where
+    column (k, j) of the coefficients is the y^j coefficient of p_k in
+    P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k: all zero exactly when P
+    annihilates the orbit condition on every branch's window."""
+    n, pks = cleared_coefficients(P, beta.N)
+    bound = max(p.degree for p in pks)
+    coeffs = [p.coeff(j) for p in pks for j in range(bound + 1)]
+    depth = 2 * len(coeffs) + 2 * n + 10
+    return [sum(r * c for r, c in zip(row, coeffs))
+            for row in all_branch_rows(beta, lam, avec, n, bound, depth)]
