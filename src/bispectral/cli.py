@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
-from . import __version__, jsonio
+from . import __version__, examples, jsonio
 from .bessel import BesselIndex, bessel_op, bessel_poly, wave_coeffs
-from .darboux import (MAX_N, AtPointGroup, KernelSpec, banded_rows,
-                      build_certificate, certify, cleared_coefficients,
-                      kernel_matrix, monomial_kernel)
+from .darboux import (MAX_N, banded_rows, build_certificate, certify,
+                      kernel_matrix)
 from .errors import (BispectralError, CertificationError, ShapeError,
                      TruncationError, UsageError, VerificationError)
-from .involution import (beta_prime, bessel_plane_report, closed_form_monomial,
-                         involute_P, involute_Q, make_pair, spectral_algebra,
-                         verify_pair)
+from .involution import (beta_prime, bessel_plane_report, involute_P,
+                         involute_Q, make_pair, spectral_algebra, verify_pair)
 from .scalars import parse_rational
 
 EXIT_OK = 0
@@ -36,7 +30,7 @@ EXIT_VERIFICATION = 4
 # upper caps on the size arguments, which keep one run to about a minute
 MAX_DEPTH = 256          # -K/--depth and --verify
 MAX_DEGREE_BOUND = 32    # --degree-bound
-MAX_BAND_DEPTH = 2       # examples --d
+MAX_BAND_DEPTH = 2       # examples dg-even --d
 MAX_WEIGHTS = 64         # bessel --beta and rank --beta
 
 # options whose values are rationals or comma-separated lists of them; a
@@ -44,38 +38,55 @@ MAX_WEIGHTS = 64         # bessel --beta and rank --beta
 # argparse would read it as an option unless it is joined to its name
 RATIONAL_OPTIONS = ("--beta", "--t", "--nu", "--a", "--lambda")
 
+_dg_even_rows = banded_rows  # read by perfbench/test_perfbench.py
 
-def non_negative(limit=None):
+
+def size(low, high=None):
     """argparse type of the size arguments (-K, --verify, --degree-bound,
-    --d): an integer that is at least 0 and, given a limit, at most it."""
-    def size(text):
+    --d): an integer that is at least low and, given high, at most it."""
+    def parse(text):
         value = int(text)
-        if value < 0:
+        if value < low:
             raise argparse.ArgumentTypeError(
-                f"must be at least 0, got {value}")
-        if limit is not None and value > limit:
+                f"must be at least {low}, got {value}")
+        if high is not None and value > high:
             raise argparse.ArgumentTypeError(
-                f"must be at most {limit}, got {value}")
+                f"must be at most {high}, got {value}")
         return value
-    return size
+    return parse
 
 
 def weight_vector(limit):
-    """argparse type of --beta: comma-separated weights, at most limit of
-    them; the count is checked before any weight is parsed."""
+    """argparse type of --beta: a BesselIndex of comma-separated weights,
+    at most limit of them; the count is checked before any weight is
+    parsed."""
     def weights(text):
         count = len([p for p in text.split(",") if p.strip()])
         if count > limit:
             raise argparse.ArgumentTypeError(
                 f"must be at most {limit}, got {count} weights")
-        return text
+        return BesselIndex.parse(text)
     return weights
+
+
+def rationals(text):
+    return tuple(parse_rational(v) for v in text.split(","))
+
+
+# argparse types of the options of the example suites; examples.SUITES
+# lists each suite's options with their golden defaults
+EXAMPLE_TYPES = {
+    "nu": parse_rational, "a": parse_rational, "lambda": parse_rational,
+    # the spec is built in process, so it skips KernelSpec.from_json's caps
+    "beta": weight_vector(MAX_N),
+    "d": size(1, MAX_BAND_DEPTH), "t": rationals,
+}
 
 
 def _names_rational_option(arg):
     """True when arg is one of RATIONAL_OPTIONS or an abbreviation argparse
     resolves to one: a prefix of exactly one of them.  No other option of
-    any subcommand starts with the same letter after "--", so such a
+    any (sub)command starts with the same letter after "--", so such a
     prefix names that option in every subcommand that has it."""
     if arg in RATIONAL_OPTIONS:
         return True
@@ -103,7 +114,7 @@ def _emit(document, out):
 
 
 def cmd_bessel(args):
-    bi = BesselIndex.parse(args.beta)
+    bi = args.beta
     coeffs = wave_coeffs(bi, args.depth)
     op = bessel_op(bi).convert("del")
     print(f"L = {op}")
@@ -112,49 +123,33 @@ def cmd_bessel(args):
           ", ".join(f"a_{k}={c}" for k, c in enumerate(coeffs, start=1))
           or "(none)")
     if args.out:
-        _emit({"tool": jsonio.tool_block(depth=args.depth),
-               "kind": "bessel",
-               "beta": bi.to_json(), "L": op.to_json(),
-               "wave_coeffs": [str(c) for c in coeffs]}, args.out)
+        _emit(jsonio.document("bessel", {
+            "beta": bi.to_json(), "L": op.to_json(),
+            "wave_coeffs": [str(c) for c in coeffs]}, depth=args.depth),
+            args.out)
     return EXIT_OK
 
 
-def _build_one(path, depth):
-    spec = jsonio.load_spec(jsonio.read(path))
-    cert = build_certificate(spec, depth=depth)
-    return jsonio.certificate_document(cert, depth=cert.depth)
-
-
 def cmd_build(args):
-    if len(args.spec) > 1 and args.out and not Path(args.out).is_dir():
+    into_dir = bool(args.out) and Path(args.out).is_dir()
+    if len(args.spec) > 1 and args.out and not into_dir:
         raise UsageError("--out must be a directory for multiple specs")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    workers = min(args.jobs, len(args.spec), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_build_one, args.spec,
-                                    [args.depth] * len(args.spec)))
-    else:
-        results = [_build_one(p, args.depth) for p in args.spec]
-    for path, doc in zip(args.spec, results):
-        if args.out and Path(args.out).is_dir():
-            target = Path(args.out) / (Path(path).stem + ".cert.json")
-            _emit(doc, target)
-        else:
-            _emit(doc, args.out)
+    certs = [build_certificate(jsonio.load_spec(jsonio.read(path)),
+                               depth=args.depth) for path in args.spec]
+    for path, cert in zip(args.spec, certs):
+        out = (Path(args.out) / (Path(path).stem + ".cert.json")
+               if into_dir else args.out)
+        _emit(jsonio.document("darboux-certificate", cert.to_json(),
+                              depth=cert.depth), out)
     return EXIT_OK
 
 
 def cmd_pair(args):
     cert = jsonio.load_certificate(jsonio.read(args.certificate))
     pair = make_pair(cert)
-    report = None
-    if args.verify is not None:
-        report = verify_pair(pair, depth=args.verify)
     doc = jsonio.pair_document(pair, depth=args.verify)
-    if report:
-        doc["verification"] = report
+    if args.verify is not None:
+        doc["verification"] = verify_pair(pair, depth=args.verify)
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -163,50 +158,45 @@ def cmd_involute(args):
     cert = jsonio.load_certificate(jsonio.read(args.certificate))
     P_b, g_b = involute_P(cert.P, cert.g, cert.beta)
     Q_b, f_b = involute_Q(cert.Q, cert.f, cert.beta)
-    _emit({"tool": jsonio.tool_block(),
-           "kind": "involution",
-           "P_b": P_b.to_json(), "g_b": g_b.to_json(),
-           "Q_b": Q_b.to_json(), "f_b": f_b.to_json()}, args.out)
+    _emit(jsonio.document("involution", {
+        "P_b": P_b.to_json(), "g_b": g_b.to_json(),
+        "Q_b": Q_b.to_json(), "f_b": f_b.to_json()}), args.out)
     return EXIT_OK
 
 
 def cmd_rank(args):
+    if (args.beta is None) == (args.certificate is None):
+        raise UsageError("rank needs a certificate or --beta, not both")
     if args.beta is not None:
-        beta = BesselIndex.parse(args.beta)
+        beta = args.beta
         rep = bessel_plane_report(beta, args.degree_bound)
-    elif args.certificate is not None:
-        data = jsonio.read(args.certificate)
-        if data.get("kind") != "darboux-certificate":
-            raise UsageError("rank expects a certificate document")
-        cert = jsonio.load_certificate(data)
-        rep = spectral_algebra(cert, args.degree_bound)
-        beta = cert.beta
     else:
-        raise UsageError("rank needs a certificate file or --beta")
+        cert = jsonio.load_certificate(jsonio.read(args.certificate))
+        beta = cert.beta
+        rep = spectral_algebra(cert, args.degree_bound)
     print(f"degrees up to {rep.bound}: {list(rep.degrees)}")
     print(f"generators: {list(rep.generators)}; rank = {rep.rank}; "
           f"only multiples of N: {rep.generic_to_bound}")
     if args.out:
-        _emit({"tool": jsonio.tool_block(degree_bound=args.degree_bound),
-               "kind": "spectral-report", "beta": beta.to_json(),
-               **rep.to_json()}, args.out)
+        _emit(jsonio.document("spectral-report",
+                              {"beta": beta.to_json(), **rep.to_json()},
+                              degree_bound=args.degree_bound), args.out)
     return EXIT_OK
 
 
 def cmd_betaprime(args):
-    data = jsonio.read(args.kernel)
-    spec = jsonio.load_spec(data)
+    spec = jsonio.load_spec(jsonio.read(args.kernel))
     d, gammas, rows = kernel_matrix(spec)
     prime, info = beta_prime(spec.beta, gammas, rows)
     print("beta' =", "(" + ", ".join(str(b) for b in prime) + ")")
     if info["ambiguous"]:
         print("note: association admits a relabeling; one choice reported")
     if args.out:
-        _emit({"tool": jsonio.tool_block(), "kind": "beta-prime",
-               "beta": spec.beta.to_json(),
-               "beta_prime": [str(b) for b in prime],
-               "counts": info["counts"],
-               "ambiguous": info["ambiguous"]}, args.out)
+        _emit(jsonio.document("beta-prime", {
+            "beta": spec.beta.to_json(),
+            "beta_prime": [str(b) for b in prime],
+            "counts": info["counts"],
+            "ambiguous": info["ambiguous"]}), args.out)
     return EXIT_OK
 
 
@@ -218,133 +208,18 @@ def cmd_verify(args):
     report = verify_pair(pair, depth=args.depth)
     print(f"verified to depth {report['depth']}: residuals {report['residuals']}")
     if args.out:
-        _emit({"tool": jsonio.tool_block(depth=args.depth),
-               "kind": "verification", **report}, args.out)
+        _emit(jsonio.document("verification", report, depth=args.depth),
+              args.out)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# reproducible example suites
-# ---------------------------------------------------------------------------
-
-
-def _golden(name):
-    return json.loads(resources.files("bispectral.golden")
-                      .joinpath(name + ".json").read_text())
-
-
-def _first_divergence(produced, stored, path=""):
-    """Describe the first key path at which two JSON documents differ."""
-    if isinstance(produced, dict) and isinstance(stored, dict):
-        for key in sorted(set(produced) | set(stored)):
-            sub = f"{path}.{key}" if path else key
-            if key not in stored:
-                return f"{sub}: present in produced, absent in stored"
-            if key not in produced:
-                return f"{sub}: absent in produced, present in stored"
-            found = _first_divergence(produced[key], stored[key], sub)
-            if found:
-                return found
-        return None
-    if isinstance(produced, list) and isinstance(stored, list):
-        for i, (a, b) in enumerate(zip(produced, stored)):
-            found = _first_divergence(a, b, f"{path}[{i}]")
-            if found:
-                return found
-        if len(produced) != len(stored):
-            return (f"{path}: {len(produced)} items in produced, "
-                    f"{len(stored)} in stored")
-        return None
-    if produced != stored:
-        return f"{path}: produced {produced!r}, stored {stored!r}"
-    return None
-
-
-def _example_rank1():
-    bi = BesselIndex.parse("0")
-    spec = monomial_kernel(bi, [[(Fraction(1), Fraction(1))]])
-    cert = build_certificate(spec)
-    pair = make_pair(cert)
-    verify_pair(pair, depth=10)
-    rep = spectral_algebra(cert, 4)
-    return {"pair": pair.to_json(), "algebra": rep.to_json()}
-
-
-def _example4(nu, a, lam):
-    bi = BesselIndex(2, (1 - nu, nu))
-    spec = KernelSpec(bi, (), (AtPointGroup(lam, (Fraction(1), a)),))
-    cert = build_certificate(spec)
-    pair = make_pair(cert)
-    verify_pair(pair, depth=16)
-    rep = spectral_algebra(cert, 8)
-    n, pks = cleared_coefficients(cert.P, bi.N)
-    return {"pair": pair.to_json(), "algebra": rep.to_json(),
-            "cleared_p": [p.to_json() for p in pks]}
-
-
-_dg_even_rows = banded_rows  # read by perfbench/test_perfbench.py
-
-
-def _example_dg_even(beta_text, d, tvalues):
-    bi = BesselIndex.parse(beta_text)
-    flat = [parse_rational(v) for v in tvalues.split(",")]
-    if len(flat) != bi.N * d:
-        raise UsageError(f"need {bi.N * d} band parameters, got {len(flat)}")
-    tparams = {(k, r): flat[k * d + r] for k in range(bi.N) for r in range(d)}
-    rows = banded_rows(bi, d, tparams)
-    gammas = bi.power(d)
-    spec = monomial_kernel(
-        bi, [[(gammas[i], c) for i, c in enumerate(row) if c] for row in rows])
-    cert = build_certificate(spec)
-    pair = make_pair(cert)
-    verify_pair(pair)
-    cf = closed_form_monomial(bi, gammas, rows)
-    agreement = (cf["P"] == cert.P and cf["Q"] == cert.Q
-                 and cf["P_b"] == pair.P_b and cf["Q_b"] == pair.Q_b
-                 and cf["f_b"] == pair.f_b and cf["g_b"] == pair.g_b)
-    generator, rem = (cert.P * bessel_op(bi)).left_divide(cert.P)
-    rep = spectral_algebra(cert, 4 * bi.N)
-    prime, info = beta_prime(bi, gammas, rows)
-    return {"pair": pair.to_json(), "algebra": rep.to_json(),
-            "closed_form_agrees": agreement,
-            "order_N_generator": generator.to_json(),
-            "generator_is_differential": rem.is_zero,
-            "beta_prime": [str(b) for b in prime],
-            "counts": info["counts"]}
-
-
 def cmd_examples(args):
-    # the goldens hold the default parameters only; a custom run passes on
-    # its certificate checks (and, for dg-even, the closed-form agreement)
-    custom = False
-    if args.name == "rank1":
-        produced = _example_rank1()
-    elif args.name == "example4":
-        produced = _example4(parse_rational(args.nu), parse_rational(args.a),
-                             parse_rational(args.lam))
-        custom = (args.nu, args.a, args.lam) != ("1/3", "1", "1")
-    elif args.name == "dg-even":
-        beta = args.beta or "5/2,-3/2"
-        produced = _example_dg_even(beta, args.d, args.t)
-        custom = (beta, args.d, args.t) != ("5/2,-3/2", 2, "1,2,1,-1")
-        if custom and not produced["closed_form_agrees"]:
-            raise VerificationError(
-                "example dg-even: the closed form disagrees with the "
-                "certified factorization")
-    else:
-        raise UsageError(f"unknown example {args.name!r}")
-    if custom:
-        print("custom parameters accepted; certificate checks passed")
-    else:
-        expected = _golden(args.name.replace("-", "_"))
-        if produced != expected:
-            raise VerificationError(
-                f"example {args.name} diverged from the stored output at "
-                f"{_first_divergence(produced, expected)}")
-        print(f"example {args.name}: exact match against the stored output")
+    produced, custom = examples.reproduce(args.name, vars(args))
+    print("custom parameters accepted; certificate checks passed" if custom
+          else f"example {args.name}: exact match against the stored output")
     if args.out:
-        _emit({"tool": jsonio.tool_block(), "kind": "example",
-               "name": args.name, **produced}, args.out)
+        _emit(jsonio.document("example", {"name": args.name, **produced}),
+              args.out)
     return EXIT_OK
 
 
@@ -359,21 +234,19 @@ def build_parser():
     p = sub.add_parser("bessel", help="print the base operator and wave data")
     p.add_argument("--beta", required=True, type=weight_vector(MAX_WEIGHTS),
                    help="comma-separated weights")
-    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH), default=4)
+    p.add_argument("-K", "--depth", type=size(0, MAX_DEPTH), default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bessel)
 
     p = sub.add_parser("build", help="kernel spec -> certified factorization")
     p.add_argument("spec", nargs="+", help="kernel spec JSON files")
-    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
-                   default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("-K", "--depth", type=size(0, MAX_DEPTH), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("pair", help="certificate -> bispectral pair")
     p.add_argument("certificate")
-    p.add_argument("--verify", type=non_negative(MAX_DEPTH), default=None,
+    p.add_argument("--verify", type=size(0, MAX_DEPTH), default=None,
                    metavar="K")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)
@@ -387,7 +260,7 @@ def build_parser():
     p.add_argument("certificate", nargs="?", default=None)
     p.add_argument("--beta", default=None, type=weight_vector(MAX_WEIGHTS),
                    help="report for a bare plane instead of a certificate")
-    p.add_argument("--degree-bound", type=non_negative(MAX_DEGREE_BOUND),
+    p.add_argument("--degree-bound", type=size(0, MAX_DEGREE_BOUND),
                    default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
@@ -398,21 +271,18 @@ def build_parser():
     p.set_defaults(func=cmd_betaprime)
 
     p = sub.add_parser("examples", help="reproduce a stored golden suite")
-    p.add_argument("name", choices=["rank1", "example4", "dg-even"])
-    p.add_argument("--nu", default="1/3")
-    p.add_argument("--a", default="1")
-    p.add_argument("--lambda", dest="lam", default="1")
-    # the spec is built in process, so it skips KernelSpec.from_json's caps
-    p.add_argument("--beta", default=None, type=weight_vector(MAX_N))
-    p.add_argument("--d", type=non_negative(MAX_BAND_DEPTH), default=2)
-    p.add_argument("--t", default="1,2,1,-1")
-    p.add_argument("--out")
+    suites = p.add_subparsers(dest="name", required=True)
+    for name, suite in examples.SUITES.items():
+        q = suites.add_parser(name)
+        for option, default in suite.defaults.items():
+            q.add_argument("--" + option, type=EXAMPLE_TYPES[option],
+                           default=default)
+        q.add_argument("--out")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("verify", help="re-check a pair document")
     p.add_argument("pair")
-    p.add_argument("-K", "--depth", type=non_negative(MAX_DEPTH),
-                   default=None)
+    p.add_argument("-K", "--depth", type=size(0, MAX_DEPTH), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

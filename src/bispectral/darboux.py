@@ -648,6 +648,8 @@ def kernel_matrix(spec: KernelSpec):
     monomial spec; needed by the closed-form route."""
     if not (spec.is_monomial and spec.is_log_free):
         raise UnsupportedInputError("flat form needs a log-free monomial spec")
+    if not spec.at_zero:
+        raise SpecInvalidError("empty kernel specification")
     beta = spec.beta
     d = 1
     for g in spec.at_zero:

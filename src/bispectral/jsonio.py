@@ -1,6 +1,7 @@
 """Document-level JSON: stable, versioned files for specs, certificates,
 pairs and reports.  Every transcript embeds the tool version and the
-truncation/bound parameters so runs are reproducible."""
+truncation/bound parameters so runs are reproducible, and names its kind,
+which the loaders check."""
 
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ from .involution import BispectralPair
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
-def tool_block(**params):
-    out = {"name": "bispectral", "version": __version__}
-    out.update({k: v for k, v in params.items() if v is not None})
-    return out
+def document(kind, payload, **params):
+    """The envelope of every document the tool writes: the tool block with
+    the parameters that are set, the kind, then the payload's keys."""
+    tool = {"name": "bispectral", "version": __version__}
+    tool.update({k: v for k, v in params.items() if v is not None})
+    return {"tool": tool, "kind": kind, **payload}
 
 
 def dumps(document) -> str:
@@ -41,16 +44,19 @@ def read(path):
     return data
 
 
+def _check_kind(data, kind, optional=False):
+    got = data.get("kind")
+    if got != kind and not (optional and got is None):
+        raise UsageError(f"document kind {got!r} where {kind!r} was expected")
+
+
 def load_spec(data) -> KernelSpec:
+    """Parse a kernel spec; a spec file may leave out its kind."""
     try:
+        _check_kind(data, "kernel-spec", optional=True)
         return KernelSpec.from_json(data)
     except _MALFORMED as exc:
         raise UsageError(f"malformed kernel spec: {exc}") from exc
-
-
-def certificate_document(cert: DarbouxCertificate, **params):
-    return {"tool": tool_block(**params), "kind": "darboux-certificate",
-            **cert.to_json()}
 
 
 def load_certificate(data) -> DarbouxCertificate:
@@ -59,6 +65,7 @@ def load_certificate(data) -> DarbouxCertificate:
     The parsed certificate is returned as stored; a failed witness raises.
     """
     try:
+        _check_kind(data, "darboux-certificate")
         cert = DarbouxCertificate.from_json(data)
     except _MALFORMED as exc:
         raise UsageError(f"malformed certificate: {exc}") from exc
@@ -67,12 +74,12 @@ def load_certificate(data) -> DarbouxCertificate:
 
 
 def pair_document(pair: BispectralPair, **params):
-    return {"tool": tool_block(**params), "kind": "bispectral-pair",
-            **pair.to_json()}
+    return document("bispectral-pair", pair.to_json(), **params)
 
 
 def load_pair(data) -> BispectralPair:
     try:
+        _check_kind(data, "bispectral-pair")
         return BispectralPair.from_json(data)
     except _MALFORMED as exc:
         raise UsageError(f"malformed pair: {exc}") from exc

@@ -2,12 +2,14 @@ import argparse
 import copy
 import json
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from bispectral import cli, darboux
+from bispectral import cli, darboux, examples
 from bispectral.cli import main
 
 
@@ -59,55 +61,23 @@ def test_build_pair_verify_round_trip(tmp_path, capsys):
     assert "rank = 1" in out
 
 
-def test_build_multiple_specs_with_jobs(tmp_path):
+def test_build_multiple_specs_into_a_directory(tmp_path, capsys):
+    # one file per spec, each byte-identical to a build of that spec alone
     s1 = write(tmp_path, "a.json", RANK1_SPEC)
     s2 = write(tmp_path, "b.json", ORDER2_SPEC)
     outdir = tmp_path / "outs"
     outdir.mkdir()
-    assert main(["build", s1, s2, "--jobs", "2", "--out", str(outdir)]) == 0
-    assert (outdir / "a.cert.json").exists()
-    assert (outdir / "b.cert.json").exists()
-
-
-def test_build_jobs_are_bounded(tmp_path, monkeypatch, capsys):
-    spec = write(tmp_path, "spec.json", RANK1_SPEC)
-    outdir = tmp_path / "outs"
-    outdir.mkdir()
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-
-    def build(count, jobs):
-        return main(["build", *[spec] * count, "--jobs", str(jobs),
-                     "--out", str(outdir)])
-
-    assert build(3, 1000) == 0      # bounded by the number of specs
-    assert build(6, 1000) == 0      # bounded by the CPU count
-    assert build(6, 2) == 0         # as asked
-    assert build(6, 1) == 0         # no pool
-    assert pools == [3, 4, 2]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert build(6, 8) == 0         # unknown CPU count: no pool
-    assert pools == [3, 4, 2]
-    capsys.readouterr()
-    assert build(2, 0) == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
-    assert build(2, -3) == 2
-    assert pools == [3, 4, 2]
+    assert main(["build", s1, s2, "--out", str(outdir)]) == 0
+    for name, spec in (("a", s1), ("b", s2)):
+        alone = tmp_path / f"{name}.alone.json"
+        assert main(["build", spec, "--out", str(alone)]) == 0
+        assert (outdir / f"{name}.cert.json").read_bytes() == \
+            alone.read_bytes()
+    assert main(["build", s1, s2, "--out", str(tmp_path / "one.json")]) == 2
+    assert "--out must be a directory" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["build", s1, "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_involute_command(tmp_path):
@@ -140,6 +110,64 @@ def test_tampered_certificate_exits_three(tmp_path):
     assert main(["pair", bad]) == 3
     assert main(["involute", bad]) == 3
     assert main(["rank", bad]) == 3
+
+
+def _documents(tmp_path):
+    """Paths of a spec file, its certificate and its pair."""
+    docs = {"spec": write(tmp_path, "spec.json", RANK1_SPEC),
+            "cert": str(tmp_path / "cert.json"),
+            "pair": str(tmp_path / "pair.json")}
+    assert main(["build", docs["spec"], "--out", docs["cert"]]) == 0
+    assert main(["pair", docs["cert"], "--out", docs["pair"]]) == 0
+    return docs
+
+
+@pytest.mark.parametrize("command, source, kind, wanted", [
+    ("build", "spec", "bispectral-pair", "kernel-spec"),
+    ("betaprime", "spec", "bispectral-pair", "kernel-spec"),
+    ("pair", "cert", "bispectral-pair", "darboux-certificate"),
+    ("involute", "cert", "bispectral-pair", "darboux-certificate"),
+    ("rank", "cert", "bispectral-pair", "darboux-certificate"),
+    ("verify", "pair", "darboux-certificate", "bispectral-pair"),
+])
+def test_every_loader_checks_the_document_kind(tmp_path, capsys, command,
+                                               source, kind, wanted):
+    docs = _documents(tmp_path)
+    doc = json.loads(Path(docs[source]).read_text())
+    doc["kind"] = kind
+    capsys.readouterr()
+    assert main([command, write(tmp_path, "wrong.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(kind) in captured.err and repr(wanted) in captured.err
+
+
+def test_a_spec_may_leave_out_its_kind(tmp_path):
+    for spec in (RANK1_SPEC, {"kind": "kernel-spec", **RANK1_SPEC}):
+        path = write(tmp_path, "spec.json", spec)
+        assert main(["build", path, "--out", str(tmp_path / "c.json")]) == 0
+        assert main(["betaprime", path]) == 0
+
+
+def test_betaprime_on_an_empty_spec_exits_two(tmp_path, capsys):
+    from bispectral import BesselIndex, KernelSpec, SpecInvalidError
+    empty = write(tmp_path, "empty.json",
+                  {"beta": {"N": 2, "beta": ["2/3", "1/3"]}})
+    assert main(["betaprime", empty]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty kernel specification" in captured.err
+    with pytest.raises(SpecInvalidError, match="empty kernel specification"):
+        darboux.kernel_matrix(KernelSpec(BesselIndex.parse("2/3,1/3"), (), ()))
+
+
+def test_rank_takes_a_certificate_or_beta_not_both(tmp_path, capsys):
+    cert = _documents(tmp_path)["cert"]
+    capsys.readouterr()
+    assert main(["rank", "--beta", "2/3,1/3", cert]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a certificate or --beta, not both" in captured.err
 
 
 def test_perturbed_pair_exits_four(tmp_path):
@@ -315,6 +343,39 @@ def test_examples_dg_even(capsys):
     assert "exact match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["examples", "rank1", "--nu", "5", "--beta", "1,0"],
+    ["examples", "example4", "--d", "1"],
+    ["examples", "dg-even", "--lambda", "2"],
+], ids=lambda argv: " ".join(argv[1:3]))
+def test_examples_refuse_options_of_other_suites(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[2]}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "example4", "--nu", "2/6"],
+    ["examples", "example4", "--a", "3/3", "--lambda", "1"],
+    ["examples", "dg-even", "--beta", "5/2,-3/2", "--t", "1,2,1,-1/1"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_examples_at_the_golden_values_are_diffed(argv, capsys):
+    # custom or not is decided on the parsed values, not on their spelling
+    assert main(argv) == 0
+    assert "exact match against the stored output" in capsys.readouterr().out
+
+
+def test_examples_band_depth_is_at_least_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "dg-even", "--d", "0"])
+    assert exc.value.code == 2
+    assert "argument --d: must be at least 1, got 0" in \
+        capsys.readouterr().err
+
+
 def test_examples_dg_even_with_custom_parameters(tmp_path, capsys):
     # the golden holds only the default parameters, so a custom run is
     # judged by its certificate checks and the closed-form agreement
@@ -329,17 +390,17 @@ def test_examples_dg_even_with_custom_parameters(tmp_path, capsys):
 
 def test_examples_dg_even_custom_closed_form_disagreement_exits_four(
         monkeypatch, capsys):
-    real = cli._example_dg_even
-    monkeypatch.setattr(cli, "_example_dg_even", lambda *a: {
-        **real(*a), "closed_form_agrees": False})
+    suite = examples.SUITES["dg-even"]
+    monkeypatch.setitem(examples.SUITES, "dg-even", suite._replace(
+        run=lambda *a: {**suite.run(*a), "closed_form_agrees": False}))
     assert main(["examples", "dg-even", "--d", "1", "--t", "1,2"]) == 4
     assert "closed form disagrees" in capsys.readouterr().err
 
 
 def test_examples_divergence_names_the_key_path(monkeypatch, capsys):
-    stored = cli._golden("rank1")
+    stored = examples._golden("rank1")
     del stored["pair"]["provenance"]["witnesses"]["kernel"]
-    monkeypatch.setattr(cli, "_golden", lambda name: stored)
+    monkeypatch.setattr(examples, "_golden", lambda name: stored)
     assert main(["examples", "rank1"]) == 4
     err = capsys.readouterr().err
     assert ("pair.provenance.witnesses.kernel: present in produced, "
@@ -347,12 +408,12 @@ def test_examples_divergence_names_the_key_path(monkeypatch, capsys):
 
 
 def test_first_divergence_reports_values_and_lengths():
-    assert cli._first_divergence({"a": [1, 2]}, {"a": [1, 2]}) is None
-    assert cli._first_divergence({"a": [1, 2]}, {"a": [1, 3]}) == \
+    assert examples._first_divergence({"a": [1, 2]}, {"a": [1, 2]}) is None
+    assert examples._first_divergence({"a": [1, 2]}, {"a": [1, 3]}) == \
         "a[1]: produced 2, stored 3"
-    assert cli._first_divergence({"a": [1]}, {"a": [1, 2]}) == \
+    assert examples._first_divergence({"a": [1]}, {"a": [1, 2]}) == \
         "a: 1 items in produced, 2 in stored"
-    assert cli._first_divergence({"a": {"b": 1}}, {"a": {"b": 1, "c": 2}}) \
+    assert examples._first_divergence({"a": {"b": 1}}, {"a": {"b": 1, "c": 2}}) \
         == "a.c: absent in produced, present in stored"
 
 
@@ -382,11 +443,13 @@ def test_documents_that_are_not_objects_exit_two(tmp_path, capsys):
     ["examples", "dg-even", "--d", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
 def test_negative_sizes_are_usage_errors(argv, capsys):
-    # rejected while parsing, before any file is read or series is cut
+    # rejected while parsing, before any file is read or series is cut;
+    # a band depth is at least 1, every other size at least 0
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least 0, got -" in capsys.readouterr().err
+    low = 1 if argv[-2] == "--d" else 0
+    assert f"must be at least {low}, got -" in capsys.readouterr().err
 
 
 def _weights(n):
@@ -445,17 +508,27 @@ def test_values_with_a_leading_minus_parse(argv, out, capsys):
     assert capsys.readouterr().out.startswith(out)
 
 
+def _parsers(parser):
+    """parser and every parser nested below it as a subcommand."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def test_rational_option_abbreviations_name_no_other_option():
     # what _join_rational_values relies on: no other option of any
-    # subcommand starts with the letter after "--" of a rational option
-    ap = cli.build_parser()
-    sub = next(a for a in ap._actions
-               if isinstance(a, argparse._SubParsersAction))
+    # (sub)command starts with the letter after "--" of a rational option
+    parsers = list(_parsers(cli.build_parser()))
+    names = {p.prog.split(" ", 1)[-1] for p in parsers}
+    assert {"bispectral", "rank", "examples", "examples dg-even",
+            "examples example4", "examples rank1"} <= names
     letters = {opt[2] for opt in cli.RATIONAL_OPTIONS}
-    for parser in sub.choices.values():
+    for parser in parsers:
         for opt in parser._option_string_actions:
             if opt.startswith("--") and opt not in cli.RATIONAL_OPTIONS:
-                assert opt[2] not in letters, opt
+                assert opt[2] not in letters, (parser.prog, opt)
 
 
 def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
@@ -568,11 +641,7 @@ def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
                                       argv):
     # a wrong-typed node, an index out of range, an exponent that would
     # build a billion-digit integer and a string read as a coefficient list
-    docs = {"spec": write(tmp_path, "spec.json", RANK1_SPEC),
-            "cert": str(tmp_path / "cert.json"),
-            "pair": str(tmp_path / "pair.json")}
-    assert main(["build", docs["spec"], "--out", docs["cert"]]) == 0
-    assert main(["pair", docs["cert"], "--out", docs["pair"]]) == 0
+    docs = _documents(tmp_path)
     doc = json.loads(Path(docs[kind]).read_text())
     parent = doc
     for step in path[:-1]:
@@ -580,3 +649,13 @@ def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
     parent[path[-1]] = value
     assert main(argv + [write(tmp_path, "bad.json", doc)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_importing_the_library_loads_no_front_end():
+    # the command line and the example suites stay out of `import bispectral`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, bispectral; print(sorted(m for m in sys.modules "
+            "if m in ('bispectral.cli', 'bispectral.examples')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={"PYTHONPATH": src})
+    assert done.stdout == "[]\n"

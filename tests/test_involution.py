@@ -112,7 +112,7 @@ def test_certificates_from_documents_are_certified():
     from bispectral import jsonio
     from bispectral.darboux import DarbouxCertificate
     cert = order2_cert()
-    doc = jsonio.certificate_document(cert)
+    doc = jsonio.document("darboux-certificate", cert.to_json())
     assert jsonio.load_certificate(doc) == cert
     # P, Q, f and g stay consistent; only the kernel check sees the new jet
     doc["spec"]["at_points"][0]["a"] = ["1", "2"]
