@@ -20,15 +20,23 @@ with a root away from 0 by division by recurrence from the window top:
 true coefficients vanish above the window, so den * out = in has exactly
 one solution without terms above it, and each row costs O(width * deg den).
 
-The numerator pieces (one per shifted term) are streamed into one
-coefficient dict.  Their box is the fold of max over the piece boxes,
-component by component, as the pairwise + builds it: a coefficient inside
-the final box lies inside every partial box, so the one-pass sum keeps
-exactly what the pairwise sums keep.  The division then shifts the box by
--deg den.  Against the per-coefficient route, which divides n_k / den_k
-reduced, each piece's box moves by the same deg n_k - deg den_k, since
-reducing leaves that difference unchanged and the max-fold commutes with
-the common shift; so the windows are the same.
+The numerator pieces (one per shifted term) are summed on dense integer
+rows: a row holds one power of the other variable over the acting window.
+The box comes first, from the power boxes and the nonzero shifts alone: it
+is the fold of max over the piece boxes, component by component, as the
+pairwise + builds it.  Each DEL power's nonzero entries, times each term,
+are then added into the rows inside that box, and entries outside it are
+dropped, as a series drops them.  A coefficient inside the final box lies
+inside every partial box, so the one-pass sum keeps exactly what the
+pairwise sums keep, and the windows are the same.  When den = var^m the
+rows are written out once; otherwise each row is divided as it stands
+(``_divide_row``), which shifts the box by -deg den.  Against the
+per-coefficient route, which divides n_k / den_k reduced, each piece's box
+moves by the same deg n_k - deg den_k, since reducing leaves that
+difference unchanged and the max-fold commutes with the common shift; so
+the windows are the same there too.  The DEL steps stay on the sparse
+coefficient dict: the wave function has one nonzero per row, and dense
+rows would carry mostly zeros through every step.
 
 Integer form.  A WaveSeries keeps integer numerators over one positive
 integer denominator and takes no gcd in its arithmetic; ``coeffs`` is the
@@ -199,6 +207,28 @@ def _accumulate(pieces):
     return out, box
 
 
+def _oriented(box, axis):
+    """(xlo, xhi, zlo, zhi) as (acting lo, hi, other lo, hi), and back."""
+    return box if axis == 0 else box[2:] + box[:2]
+
+
+def _divide_rows(rows, lo, p: Poly):
+    """Dense rows, row[k] the coefficient of var^(lo+k), times 1/p(var) for
+    a monic p: the rows, their new lo and the integer they now lie over.
+
+    p is cleared to E * p = p.nums, integral with leading coefficient
+    E = p.den, and each row goes through ``_divide_row``; the result lies
+    over E^(w-1) times the rows' denominator, w the row width.
+    """
+    E, q = p.den, p.nums[:-1]
+    rows = [_divide_row(row, q, E) for row in rows]
+    w = len(rows[0])
+    if E != 1:
+        lift = [E ** k for k in range(w)]
+        rows = [[y * e for y, e in zip(row, lift)] for row in rows]
+    return rows, lo - len(q), E ** (w - 1)
+
+
 def _divide_row(row, q, lead=1):
     """Solve (lead x^d + sum_{t<d} q[t] x^t) * out = row from the window top.
 
@@ -307,49 +337,13 @@ class WaveSeries:
                           (xlo + dx, xhi + dx, zlo + dz, zhi + dz),
                           self.den * c.denominator)
 
-    def _shifted(self, terms, axis):
-        """The pieces c * x^m * self (axis 0) or c * z^m * self (axis 1)."""
-        xlo, xhi, zlo, zhi = self.box
-        items = self.nums.items()
-        for m, c in terms:
-            if axis == 0:
-                yield ((xlo + m, xhi + m, zlo, zhi),
-                       (((i + m, j), c * v) for (i, j), v in items))
-            else:
-                yield ((xlo, xhi, zlo + m, zhi + m),
-                       (((i, j + m), c * v) for (i, j), v in items))
-
     def _mul_inverse_poly(self, den: Poly, axis):
-        """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1).
-
-        A monic den is cleared to E * den = den.nums, integral with leading
-        coefficient E = den.den, and the result lies over self.den *
-        E^(w-1), w the window width along the axis.
-        """
-        E, q = den.den, den.nums[:-1]
-        if den.nums[-1] != E:
+        """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1):
+        the rows of self, divided as ``_image`` divides them."""
+        if den.nums[-1] != den.den:
             return self.scale(1 / den.leading)._mul_inverse_poly(den.monic(),
                                                                  axis)
-        d = len(q)
-        xlo, xhi, zlo, zhi = self.box
-        lo, hi = (xlo, xhi) if axis == 0 else (zlo, zhi)
-        w = hi - lo + 1
-        rows = {}
-        for key, c in self.nums.items():
-            src, o = key if axis == 0 else key[::-1]
-            row = rows.get(o)
-            if row is None:
-                row = rows[o] = [0] * w
-            row[src - lo] = c
-        lift = [E ** k for k in range(w)] if E != 1 else None
-        out = {}
-        for o, row in rows.items():
-            for k, y in enumerate(_divide_row(row, q, E)):
-                if y:
-                    out[(lo - d + k, o) if axis == 0 else (o, lo - d + k)] = (
-                        y if lift is None else y * lift[k])
-        box = (lo - d, hi - d, zlo, zhi) if axis == 0 else (xlo, xhi, lo - d, hi - d)
-        return self._like(out, box, self.den * E ** (w - 1))
+        return self._image(den, [Poly.const(den.var, 1)], axis)
 
     def _image(self, den: Poly, nums, axis):
         """den^{-1} sum_k nums[k] DEL^k self for a monic den, in integers.
@@ -357,8 +351,9 @@ class WaveSeries:
         The pieces nums[k] DEL^k self are summed once over T * D, T the den
         of the highest DEL power (a DEL step multiplies den by an integer,
         so T is a multiple of every power's den) and D the lcm of the
-        numerators' denominators, and the sum is divided once: by a shift
-        when den = var^m, else by ``_mul_inverse_poly``.
+        numerators' denominators, on dense rows inside the max-folded box,
+        and the sum is divided once: by a shift when den = var^m, else row
+        by row by ``_divide_rows``.
         """
         D = math.lcm(*(num.den for num in nums))
         m = den.degree
@@ -367,20 +362,48 @@ class WaveSeries:
         for _ in nums[1:]:
             powers.append(powers[-1]._apply_del(axis))
         top = powers[-1].den
-
-        def pieces():
-            for power, num in zip(powers, nums):
-                if not num.is_zero:
-                    f = D // num.den * (top // power.den)
-                    yield from power._shifted(
-                        [(t - m if laurent else t, n * f)
-                         for t, n in enumerate(num.nums) if n], axis)
-
-        out, box = _accumulate(pieces())
+        pieces, box = [], None
+        for power, num in zip(powers, nums):
+            f = D // num.den * (top // power.den)
+            terms = [(t - m if laurent else t, n * f)
+                     for t, n in enumerate(num.nums) if n]
+            if terms:
+                # the largest shift gives the fold of this power's pieces
+                alo, ahi, olo, ohi = _oriented(power.box, axis)
+                s = terms[-1][0]
+                piece_box = (alo + s, ahi + s, olo, ohi)
+                box = piece_box if box is None else tuple(
+                    map(max, box, piece_box))
+                pieces.append((power, terms))
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        total = self._like(out, box, top * D)
-        return total if laurent else total._mul_inverse_poly(den, axis)
+        alo, ahi, olo, ohi = box
+        w = ahi - alo + 1
+        rows = [[0] * w for _ in range(ohi - olo + 1)]
+        for power, terms in pieces:
+            for key, v in power.nums.items():
+                a, o = key if axis == 0 else key[::-1]
+                if o < olo:     # no power reaches above ohi, the max top
+                    continue
+                row, a = rows[o - olo], a - alo
+                for s, c in terms:
+                    k = a + s
+                    if k >= w:
+                        break
+                    if k >= 0:
+                        row[k] += c * v
+        total = top * D
+        if not laurent:
+            rows, alo, lift = _divide_rows(rows, alo, den)
+            total *= lift
+        if axis == 0:
+            out = {(alo + k, o): v for o, row in enumerate(rows, olo)
+                   for k, v in enumerate(row) if v}
+        else:
+            out = {(o, alo + k): v for o, row in enumerate(rows, olo)
+                   for k, v in enumerate(row) if v}
+        return self._like(out, _oriented((alo, alo + w - 1, olo, ohi), axis),
+                          total)
 
     def mul_poly(self, p: Poly, axis):
         if p.is_zero:
@@ -411,6 +434,8 @@ class WaveSeries:
         """
         if var not in ("x", "z"):
             raise UsageError("var must be 'x' or 'z'")
+        if op.var != var:
+            raise UsageError("operator in the wrong variable")
         a = op.convert(DEL)
         return self._image(a.den, a.nums, 0 if var == "x" else 1)
 

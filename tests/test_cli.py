@@ -278,6 +278,25 @@ def test_stored_documents_load_under_the_operator_cap():
     assert darboux.MAX_COEFF_ENTRIES == 445
 
 
+def test_operators_in_the_wrong_variable_exit_two(tmp_path, capsys):
+    # a stored pair and its certificate with the x-side operators in z:
+    # pair wrote a pair in z from such a certificate, and verify passed it
+    root = Path(__file__).resolve().parents[1]
+    pair = json.loads((root / "perfbench" / "data" / "pairs"
+                       / "dg-even.json").read_text())
+    for doc, names in ((pair["provenance"], ("P", "Q")),
+                       (pair, ("L", "P_b", "Q_b"))):
+        for name in names:
+            doc[name] = dict(doc[name], var="z")
+    cert = dict(pair["provenance"], kind="darboux-certificate")
+    capsys.readouterr()
+    assert main(["pair", write(tmp_path, "cert.json", cert)]) == 2
+    assert main(["verify", write(tmp_path, "pair.json", pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("operator in the wrong variable") == 2
+
+
 def test_an_operator_above_the_cap_exits_two_at_once(tmp_path, capsys):
     from bispectral import darboux
     cert, pair = str(tmp_path / "cert.json"), str(tmp_path / "pair.json")

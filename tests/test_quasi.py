@@ -525,10 +525,11 @@ def _sum_pieces(pieces):
             if v and alo <= a <= ahi and olo <= o <= ohi}, box
 
 
-def _fraction_image(psi, op, axis):
+def _fraction_image(psi, op, axis, rate=None):
     """sum_k a_k DEL^k psi over Fractions read from the coeffs view, keyed
     (power of the acting variable, power of the other) until the end; the
-    same boxes as the library, and the same division oracle as above."""
+    same boxes as the library, and the same division oracle as above.  DEL
+    is (other + d/dvar), or (rate + d/dx) for an ExpSeries."""
     def swap(key):
         return tuple(key) if axis == 0 else tuple(key[::-1])
 
@@ -541,11 +542,12 @@ def _fraction_image(psi, op, axis):
     for k, rf in enumerate(op.convert("del").coeffs):
         if k:
             alo, ahi, olo, ohi = box
+            step = (({(a, o + 1): v for (a, o), v in power.items()},
+                     (alo, ahi, olo + 1, ohi + 1)) if rate is None else
+                    ({key: rate * v for key, v in power.items()}, box))
             power, box = _sum_pieces([
-                ({(a, o + 1): v for (a, o), v in power.items()},
-                 (alo, ahi, olo + 1, ohi + 1)),
-                ({(a - 1, o): a * v for (a, o), v in power.items()},
-                 (alo - 1, ahi - 1, olo, ohi))])
+                step, ({(a - 1, o): a * v for (a, o), v in power.items()},
+                       (alo - 1, ahi - 1, olo, ohi))])
         if rf.is_zero:
             continue
         alo, ahi, olo, ohi = box
@@ -570,12 +572,34 @@ def _fraction_image(psi, op, axis):
 
 def test_wave_series_integer_form_randomized():
     rng = random.Random(39)
+
+    def scalar():
+        return Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+
     clearing = set()
     for axis, var in ((0, "x"), (1, "z")):
-        for _ in range(8):
-            psi = _random_wave(rng, (-5, 0, -4, 1))
-            for op in (_mixed_op(rng, var, rng.randint(1, 2)),
-                       rand_laurent_op(rng, var)):
+        # one nonzero per row, as bessel_wave; and empty rows and columns at
+        # both ends of the box
+        diagonal = WaveSeries({(-m, -m): scalar() for m in range(7)},
+                              (-6, 0, -6, 0))
+        gappy = WaveSeries({(i, j): scalar() for i in (-5, -2, 0)
+                            for j in (-1, 1)}, (-5, 0, -4, 1))
+        # (2 + var^3) / var^2 + 3 / var DEL: the shifts -2 and 1 of the
+        # first piece, and the first DEL power's other-axis lift, leave
+        # part of every piece below the folded box
+        below = DiffOp(var, "del", [
+            RationalFunction(Poly(var, [2, 0, 0, 1]), Poly.monomial(var, 2)),
+            RationalFunction(Poly.const(var, 3), Poly.monomial(var, 1))])
+        for n in range(10):
+            psi = (_random_wave(rng, (-5, 0, -4, 1)) if n < 8
+                   else (diagonal, gappy)[n - 8])
+            ops = [_mixed_op(rng, var, rng.randint(1, 2)),
+                   rand_laurent_op(rng, var)]
+            if n >= 8:
+                ops.append(below)
+                lifted = tuple(end + 1 for end in psi.box)
+                assert psi.apply(below, var).box == lifted
+            for op in ops:
                 got = psi.apply(op, var)
                 for series in (psi, got):
                     assert all(type(v) is int for v in series.nums.values())
@@ -596,3 +620,14 @@ def test_wave_series_integer_form_randomized():
                     clearing.add(math.lcm(*(c.denominator for q in poles
                                             for c in q.coeffs)) > 1)
     assert clearing == {False, True}
+    # a rate with a denominator: each DEL step lies over twice the last den
+    rate = Fraction(-3, 2)
+    for _ in range(4):
+        series = ExpSeries("x", rate, {d: scalar() for d in range(-7, 1)
+                                       if rng.random() < 0.8}, (-7, 0))
+        for op in (_mixed_op(rng, "x", rng.randint(1, 2)),
+                   rand_laurent_op(rng, "x")):
+            got = series.apply(op)
+            assert all(type(v) is int for v in got.nums.values())
+            want, box = _fraction_image(series, op, 0, rate)
+            assert got.box == box and got.coeffs == want
