@@ -12,9 +12,9 @@ Run:  python demos/04_log_kernels_and_multiplicities.py
 
 from fractions import Fraction as F
 
-from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex, KernelSpec,
-                        bessel_op, build_certificate, monomial_kernel,
-                        wave_jet_at, zero_exponent_basis)
+from bispectral import (DFORM, AtPointGroup, AtZeroGroup, BesselIndex,
+                        DiffOp, KernelSpec, bessel_op, build_certificate,
+                        monomial_kernel, wave_jet_at, zero_exponent_basis)
 
 bi = BesselIndex.parse("1/2,1/2")
 print("base operator:", bessel_op(bi).convert("del"))
@@ -45,6 +45,9 @@ print(f"mixed kernel over {bi2}: P of order {cert2.P.order},",
 print("  kernel of the base operator at 0:",
       [q.to_str() for q in zero_exponent_basis(bi2, 1)])
 print("  witnesses:", ", ".join(sorted(cert2.witnesses)))
-jet = wave_jet_at(bi2, F(1), 1, 14)
-print(f"  jets D_z^k psi at z = {jet.lam} (branch 0, over Q), windows:",
-      [s.box[:2] for s in jet.series])
+# psi depends on xz alone, so D_z = D = x d/dx on it, and the condition
+# psi + D_z psi at z = 1 is (1 + D) applied to the one profile psi(x, 1)
+profile = wave_jet_at(bi2, F(1), 14)
+condition = profile.apply(DiffOp("x", DFORM, (F(1), F(1))))
+print(f"  profile psi(x, {profile.rate}) (branch 0, over Q), window "
+      f"{profile.box[:2]}; psi + D_z psi, window {condition.box[:2]}")

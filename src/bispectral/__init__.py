@@ -24,7 +24,7 @@ from .involution import (BispectralPair, SpectralAlgebraReport,
                          closed_form_monomial, involute_P, involute_Q,
                          make_pair, spectral_algebra, verify_pair)
 from .poly import Poly, RationalFunction
-from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
+from .quasi import ExpSeries, QuasiPolynomial, WaveSeries
 from .scalars import (Cyclotomic, cyclotomic_polynomial, euler_phi,
                       format_rational, parse_rational)
 from .weyl import DEL, DFORM, DiffOp

@@ -21,7 +21,9 @@ closed form (``bessel_power_sum``) rather than multiplied out.
 The formal eigenfunction of L is e^{xz} (1 + sum a_k (xz)^{-k}); the a_k
 are produced by a recursion that is derived here generically, by
 expanding the conjugated operator with exact product arithmetic rather
-than trusting a per-order formula.
+than trusting a per-order formula.  It depends on xz alone, so D_z = D_x
+on it, and a jet condition sum_k a_k D_z^k psi at z = lam is a(D) applied
+to the one profile psi(x, lam) (``wave_jet_at``).
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .poly import Poly
-from .quasi import ExpSeries, PointJet, QuasiPolynomial, WaveSeries
-from .scalars import format_rational, parse_rational
-from .weyl import DEL, DFORM, DiffOp
-
-# D = x d/dx = x DEL, in the form that series application reads
-THETA = DiffOp("x", DFORM, (0, 1)).convert(DEL)
+from .quasi import ExpSeries, QuasiPolynomial, WaveSeries
+from .scalars import (format_rational, parse_int, parse_rational,
+                      parse_rationals)
+from .weyl import DFORM, DiffOp
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ class BesselIndex:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["N"]), tuple(parse_rational(b) for b in data["beta"]))
+        return cls(parse_int(data["N"], "N"),
+                   parse_rationals(data["beta"], "weights"))
 
     def __str__(self):
         return "(" + ", ".join(str(b) for b in self.beta) + ")"
@@ -234,11 +235,13 @@ def bessel_wave(bi: BesselIndex, depth: int) -> WaveSeries:
     return WaveSeries(coeffs, (-depth, 0, -depth, 0))
 
 
-def wave_jet_at(bi: BesselIndex, lam, jet_order: int, depth: int) -> PointJet:
-    """Jets D_z^k psi at z = lam, k = 0..jet_order, as series in x over Q.
+def wave_jet_at(bi: BesselIndex, lam, depth: int) -> ExpSeries:
+    """The profile psi(x, lam) = e^{lam x} (1 + sum_m a_m (lam x)^{-m}) as a
+    series in x over Q, on the window (-depth, 0).
 
-    The eigenfunction depends on w = xz alone, so D_z psi = D_x psi with
-    D = x d/dx: jet 0 is the profile at w = lam x, and jet k is D^k of it.
+    The eigenfunction depends on w = xz alone, so D_z psi = D psi with
+    D = x d/dx: the jet condition sum_k a_k D_z^k psi at z = lam is a(D)
+    applied to this one profile.
     """
     lam = Fraction(lam)
     if lam == 0:
@@ -247,10 +250,7 @@ def wave_jet_at(bi: BesselIndex, lam, jet_order: int, depth: int) -> PointJet:
     coeffs = {0: Fraction(1)}
     coeffs.update({-m: am / lam ** m
                    for m, am in enumerate(wave_coeffs(bi, depth), start=1)})
-    series = [ExpSeries("x", lam, coeffs, (-depth, 0))]
-    for _ in range(jet_order):
-        series.append(series[-1].apply(THETA))
-    return PointJet(lam=lam, series=tuple(series))
+    return ExpSeries("x", lam, coeffs, (-depth, 0))
 
 
 def zero_exponent_basis(bi: BesselIndex, d0: int):

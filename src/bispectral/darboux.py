@@ -19,8 +19,13 @@ follows from homogeneity.  The ansatz has that shape, and so does the
 minimal monic annihilator of a dilation-stable space (it is unique, hence
 fixed by dilation), so restricting to branch 0 loses no solution; certify
 checks the shape witness before the kernel witness, so a branch-0 kernel
-witness is a complete proof.  No Q(eps) arithmetic is needed anywhere: the
-orbit jets are series over Q with the rational rate lam (``wave_jet_at``).
+witness is a complete proof.  No Q(eps) arithmetic is needed anywhere:
+the condition sum_k a_k D_z^k at lam is a(D) applied to the one profile
+psi(x, lam), a series over Q with the rational rate lam (``wave_jet_at``).
+
+The ansatz columns x^{jN-n} D^k are the same graded basis elements for a
+condition at 0 and on an orbit, so one routine, ``_condition_rows``, lays
+out the rows of both kinds.
 """
 
 from __future__ import annotations
@@ -31,22 +36,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import (THETA, BesselIndex, bessel_wave, poly_at_bessel,
-                     wave_jet_at)
+from .bessel import BesselIndex, bessel_wave, poly_at_bessel, wave_jet_at
 from .errors import (CertificationError, InconsistentSpecError,
                      RankDeficiencyError, ShapeError, SpecInvalidError,
                      UnsupportedInputError, UsageError)
 from .poly import Poly
 from .quasi import QuasiPolynomial
-from .scalars import format_rational, parse_rational
+from .scalars import (format_rational, parse_int, parse_rational,
+                      parse_rationals)
 from .weyl import DEL, DFORM, DiffOp
+
+# D = x d/dx = x DEL, in the form that series application reads
+THETA = DiffOp("x", DFORM, (0, 1)).convert(DEL)
 
 
 # Size caps of a kernel spec document.  ``KernelSpec.from_json`` checks
 # them, and spec, certificate and pair documents all load through it, so
 # an untrusted document cannot start an unbounded build: a single-group
-# spec at the caps builds in about a minute, and the cost grows steeply
-# past them (timings in README.md).
+# spec at the caps builds in under a second, but the caps bound each size
+# alone, and several sizes at their caps at once can take minutes
+# (timings in README.md).
 MAX_N = 3               # length of the weight vector
 MAX_GROUPS = 3          # at-zero plus orbit groups
 MAX_ROWS = 4            # rows of b in one at-zero group
@@ -131,8 +140,8 @@ class AtZeroGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["base_index"]),
-                   tuple(tuple(parse_rational(c) for c in row) for row in data["b"]))
+        return cls(parse_int(data["base_index"], "base_index"),
+                   [parse_rationals(row, "row of b") for row in data["b"]])
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ class AtPointGroup:
     @classmethod
     def from_json(cls, data):
         return cls(parse_rational(data["lambda"]),
-                   tuple(parse_rational(c) for c in data["a"]))
+                   parse_rationals(data["a"], "a"))
 
 
 @dataclass(frozen=True)
@@ -263,16 +272,17 @@ def _group_elements(beta: BesselIndex, group: AtZeroGroup):
 
 
 def _zero_depth(beta: BesselIndex, elements):
-    """Minimal d with every element inside the kernel of the d-th power."""
+    """Minimal d with every element inside the kernel of the d-th power.
+
+    ``_group_elements`` has checked every log power p against the
+    multiplicity of its exponent, so the p-th ladder step exists.
+    """
     d0 = 0
     for q in elements:
         for (gamma, p), _ in q.items():
             ms = sorted(int((gamma - b) / beta.N) for b in beta.beta
                         if ((gamma - b) / beta.N).denominator == 1
                         and gamma >= b)
-            if p >= len(ms):
-                raise SpecInvalidError(
-                    f"log power {p} at exponent {gamma} exceeds multiplicity")
             d0 = max(d0, ms[p] + 1)
     return d0
 
@@ -281,11 +291,8 @@ def _zero_depth(beta: BesselIndex, elements):
 class ValidatedSpec:
     spec: KernelSpec
     elements_at_zero: tuple
-    point_groups: tuple     # (lam, a, depth_requirement) per group
     n0: int
     n: int
-    d0: int
-    point_depths: dict      # lam -> d_i
     g: Poly                 # in z
     f: Poly                 # in z
     h: Poly                 # in the argument y = z^N
@@ -305,7 +312,6 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
             raise RankDeficiencyError("conditions at 0 are linearly dependent")
 
     seen_power = {}
-    point_depths = {}
     per_lam_vectors = {}
     for group in spec.at_points:
         key = group.lam ** beta.N
@@ -314,102 +320,74 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
             raise SpecInvalidError(
                 f"points {other} and {group.lam} name the same orbit")
         seen_power[key] = group.lam
-        point_depths[group.lam] = max(point_depths.get(group.lam, 0),
-                                      group.k0 + 1)
         per_lam_vectors.setdefault(group.lam, []).append(group.a)
+
+    n = n0 + beta.N * len(spec.at_points)
+    if n == 0:
+        raise SpecInvalidError("empty kernel specification")
+    g = Poly.monomial("z", n0)
+    h = Poly.monomial("y", _zero_depth(beta, elements))
     for lam, vectors in per_lam_vectors.items():
         width = max(len(v) for v in vectors)
         rows = [list(v) + [Fraction(0)] * (width - len(v)) for v in vectors]
         if linalg.rank(rows) != len(rows):
             raise RankDeficiencyError(
                 f"jet conditions at {lam} are linearly dependent")
-
-    n = n0 + beta.N * len(spec.at_points)
-    if n == 0:
-        raise SpecInvalidError("empty kernel specification")
-    d0 = _zero_depth(beta, elements)
-
-    g = Poly.monomial("z", n0)
-    for lam in sorted(point_depths):
-        count = sum(1 for gp in spec.at_points if gp.lam == lam)
+        # one factor z^N - lam^N per group, and the orbit's jet depth in h
         factor = Poly("z", [-(lam ** beta.N)] + [0] * (beta.N - 1) + [1])
-        g = g * factor ** count
-    h = Poly.monomial("y", d0)
-    for lam in sorted(point_depths):
-        h = h * Poly("y", (-(lam ** beta.N), 1)) ** point_depths[lam]
+        g = g * factor ** len(vectors)
+        h = h * Poly("y", (-(lam ** beta.N), 1)) ** width
     h_z = h.expand_arg_power(beta.N, var="z")
     f, rem = h_z.divmod(g)
     if not rem.is_zero:
         raise RankDeficiencyError(
             "more conditions than the eigenvalue depth supports")
-    groups = tuple((gp.lam, gp.a, point_depths[gp.lam]) for gp in spec.at_points)
     return ValidatedSpec(spec=spec, elements_at_zero=tuple(elements),
-                         point_groups=groups, n0=n0, n=n, d0=d0,
-                         point_depths=point_depths, g=g, f=f, h=h)
+                         n0=n0, n=n, g=g, f=f, h=h)
 
 
-def _zero_condition_rows(elements, n, N, bound):
-    """Linear conditions on the ansatz coefficients from quasi-polynomials."""
-    rows = []
-    ncols = (n + 1) * (bound + 1)
-    for q in elements:
-        powers = [q]
-        for _ in range(n):
-            powers.append(powers[-1].apply_theta())
-        keys = {}
-        cells = {}
-        for k in range(n + 1):
-            for j in range(bound + 1):
-                image = powers[k].xshift(j * N - n)
-                col = k * (bound + 1) + j
-                for key, c in image.terms.items():
-                    keys[key] = True
-                    cells[(key, col)] = cells.get((key, col), Fraction(0)) + c
-        for key in sorted(keys):
-            row = [Fraction(0)] * ncols
-            hit = False
-            for col in range(ncols):
-                v = cells.get((key, col))
-                if v:
-                    row[col] = v
-                    hit = True
-            if hit:
-                rows.append(row)
-    return rows
+def _condition_rows(powers, n, N, bound, window=None):
+    """Linear conditions on the ansatz coefficients from one condition c.
 
-
-def _point_condition_rows(jet, avec, n, N, bound):
-    """Integer linear conditions from one orbit group, on branch 0.
-
-    ``jet`` is the ``wave_jet_at`` of the group's point lam, so every
-    coefficient is rational.  Column (k, j) holds the image x^(jN - n) D^k
-    of the group's jet, and each degree of the image window gives one row,
-    read off the numerators over the lcm of the powers' denominators;
-    ``slots`` counts those degrees.  On branch j the row of degree deg over
-    Q(eps) is eps^{j(deg+n)} times this row (module docstring), so the
-    other branches add nothing to the row space or to the nullspace.
+    ``powers[k]`` maps (exponent, log power) to the coefficient of D^k c.
+    Column (k, j) holds the image x^(jN - n) D^k c of c under the ansatz
+    column, and each (exponent, log power) of the images gives one row.  At
+    0 the powers are quasi-polynomial terms; on an orbit they are the
+    integer numerators of series over one denominator, and ``window``
+    (lo, hi) keeps the exponents at which every image is exact.
     """
-    powers = [jet.combine(avec)]
+    ncols = (n + 1) * (bound + 1)
+    rows = {}
+    for k, power in enumerate(powers):
+        for j in range(bound + 1):
+            s, col = j * N - n, k * (bound + 1) + j
+            for (g, p), c in power.items():
+                if window is None or window[0] <= g + s <= window[1]:
+                    row = rows.get((g + s, p))
+                    if row is None:
+                        row = rows[(g + s, p)] = [0] * ncols
+                    row[col] = c
+    return [rows[key] for key in sorted(rows)]
+
+
+def _orbit_rows(profile, a, n, N, bound):
+    """(rows, slots) of the orbit condition sum_k a_k D_z^k at lam, branch 0.
+
+    ``profile`` is ``wave_jet_at`` of lam, so the condition a(D) profile and
+    its D-powers are series over Q, read as integer numerators over the lcm
+    of their denominators.  ``slots`` counts the degrees of the window.  On
+    branch j the row of degree deg over Q(eps) is eps^{j(deg+n)} times
+    this row (module docstring), so the other branches add nothing to the
+    row space or to the nullspace.
+    """
+    powers = [profile.apply(DiffOp("x", DFORM, a))]
     for _ in range(n):
         powers.append(powers[-1].apply(THETA))
     den = math.lcm(*(p.den for p in powers))
-    scaled = [(k * (bound + 1), p.nums, den // p.den)
-              for k, p in enumerate(powers)]
-    shifts = [j * N - n for j in range(bound + 1)]
-    lo = max(p.box[0] for p in powers) + shifts[-1]
-    hi = max(p.box[1] for p in powers) + shifts[-1]
-    ncols = (n + 1) * (bound + 1)
-    rows = []
-    for deg in range(lo, hi + 1):
-        row = [0] * ncols
-        for col, nums, f in scaled:
-            for j, s in enumerate(shifts):
-                v = nums.get((deg - s, 0))
-                if v:
-                    row[col + j] = v * f
-        if any(row):
-            rows.append(row)
-    return rows, hi - lo + 1
+    lo, hi = (max(p.box[i] for p in powers) + bound * N - n for i in (0, 1))
+    ints = [{key: v * (den // p.den) for key, v in p.nums.items()}
+            for p in powers]
+    return _condition_rows(ints, n, N, bound, (lo, hi)), hi - lo + 1
 
 
 def _assemble(beta, n, N, solution, bound):
@@ -455,56 +433,66 @@ def default_depth(h_degree: int, N: int, n: int) -> int:
     return 2 * (h_degree * N + n) + 8
 
 
+def _profiles(beta: BesselIndex, groups, depth):
+    """{lam: wave_jet_at(lam)}, one profile per orbit point of the groups."""
+    return {lam: wave_jet_at(beta, lam, depth)
+            for lam in dict.fromkeys(g.lam for g in groups)}
+
+
 def _solve_annihilator(val: ValidatedSpec, depth=None):
-    """Find the minimal monic annihilator by escalating polynomial degree."""
-    beta = val.spec.beta
+    """Find the minimal monic annihilator by escalating polynomial degree.
+
+    The bounds run 0, 1, ... up to base_bound * 2^(MAX_ANSATZ_DOUBLINGS - 1),
+    base_bound = n * deg h, as MAX_ANSATZ_DOUBLINGS rounds that each double
+    the last bound would.
+    """
+    beta, groups = val.spec.beta, val.spec.at_points
     n, N = val.n, beta.N
     d = max(1, val.h.degree)
     base_bound = max(1, n * d)
-    outer = base_bound
-    bound_start = 0
     largest, dim = (0, 0), None
     h_at_l = poly_at_bessel(beta, val.h)
-    for _ in range(MAX_ANSATZ_DOUBLINGS):
-        for bound in range(bound_start, outer + 1):
-            ncols = (n + 1) * (bound + 1)
-            rows = _zero_condition_rows(val.elements_at_zero, n, N, bound)
-            if val.point_groups:
-                K = max(depth or default_depth(d, N, n),
-                        2 * ncols + 2 * n + 10)
-                jets = {}
-                slots = 0
-                for lam, avec, _d in val.point_groups:
-                    key = (lam, len(avec) - 1)
-                    if key not in jets:
-                        jets[key] = wave_jet_at(beta, lam, len(avec) - 1, K)
-                    new_rows, new_slots = _point_condition_rows(
-                        jets[key], avec, n, N, bound)
-                    rows.extend(new_rows)
-                    slots += new_slots
-                if slots < ncols + 5:
-                    raise InconsistentSpecError(
-                        "could not over-determine the point conditions")
-            if not rows:
+    zero_powers = []
+    for q in val.elements_at_zero:
+        powers = [q]
+        for _ in range(n):
+            powers.append(powers[-1].apply_theta())
+        zero_powers.append([p.terms for p in powers])
+    top = base_bound << (MAX_ANSATZ_DOUBLINGS - 1)
+    for bound in range(top + 1):
+        ncols = (n + 1) * (bound + 1)
+        rows = [row for powers in zero_powers
+                for row in _condition_rows(powers, n, N, bound)]
+        if groups:
+            K = max(depth or default_depth(d, N, n), 2 * ncols + 2 * n + 10)
+            profiles = _profiles(beta, groups, K)
+            slots = 0
+            for group in groups:
+                new_rows, new_slots = _orbit_rows(profiles[group.lam], group.a,
+                                                  n, N, bound)
+                rows.extend(new_rows)
+                slots += new_slots
+            if slots < ncols + 5:
+                raise InconsistentSpecError(
+                    "could not over-determine the point conditions")
+        if not rows:
+            continue
+        sols = linalg.nullspace(rows, ncols)
+        largest = max(largest, (len(rows), ncols),
+                      key=lambda shape: shape[0] * shape[1])
+        dim = len(sols)
+        for sol in sols:
+            if not any(sol[n * (bound + 1):]):
                 continue
-            sols = linalg.nullspace(rows, ncols)
-            largest = max(largest, (len(rows), ncols),
-                          key=lambda shape: shape[0] * shape[1])
-            dim = len(sols)
-            for sol in sols:
-                if not any(sol[val.n * (bound + 1):]):
-                    continue
-                op = _assemble(beta, n, N, sol, bound)
-                if op is None or op.order != n:
-                    continue
-                quot, rem = h_at_l.left_divide(op)
-                if rem.is_zero:
-                    return op, quot
-        bound_start = outer + 1
-        outer *= 2
+            op = _assemble(beta, n, N, sol, bound)
+            if op is None or op.order != n:
+                continue
+            quot, rem = h_at_l.left_divide(op)
+            if rem.is_zero:
+                return op, quot
     raise InconsistentSpecError(
         f"no certified annihilator for coefficient degree bounds "
-        f"0..{bound_start - 1}, doubled from {base_bound} in "
+        f"0..{top}, doubled from {base_bound} in "
         f"darboux.MAX_ANSATZ_DOUBLINGS = {MAX_ANSATZ_DOUBLINGS} rounds; "
         f"largest system {largest[0]} x {largest[1]}, "
         f"last nullspace dimension {dim}")
@@ -564,9 +552,9 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     puts P in the cleared form x^{-n} sum_k p_k(x^N) D^k, and such a P
     annihilates the branch-j jet exactly when it annihilates the branch-0
     jet (module docstring).  ``depth`` sets the series windows and is
-    recorded in the certificate; the orbit jets of the kernel witness use
-    at least the default depth, below which P's image of a jet can vanish
-    on the window although the jet is not annihilated.
+    recorded in the certificate; the orbit profiles of the kernel witness
+    use at least the default depth, below which P's image of a condition
+    can vanish on the window although it is not annihilated.
     """
     witnesses = {}
     if g.is_zero or g.leading != 1:
@@ -604,12 +592,13 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             if not q.apply(cleared).is_zero:
                 raise CertificationError(
                     f"kernel element {q} is not annihilated by P")
-        K_orbit = max(K, default_depth(h.degree, beta.N, n))
-        for lam, avec, _d in val.point_groups:
-            jet = wave_jet_at(beta, lam, len(avec) - 1, K_orbit)
-            if not jet.combine(avec).apply(cleared).is_zero:
+        profiles = _profiles(beta, spec.at_points,
+                             max(K, default_depth(h.degree, beta.N, n)))
+        for group in spec.at_points:
+            condition = profiles[group.lam].apply(DiffOp("x", DFORM, group.a))
+            if not condition.apply(cleared).is_zero:
                 raise CertificationError(
-                    f"orbit kernel element at {lam} (branch 0) "
+                    f"orbit kernel element at {group.lam} (branch 0) "
                     f"is not annihilated by P")
         witnesses["kernel"] = True
     psi = bessel_wave(beta, K)

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .scalars import Cyclotomic, format_rational, parse_rational
+from .scalars import Cyclotomic, format_rational, parse_rationals
 
 
 def _rational(c):
@@ -357,10 +357,7 @@ class Poly:
 
     @classmethod
     def from_json(cls, var, data):
-        if not isinstance(data, list):
-            raise UsageError("polynomial coefficients must be a list, got "
-                             f"{type(data).__name__}")
-        return cls(var, [parse_rational(c) for c in data])
+        return cls(var, parse_rationals(data, "polynomial coefficients"))
 
     def __repr__(self):
         return f"Poly({self.var!r}, {self.to_str()!r})"

@@ -7,9 +7,13 @@
   stored coefficient inside the window equals the exact one, so window
   bookkeeping is conservative by construction.
 * ExpSeries: e^{c x} * sum over a degree window, the one-variable analogue
-  used for jets at a nonzero spectral point, with a rational rate c.  It
+  with a rational rate c.  It holds the profile psi(x, lam) of the wave
+  function at a nonzero spectral point c = lam, and a jet condition
+  sum_k a_k D_z^k at lam is the image of that one profile under a(D).  It
   is a WaveSeries of one row (z-power 0) and shares all of its code but
   the DEL step.
+
+No document stores any of these, so they have no JSON form.
 
 Operators act on WaveSeries/ExpSeries after peeling the exponential
 prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  An operator is read
@@ -58,12 +62,10 @@ every lower one divides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TruncationError, UnsupportedInputError, UsageError
 from .poly import Poly
-from .scalars import format_rational, parse_rational
 from .weyl import DEL, DFORM, DiffOp
 
 
@@ -119,12 +121,6 @@ class QuasiPolynomial:
     def scale(self, c):
         return QuasiPolynomial({k: c * v for k, v in self.terms.items()})
 
-    def xshift(self, delta):
-        """Multiply by x^delta."""
-        delta = Fraction(delta)
-        return QuasiPolynomial({(g + delta, j): c
-                                for (g, j), c in self.terms.items()})
-
     def apply_theta(self):
         """Image under D = x d/dx:  D x^g y^j = g x^g y^j + j x^g y^{j-1}."""
         out = {}
@@ -161,15 +157,6 @@ class QuasiPolynomial:
                     _add_into(image, (((g + t - m, j), c * v)
                                       for (g, j), v in power.terms.items()))
         return QuasiPolynomial(image)
-
-    def to_json(self):
-        return [[format_rational(g), j, format_rational(c)]
-                for (g, j), c in self.items()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([((parse_rational(g), int(j)), parse_rational(c))
-                    for g, j, c in data])
 
     def __repr__(self):
         return f"QuasiPolynomial({self.to_str()!r})"
@@ -447,18 +434,6 @@ class WaveSeries:
         a, b = self.den, other.den
         return all(v * b == other.nums[k] * a for k, v in self.nums.items())
 
-    def to_json(self):
-        items = sorted(self.coeffs.items())
-        return {"window": list(self.box),
-                "coeffs": [[i, j, format_rational(c)] for (i, j), c in items]}
-
-    @staticmethod
-    def from_json(data):
-        """A WaveSeries document; an ExpSeries writes its row as one."""
-        return WaveSeries({(int(i), int(j)): parse_rational(c)
-                           for i, j, c in data["coeffs"]},
-                          tuple(data["window"]))
-
     def __repr__(self):
         return (f"{type(self).__name__}(window={self.box}, "
                 f"terms={len(self.nums)})")
@@ -516,23 +491,3 @@ class ExpSeries(WaveSeries):
         a = op.convert(DEL)
         return self._image(a.den, a.nums, 0)
 
-
-@dataclass(frozen=True)
-class PointJet:
-    """Truncated series for D_z^k of a wave function at z = lam."""
-
-    lam: Fraction
-    series: tuple         # series[k] is the k-th jet, an ExpSeries in x
-
-    @property
-    def jet_order(self):
-        return len(self.series) - 1
-
-    def combine(self, a):
-        """sum_k a_k series[k]: the jet of the condition sum_k a_k D_z^k."""
-        out = None
-        for k, c in enumerate(a):
-            if c:
-                piece = self.series[k].scale(c)
-                out = piece if out is None else out + piece
-        return out

@@ -30,6 +30,22 @@ def parse_rational(text) -> Fraction:
         raise UsageError(f"not a rational: {text!r}") from exc
 
 
+def parse_rationals(data, what) -> list:
+    """A JSON list of rationals; any other value, a string too, raises
+    UsageError naming ``what``."""
+    if not isinstance(data, list):
+        raise UsageError(f"{what} must be a list, got {type(data).__name__}")
+    return [parse_rational(c) for c in data]
+
+
+def parse_int(data, what) -> int:
+    """A JSON integer; a float, a string or a boolean raises UsageError."""
+    if type(data) is not int:
+        raise UsageError(f"{what} must be an integer, got "
+                         f"{type(data).__name__}")
+    return data
+
+
 def format_rational(value) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(value))

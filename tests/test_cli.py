@@ -113,8 +113,10 @@ def test_tampered_certificate_exits_three(tmp_path):
 
 
 def _documents(tmp_path):
-    """Paths of a spec file, its certificate and its pair."""
+    """Paths of a spec file, its certificate and its pair, and of an orbit
+    spec file."""
     docs = {"spec": write(tmp_path, "spec.json", RANK1_SPEC),
+            "orbit-spec": write(tmp_path, "orbit-spec.json", ORDER2_SPEC),
             "cert": str(tmp_path / "cert.json"),
             "pair": str(tmp_path / "pair.json")}
     assert main(["build", docs["spec"], "--out", docs["cert"]]) == 0
@@ -654,8 +656,17 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
     ("cert", ("P", "coeffs", 0, "num", 0), "1e999999999", ["rank"]),
     ("pair", ("provenance", "P", "coeffs", 1, "den"), "9" * 5000,
      ["verify", "-K", "8"]),
+    # a string where a list belongs was read character by character, and
+    # a float was truncated: each built a spec other than the document's
+    ("orbit-spec", ("beta", "beta"), "10", ["build"]),
+    ("orbit-spec", ("at_points", 0, "a"), "12", ["build"]),
+    ("spec", ("at_zero", 0, "b"), "1", ["build"]),
+    ("orbit-spec", ("beta", "N"), 2.7, ["build"]),
+    ("spec", ("at_zero", 0, "base_index"), 0.9, ["build"]),
 ], ids=["provenance-not-an-object", "base-index-out-of-range",
-        "empty-row-of-b", "exponent-notation", "string-as-coefficients"])
+        "empty-row-of-b", "exponent-notation", "string-as-coefficients",
+        "string-as-weights", "string-as-jet-vector", "string-as-b",
+        "float-N", "float-base-index"])
 def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
                                       argv):
     # a wrong-typed node, an index out of range, an exponent that would

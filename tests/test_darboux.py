@@ -12,8 +12,8 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         cleared_coefficients, kernel_matrix, linalg,
                         monomial_kernel, validate_spec, wave_jet_at)
 from bispectral import darboux
-from bispectral.darboux import (_assemble, _point_condition_rows,
-                                _zero_condition_rows, default_depth)
+from bispectral.darboux import (_assemble, _condition_rows, _orbit_rows,
+                                default_depth)
 from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
                            compute_Q, mult, poly_at_operator, x_power)
 
@@ -239,12 +239,17 @@ def _all_branch_build(spec):
     for bound in range(16 * n * d + 1):
         ncols = (n + 1) * (bound + 1)
         depth = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-        zero = _zero_condition_rows(val.elements_at_zero, n, N, bound)
+        zero = []
+        for q in val.elements_at_zero:
+            powers = [q]
+            for _ in range(n):
+                powers.append(powers[-1].apply_theta())
+            zero += _condition_rows([p.terms for p in powers], n, N, bound)
         rows, rows0 = list(zero), list(zero)
-        for lam, avec, _d in val.point_groups:
-            rows += all_branch_rows(beta, lam, avec, n, bound, depth)
-            jet = wave_jet_at(beta, lam, len(avec) - 1, depth)
-            rows0 += _point_condition_rows(jet, avec, n, N, bound)[0]
+        for group in spec.at_points:
+            rows += all_branch_rows(beta, group.lam, group.a, n, bound, depth)
+            profile = wave_jet_at(beta, group.lam, depth)
+            rows0 += _orbit_rows(profile, group.a, n, N, bound)[0]
         sols = linalg.nullspace(rows, ncols)
         assert sols == linalg.nullspace(rows0, ncols), bound
         for sol in sols:

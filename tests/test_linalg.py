@@ -205,7 +205,7 @@ def test_tall_nullspace_special_shapes():
 def test_ansatz_point_systems_match_gauss_jordan(monkeypatch):
     from bispectral import (AtPointGroup, BesselIndex, KernelSpec,
                             validate_spec, wave_jet_at)
-    from bispectral.darboux import _point_condition_rows, default_depth
+    from bispectral.darboux import _orbit_rows, default_depth
 
     beta = BesselIndex.parse("1/3,2/3,2")
     avec = (Fraction(1), Fraction(1, 2))
@@ -220,8 +220,8 @@ def test_ansatz_point_systems_match_gauss_jordan(monkeypatch):
         ncols = (n + 1) * (bound + 1)
         # the depth _solve_annihilator uses at this bound
         K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-        jet = wave_jet_at(beta, Fraction(2), len(avec) - 1, K)
-        rows, _slots = _point_condition_rows(jet, avec, n, N, bound)
+        profile = wave_jet_at(beta, Fraction(2), K)
+        rows, _slots = _orbit_rows(profile, avec, n, N, bound)
         del eliminated[:]
         basis = _check_tall(rows, ncols)
         shapes.append((len(rows), ncols, len(basis)))

@@ -8,7 +8,8 @@ from bispectral import (BesselIndex, DiffOp, ExpSeries, Poly,
                         QuasiPolynomial, RationalFunction, TruncationError,
                         UnsupportedInputError, UsageError, WaveSeries,
                         bessel_op, bessel_wave, wave_jet_at)
-from tests_support import exp_wave, mult, rand_laurent_op, x_power
+from tests_support import (exp_wave, mult, rand_laurent_op, theta_chain,
+                           x_power)
 
 
 def test_theta_action_on_log_monomial():
@@ -48,7 +49,9 @@ def _laurent_image(q, op):
             raise UnsupportedInputError(f"{rf} has a pole away from 0")
         for t, c in enumerate(rf.num.coeffs):
             if c:
-                image = image + power.xshift(t - m).scale(c)
+                image = image + QuasiPolynomial(
+                    {(g + t - m, j): c * v
+                     for (g, j), v in power.terms.items()})
     return image
 
 
@@ -276,28 +279,35 @@ def test_exp_series_refuses_mixed_points():
 
 def test_point_jets_of_plain_exponential():
     bi = BesselIndex.parse("0")
-    jet = wave_jet_at(bi, Fraction(2), 0, 6)
-    assert jet.lam == 2 and jet.series[0].rate == 2
-    assert list(jet.series[0].coeffs.items()) == [((0, 0), Fraction(1))]
+    jet = wave_jet_at(bi, Fraction(2), 6)
+    assert jet.rate == 2
+    assert list(jet.coeffs.items()) == [((0, 0), Fraction(1))]
     bi2 = BesselIndex.parse("0,1")
-    jets = wave_jet_at(bi2, Fraction(1), 1, 6)
-    # D_z e^{xz} at z=1 is x e^x
-    assert list(jets.series[1].coeffs.items()) == [((1, 0), Fraction(1))]
+    for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)):
+        # D_z e^{xz} at z = lam is lam x e^{lam x}
+        first = wave_jet_at(bi2, lam, 6).apply(DiffOp("x", "D", (0, 1)))
+        assert list(first.coeffs.items()) == [((1, 0), lam)]
 
 
 def test_point_jet_reference_expansion():
     bi = BesselIndex.parse("2/3,1/3")
-    jet = wave_jet_at(bi, Fraction(1), 0, 2)
-    s = jet.series[0]
+    s = wave_jet_at(bi, Fraction(1), 2)
     assert s.coeff(0, 0) == 1
     assert s.coeff(-1, 0) == Fraction(1, 9)
-
-
-def test_wave_series_json_round_trip():
-    psi = bessel_wave(BesselIndex.parse("2/3,1/3"), 5)
-    assert WaveSeries.from_json(psi.to_json()) == psi
-    q = QuasiPolynomial([((Fraction(1, 2), 1), Fraction(3))])
-    assert QuasiPolynomial.from_json(q.to_json()) == q
+    # a jet condition is a(D) applied to the one profile; the chain of
+    # D-images summed with the weights a_k gives the same series and window
+    rng = random.Random(21)
+    for weights in ("2/3,1/3", "1/3,2/3,2"):
+        bi = BesselIndex.parse(weights)
+        for lam in (Fraction(2), Fraction(1, 2), Fraction(-3, 2)):
+            profile = wave_jet_at(bi, lam, 12)
+            for order in range(4):
+                a = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(order)) + (Fraction(1),)
+                got = profile.apply(DiffOp("x", "D", a))
+                want = theta_chain(profile, a)
+                assert got == want and got.box == want.box
+                assert got.box == (-12 + order, order, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +618,6 @@ def test_wave_series_integer_form_randomized():
                 assert got.box == box and got.coeffs == want
                 # equal values over different denominators compare equal
                 assert got == WaveSeries(want, box)
-                assert got == WaveSeries.from_json(got.to_json())
                 assert got.scale(3).scale(Fraction(1, 3)) == got
                 assert got + got == got.scale(2) == got.shift(0, 0, 2)
                 corner = WaveSeries({(box[0], box[2]): 1}, box)

@@ -10,7 +10,8 @@ coefficients are the c_k.
 So every identity is checked on x^a, carried as x^a * R(x, a) with R in
 sympy's rational function field Q(x, a), where d/dx (x^a R) = x^a (a R / x
 + dR/dx).  The at-zero kernel elements x^g (ln x)^j are checked as sympy
-expressions.
+expressions, and so are orbit conditions on weights whose wave function
+terminates.
 """
 
 import json
@@ -165,3 +166,28 @@ def test_built_pair_identities(name):
     spec = BUILT[name](random.Random(f"sympy-oracle-{name}"))
     doc = json.loads(json.dumps(make_pair(build_certificate(spec)).to_json()))
     _check_pair(doc)
+
+
+# weights 2, -1: L = x^-2 (D - 2)(D + 1) has the terminating wave function
+# psi = e^{xz} (1 - 1/(xz)), so an orbit condition is a closed expression
+@pytest.mark.parametrize("a", [("1", "1/2"), ("1", "1", "1", "1")],
+                         ids=["jet-order-1", "jet-order-3"])
+def test_orbit_kernel_is_annihilated(a):
+    z, lam = sympy.Symbol("z"), 1
+    psi = sympy.exp(x * z) * (1 - 1 / (x * z))
+    D_psi = x * sympy.diff(psi, x)
+    L_psi = (x * sympy.diff(D_psi, x) - D_psi - 2 * psi) / x ** 2
+    assert sympy.simplify(L_psi - z ** 2 * psi) == 0
+    group = AtPointGroup(Fraction(lam), tuple(Fraction(c) for c in a))
+    spec = KernelSpec(BesselIndex.parse("2,-1"), (), (group,))
+    P = _operator(json.loads(json.dumps(
+        build_certificate(spec).to_json()))["P"], x)
+    # sum_k a_k (z d/dz)^k psi at z = lam, by sympy's own derivatives
+    jets = [psi]
+    for _ in a[1:]:
+        jets.append(z * sympy.diff(jets[-1], z))
+    condition = sum(sympy.Rational(c) * jet for c, jet in zip(a, jets))
+    assert _apply_fn(P, condition.subs(z, lam)) == 0
+    # the single jets are not annihilated
+    assert _apply_fn(P, jets[0].subs(z, lam)) != 0
+    assert _apply_fn(P, jets[1].subs(z, lam)) != 0

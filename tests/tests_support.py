@@ -134,6 +134,21 @@ def rand_quasi(rng):
     return QuasiPolynomial(terms)
 
 
+def theta_chain(profile, a):
+    """sum_k a_k D^k profile, each D^k the one before it times x DEL: the
+    jet chain that ``wave_jet_at(...).apply(a(D))`` replaces, kept as its
+    oracle."""
+    theta = DiffOp("x", DFORM, (0, 1)).convert(DEL)
+    jets = [profile]
+    for _ in a[1:]:
+        jets.append(jets[-1].apply(theta))
+    out = None
+    for jet, c in zip(jets, a):
+        if c:
+            out = jet.scale(c) if out is None else out + jet.scale(c)
+    return out
+
+
 def exp_wave(bi, depth):
     """The one-variable profile e^z (1 + sum a_k z^{-k}) of the wave function."""
     coeffs = {0: Fraction(1)}
@@ -189,7 +204,7 @@ def profile_plane_degrees(bi, degree_bound, depth):
 
 
 def branch_rows(beta, lam, avec, n, bound, depth, branch):
-    """The rows of ``darboux._point_condition_rows`` for the orbit condition
+    """The rows of ``darboux._orbit_rows`` for the orbit condition
     sum_k a_k D_z^k at z = eps^branch lam, over Q(eps), each degree's row
     split into its phi(N) rational coordinate rows.
 
