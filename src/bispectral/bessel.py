@@ -5,12 +5,14 @@ D = x d/dx and rational weights b_i summing to N(N-1)/2.
 
 Graded form.  An operator whose denominator is a power of x is a finite
 sum sum_a x^a c_a(D), the x^a f(D) basis of W_{1+infinity} (Kac-Radul
-1993); ``graded_op`` writes such a sum as a ``DiffOp``.  Since D x^b =
-x^b (D + b), the product rule is
+1993); ``weyl.graded_op`` writes such a sum as a ``DiffOp`` and
+``weyl.graded_parts`` reads it back.  Since D x^b = x^b (D + b), the
+product rule is
 
     x^a p(D) . x^b q(D) = x^{a+b} p(D + b) q(D),
 
-so products of graded parts are products of polynomials in D.  In
+so products of graded parts are products of polynomials in D (``weyl``
+multiplies DFORM Laurent operators this way).  In
 particular the powers of L are Bessel-type again:
 
     L^j = x^{-jN} I_j(D),  I_j = B(D - (j-1)N) ... B(D - N) B(D),
@@ -37,7 +39,7 @@ from .poly import Poly
 from .quasi import ExpSeries, QuasiPolynomial, WaveSeries
 from .scalars import (format_rational, parse_int, parse_rational,
                       parse_rationals)
-from .weyl import DFORM, DiffOp
+from .weyl import DFORM, DiffOp, graded_op
 
 
 @dataclass(frozen=True)
@@ -119,28 +121,6 @@ def bessel_poly(bi: BesselIndex, var="x") -> DiffOp:
 def bessel_op(bi: BesselIndex, var="x") -> DiffOp:
     """x^{-N} prod (D - b_i), an operator of order N."""
     return ladder_op(bi.beta, var)
-
-
-def graded_op(parts, var="x") -> DiffOp:
-    """sum_a x^a c_a(D) in DFORM, for parts {a: c_a(y)} with integer a.
-
-    Over the denominator x^m, m = max(0, -min a), the numerator of D^i has
-    the y^i coefficient of c_a at x^(a+m): one content pass and no
-    operator product.
-    """
-    parts = {a: c for a, c in parts.items() if not c.is_zero}
-    if not parts:
-        return DiffOp.zero(var, DFORM)
-    m = max(0, -min(parts))
-    width = max(parts) + m + 1
-    rows = []
-    for a, c in parts.items():
-        for i, v in enumerate(c.coeffs):
-            if i == len(rows):
-                rows.append([0] * width)
-            rows[i][a + m] = v
-    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, m),
-                               [Poly(var, r) for r in rows])
 
 
 def power_ladders(bi: BesselIndex, J: int):

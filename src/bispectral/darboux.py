@@ -532,7 +532,7 @@ class DarbouxCertificate:
                    g=Poly.from_json("z", data["g"]),
                    h=Poly.from_json("y", data["h"]),
                    witnesses=dict(data["witnesses"]),
-                   depth=int(data["depth"]), spec=spec)
+                   depth=parse_int(data["depth"], "depth"), spec=spec)
 
 
 def _eigenvalue_pattern(f: Poly, g: Poly, N: int) -> Poly:
@@ -565,7 +565,10 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     witnesses["eigenvalue_pattern"] = True
 
     target = poly_at_bessel(beta, h, P.var)
-    product = Q * P
+    # one product in each form, whatever form P and Q come in: DEL runs the
+    # Leibniz rule, and DFORM multiplies Laurent factors by graded parts, so
+    # the two witnesses take different routes
+    product = Q.convert(DEL) * P.convert(DEL)
     if product != target:
         raise CertificationError("remainder nonzero: Q*P differs from h(L)")
     witnesses["product"] = True

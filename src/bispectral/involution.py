@@ -62,15 +62,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bessel import (BesselIndex, bessel_op, bessel_wave, graded_op,
-                     indicial_poly, power_ladders, power_sum_parts)
+from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
+                     power_ladders, power_sum_parts)
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
                       default_depth, operator_from_json, validate_spec)
 from .errors import (AssociationError, CertificationError,
                      RankDeficiencyError, ShapeError, UsageError,
                      VerificationError)
 from .poly import Poly
-from .weyl import DEL, DFORM, DiffOp
+from .weyl import DEL, DFORM, DiffOp, graded_op
 
 
 def _peeled(parts, B: Poly, N: int, right: bool):
@@ -232,8 +232,10 @@ def make_pair(cert: DarbouxCertificate) -> BispectralPair:
     P_b, g_b = involute_P(cert.P, cert.g, beta)
     Q_b, f_b = involute_Q(cert.Q, cert.f, beta)
     bcert = certify(beta, P_b, Q_b, f_b, g_b)
-    L = cert.P * cert.Q
-    lam_x = P_b * Q_b
+    # DFORM products, converted once each for the document; on a monomial
+    # kernel P_b and Q_b are Laurent, so Lambda is multiplied by graded parts
+    L = cert.P.convert(DFORM) * cert.Q.convert(DFORM)
+    lam_x = P_b.convert(DFORM) * Q_b.convert(DFORM)
     theta_x = (f_b * g_b).relabel(P_b.var)
     if not theta_x.is_power_pattern(beta.N):
         raise ShapeError("f_b * g_b is not a polynomial in x^N")

@@ -14,12 +14,25 @@ the paper's cleared form P = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k.  The
 constructor clears the denominators of rational coefficients; every
 arithmetic result is built by ``from_cleared``, which takes out the one
 common factor of den and the numerators with a single content pass.
-``coeffs`` is the per-coefficient reduced view, computed once per operator.
+``coeffs`` is the per-coefficient reduced view, computed once per operator,
+and so is the operator in the other form: ``convert`` links the two, so
+op.convert(DFORM).convert(DEL) is op.  The DEL operator keeps its DFORM
+form alive and the DFORM one links back weakly, so no cycle forms.
 
-Multiplication uses the Leibniz rule through the form's derivation
-(a -> a' in DEL, a -> x a' in DFORM) on the numerators: each power of the
-derivation raises the denominator v of the right factor by r = v / gcd(v,
-delta v).  Conversion between forms uses the Stirling expansions
+Multiplication.  An operator over a power of x is a finite sum sum_a x^a
+c_a(D), the x^a f(D) basis of W_{1+infinity} (Kac-Radul 1993); its DFORM
+fields hold the parts transposed (``graded_parts``, ``graded_op``).  A
+DFORM product of two such operators multiplies parts by
+
+    x^a p(D) . x^b q(D) = x^{a+b} p(D + b) q(D)
+
+and writes the result once, with no content pass.  Every other product
+uses the Leibniz rule through the form's derivation (a -> a' in DEL,
+a -> x a' in DFORM) on the numerators: each power of the derivation raises
+the denominator v of the right factor by r = v / gcd(v, delta v).  DEL
+products stay on the Leibniz rule even for Laurent factors, so a product
+taken in both forms checks one route against the other (``certify``).
+Conversion between forms uses the Stirling expansions
 x^k d^k = D(D-1)...(D-k+1) and D^j = sum_k S(j, k) x^k d^k, so round trips
 are identities and the two forms can cross-check each other.
 """
@@ -27,10 +40,12 @@ are identities and the two forms can cross-check each other.
 from __future__ import annotations
 
 import functools
+import math
+import weakref
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .poly import Poly, RationalFunction
+from .poly import Poly, RationalFunction, _poly
 
 DEL = "del"
 DFORM = "D"
@@ -69,7 +84,8 @@ def _stirling2(j):
 class DiffOp:
     """A finite-order differential operator; immutable value semantics."""
 
-    __slots__ = ("var", "form", "den", "nums", "_coeffs")
+    __slots__ = ("var", "form", "den", "nums", "_coeffs", "_other",
+                 "__weakref__")
 
     def __init__(self, var, form, coeffs=()):
         if form not in _FORMS:
@@ -81,6 +97,7 @@ class DiffOp:
         self.var, self.form, self.den = var, form, den
         self.nums = tuple(c.num * (den // c.den) for c in cs)
         self._coeffs = tuple(cs)
+        self._other = None
 
     @classmethod
     def from_cleared(cls, var, form, den, nums, common=None):
@@ -109,7 +126,7 @@ class DiffOp:
             den, nums = den.scale(inv), [p.scale(inv) for p in nums]
         out = cls.__new__(cls)
         out.var, out.form, out.den, out.nums = var, form, den, tuple(nums)
-        out._coeffs = None
+        out._coeffs = out._other = None
         return out
 
     # -- constructors -----------------------------------------------------
@@ -215,6 +232,10 @@ class DiffOp:
         o = other.convert(self.form)
         if self.is_zero or o.is_zero:
             return DiffOp.zero(self.var, self.form)
+        if self.form == DFORM and _is_monomial(self.den) and \
+                _is_monomial(o.den):
+            return graded_op(_graded_product(graded_parts(self),
+                                             graded_parts(o)), self.var)
         # del^i . (1/v) sum_j b_j del^j = (1/(v r^i)) sum_j c_ij del^j with
         # r = v / gcd(v, delta v); delta(v r^i) / (v r^(i-1)) = s + i delta r
         v, zero = o.den, Poly.zero(self.var)
@@ -246,6 +267,19 @@ class DiffOp:
             raise UsageError(f"unknown form {form!r}")
         if form == self.form:
             return self
+        out = self._other
+        if isinstance(out, weakref.ref):
+            out = out()
+        if out is None:
+            out = self._converted(form)
+            # the DEL operator, the form documents hold, keeps its DFORM
+            # form alive; the link back is weak, since links both ways
+            # would make a cycle that only the cyclic collector frees
+            dform, del_ = (out, self) if form == DFORM else (self, out)
+            del_._other, dform._other = dform, weakref.ref(del_)
+        return out
+
+    def _converted(self, form):
         var, m = self.var, self.order
         out = [Poly.zero(var)] * (m + 1)
         if form == DFORM:
@@ -358,3 +392,66 @@ class DiffOp:
 
     __str__ = to_str
 
+
+def _is_monomial(den):
+    """True when a monic denominator is a power of the variable."""
+    return not any(den.nums[:-1])
+
+
+def graded_op(parts, var="x") -> DiffOp:
+    """sum_a x^a c_a(D) in DFORM, for parts {a: c_a(y)} with integer a.
+
+    Over the denominator x^m, m = max(0, -min a), the numerator of D^i has
+    the y^i coefficient of c_a at x^(a+m).  The part at min a < 0 puts a
+    nonzero constant term in some numerator, so the fields are already in
+    normal form: no content pass and no operator product.
+    """
+    parts = {a: c for a, c in parts.items() if not c.is_zero}
+    if not parts:
+        return DiffOp.zero(var, DFORM)
+    m = max(0, -min(parts))
+    width = max(parts) + m + 1
+    den = math.lcm(*(c.den for c in parts.values()))
+    rows = []
+    for a, c in parts.items():
+        f = den // c.den
+        for i, v in enumerate(c.nums):
+            if i == len(rows):
+                rows.append([0] * width)
+            rows[i][a + m] = v * f
+    return DiffOp.from_cleared(var, DFORM, Poly.monomial(var, m),
+                               [_poly(var, r, den) for r in rows],
+                               Poly.const(var, 1))
+
+
+def graded_parts(op: DiffOp) -> dict:
+    """The parts {a: c_a(y)} of op = sum_a x^a c_a(D); inverse of graded_op.
+
+    They transpose the DFORM fields: over the denominator x^m, the y^k
+    coefficient of c_a is the x^(a+m) coefficient of nums[k].
+    """
+    d = op.convert(DFORM)
+    if not _is_monomial(d.den):
+        raise DomainError("graded parts need a denominator that is a power "
+                          f"of {op.var}")
+    m = d.den.degree
+    den = math.lcm(*(p.den for p in d.nums))
+    cols = [[v * (den // p.den) for v in p.nums] for p in d.nums]
+    width = max((len(c) for c in cols), default=0)
+    parts = {}
+    for i in range(width):
+        c = _poly("y", [col[i] if i < len(col) else 0 for col in cols], den)
+        if not c.is_zero:
+            parts[i - m] = c
+    return parts
+
+
+def _graded_product(left, right):
+    """The parts of (sum_a x^a p_a(D)) . (sum_b x^b q_b(D)), by
+    x^a p_a(D) . x^b q_b(D) = x^(a+b) p_a(D + b) q_b(D)."""
+    out = {}
+    for b, q in right.items():
+        for a, p in left.items():
+            t = p.translate(b) * q
+            out[a + b] = out[a + b] + t if a + b in out else t
+    return out

@@ -6,8 +6,8 @@ import pytest
 from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
                         bessel_op, bessel_poly, bessel_wave, indicial_poly,
                         ladder_op, wave_coeffs, zero_exponent_basis)
-from bispectral.bessel import (bessel_power_sum, graded_op, poly_at_bessel,
-                               power_ladders)
+from bispectral.bessel import bessel_power_sum, poly_at_bessel, power_ladders
+from bispectral.weyl import graded_op
 from tests_support import (exp_wave, horner, op_of_parts, op_power,
                            poly_at_operator, rand_index)
 

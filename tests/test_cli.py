@@ -663,10 +663,16 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
     ("spec", ("at_zero", 0, "b"), "1", ["build"]),
     ("orbit-spec", ("beta", "N"), 2.7, ["build"]),
     ("spec", ("at_zero", 0, "base_index"), 0.9, ["build"]),
+    # a certificate's depth was truncated or parsed from a string, and the
+    # pair recorded a depth the document does not hold
+    ("cert", ("depth",), 20.9, ["pair"]),
+    ("cert", ("depth",), "20", ["pair"]),
+    ("cert", ("depth",), True, ["pair"]),
 ], ids=["provenance-not-an-object", "base-index-out-of-range",
         "empty-row-of-b", "exponent-notation", "string-as-coefficients",
         "string-as-weights", "string-as-jet-vector", "string-as-b",
-        "float-N", "float-base-index"])
+        "float-N", "float-base-index", "float-depth", "string-as-depth",
+        "boolean-depth"])
 def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
                                       argv):
     # a wrong-typed node, an index out of range, an exponent that would

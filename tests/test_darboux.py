@@ -11,9 +11,10 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         banded_rows, bessel_op, build_certificate, certify,
                         cleared_coefficients, kernel_matrix, linalg,
                         monomial_kernel, validate_spec, wave_jet_at)
-from bispectral import darboux
+from bispectral import DEL, DFORM, darboux, weyl
 from bispectral.darboux import (_assemble, _condition_rows, _orbit_rows,
                                 default_depth)
+from bispectral.involution import involute_P, involute_Q
 from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
                            compute_Q, mult, poly_at_operator, x_power)
 
@@ -360,6 +361,32 @@ def test_certify_negative_controls():
                                                  r"annihilated by P"):
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g,
                 spec=order2_point_spec(a=F(2)))
+
+
+def test_certify_catches_a_lossy_graded_product(monkeypatch):
+    # on a monomial kernel the b-side factors are Laurent: the DFORM
+    # witness multiplies them by graded parts and the DEL witness by the
+    # Leibniz rule, so a graded product that drops a part fails the dual
+    # witness alone
+    bi = BesselIndex.parse("2/3,1/3")
+    cert = build_certificate(
+        monomial_kernel(bi, [[(F(2, 3), F(1)), (F(8, 3), F(1))]]))
+    P_b, g_b = involute_P(cert.P, cert.g, bi)
+    Q_b, f_b = involute_Q(cert.Q, cert.f, bi)
+    certify(bi, P_b, Q_b, f_b, g_b)
+    graded, dropped = weyl._graded_product, []
+
+    def lossy(left, right):
+        parts = graded(left, right)
+        dropped.append(parts.pop(max(parts)))
+        return parts
+
+    monkeypatch.setattr(weyl, "_graded_product", lossy)
+    for form in (DEL, DFORM):
+        with pytest.raises(CertificationError,
+                           match="product disagrees between coordinate forms"):
+            certify(bi, P_b.convert(form), Q_b.convert(form), f_b, g_b)
+    assert len(dropped) == 2
 
 
 def test_certificate_json_round_trip():

@@ -5,9 +5,13 @@ exact, so every assertion is equality of canonical forms.
 """
 
 import random
+import weakref
 from fractions import Fraction
 
-from bispectral import DEL, DFORM, DiffOp, Poly, RationalFunction
+import pytest
+
+from bispectral import DEL, DFORM, DiffOp, DomainError, Poly, RationalFunction
+from bispectral.weyl import graded_op, graded_parts
 from tests_support import (adjoint, mult, op_power, poly_at_operator,
                            x_power)
 
@@ -222,3 +226,86 @@ def test_normal_form_randomized():
                   a * DiffOp(a.var, other, (1,))):
             assert c == a and hash(c) == hash(a)
             assert (c.form, c.den, c.nums) == (a.form, a.den, a.nums)
+
+
+def _rand_laurent(rng, var, order, form):
+    """A random operator sum_k a_k(x) del^k over a power of x, of the given
+    order: each a_k is a Laurent polynomial with rational coefficients on
+    grades inside -4..4, some of them empty."""
+    coeffs = []
+    for k in range(order + 1):
+        grades = {a: Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+                  for a in range(rng.randint(-4, 1), rng.randint(-1, 4) + 1)
+                  if rng.random() < 0.6}
+        if k == order and not any(grades.values()):
+            grades[rng.randint(-4, 4)] = Fraction(rng.choice([-3, 1, 2]), 2)
+        m, top = max(0, -min(grades, default=0)), max(grades, default=0)
+        num = [grades.get(i - m, 0) for i in range(top + m + 1)]
+        coeffs.append(RationalFunction(Poly(var, num), Poly.monomial(var, m)))
+    return DiffOp(var, form, coeffs)
+
+
+def test_graded_product_matches_the_leibniz_product():
+    # DFORM products of Laurent operators run on graded parts; DEL
+    # products keep the Leibniz rule, so the two routes check each other
+    rng = random.Random(2009)
+    grades = set()
+    for var in (x, "z"):
+        for order in range(7):
+            for _ in range(6):
+                a = _rand_laurent(rng, var, order, rng.choice([DEL, DFORM]))
+                b = _rand_laurent(rng, var, rng.randint(0, 6),
+                                  rng.choice([DEL, DFORM]))
+                got = a.convert(DFORM) * b
+                want = (a.convert(DEL) * b.convert(DEL)).convert(DFORM)
+                assert (got.var, got.form) == (var, DFORM)
+                assert (got.den, got.nums) == (want.den, want.nums)
+                assert_normal_form(got)
+                parts = graded_parts(got)
+                grades.update(parts)
+                assert graded_op(parts, var) == got
+    assert min(grades) < 0 < max(grades)
+
+
+def test_graded_parts_invert_graded_op():
+    rng = random.Random(2010)
+    for _ in range(40):
+        parts = {a: Poly("y", [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(rng.randint(0, 4))])
+                 for a in rng.sample(range(-6, 7), rng.randint(0, 4))}
+        op = graded_op(parts, "z")
+        assert graded_parts(op) == {a: c for a, c in parts.items() if c}
+        assert graded_parts(op.convert(DEL)) == graded_parts(op)
+    with pytest.raises(DomainError, match="power of x"):
+        graded_parts(DiffOp(x, DFORM, [RationalFunction(Poly.const(x, 1),
+                                                        Poly(x, [1, 1]))]))
+
+
+def test_conversion_is_computed_once_and_links_back():
+    rng = random.Random(2011)
+    for _ in range(60):
+        form = rng.choice([DEL, DFORM])
+        other = DFORM if form == DEL else DEL
+        a = rand_op(rng, max_order=rng.randint(0, 5), form=form)
+        b = a.convert(other)
+        assert a.convert(other) is b and b.convert(form) is a
+        assert a.convert(form) is a
+        for fresh in (DiffOp(a.var, form, a.coeffs).convert(other),
+                      DiffOp(a.var, other, b.coeffs)):
+            assert fresh is not b
+            assert (fresh.form, fresh.den, fresh.nums) == \
+                (b.form, b.den, b.nums)
+    # a DEL operator keeps its DFORM form alive, whichever was built
+    # first, and the link back is weak: a DFORM operator does not keep its
+    # DEL form alive, and converts afresh once it is gone
+    a = rand_op(rng, max_order=3, form=DFORM)
+    b = a.convert(DEL)
+    origin = weakref.ref(a)
+    del a
+    assert b.convert(DFORM) is origin()
+    a = rand_op(rng, max_order=3)
+    b, fields, origin = a.convert(DFORM), (a.den, a.nums), weakref.ref(a)
+    del a
+    assert origin() is None
+    c = b.convert(DEL)
+    assert (c.den, c.nums) == fields and c.convert(DFORM) is b

@@ -40,7 +40,7 @@ def rand_index(rng, n):
 
 def op_of_parts(parts, var="x"):
     """sum_a x^a c_a(D) from operator products: the oracle of
-    ``bessel.graded_op``."""
+    ``weyl.graded_op``."""
     out = DiffOp.zero(var, DFORM)
     for a, c in parts.items():
         out = out + (mult(var, x_power(var, a), DFORM)
