@@ -72,15 +72,19 @@ class BesselIndex:
             out.extend(b + k * self.N for k in range(d))
         return tuple(out)
 
-    def multiplicity(self, gamma) -> int:
-        """How many weights reach gamma by steps of N: |{i : gamma in b_i + N Z>=0}|."""
-        gamma = Fraction(gamma)
-        count = 0
-        for b in self.beta:
-            step = (gamma - b) / self.N
+    def rungs(self, gamma) -> dict:
+        """The weights that reach gamma by steps of N: {i: k} for every
+        gamma = b_i + k N with k >= 0, in the order of the weights."""
+        out = {}
+        for i, b in enumerate(self.beta):
+            step = (Fraction(gamma) - b) / self.N
             if step.denominator == 1 and step >= 0:
-                count += 1
-        return count
+                out[i] = int(step)
+        return out
+
+    def multiplicity(self, gamma) -> int:
+        """How many weights reach gamma by steps of N."""
+        return len(self.rungs(gamma))
 
     def to_json(self):
         return {"N": self.N, "beta": [format_rational(b) for b in self.beta]}

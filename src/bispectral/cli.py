@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 invalid input, 3 certification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -304,7 +303,7 @@ def main(argv=None):
     except BispectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INVALID
     return code

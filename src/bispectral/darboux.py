@@ -232,59 +232,44 @@ def monomial_kernel(beta: BesselIndex, rows) -> KernelSpec:
                 raise SpecInvalidError(
                     f"exponents {g1} and {g2} in one element differ by "
                     f"{diff}, not a nonzero multiple of {beta.N}")
-        base = None
-        for s, b in enumerate(beta.beta):
-            if all(((g - b) / beta.N).denominator == 1 and g >= b for g in exps):
-                base = s
-                break
-        if base is None:
+        rungs = [beta.rungs(g) for g in exps]
+        common = set(rungs[0]).intersection(*rungs[1:])
+        if not common:
             raise SpecInvalidError(
                 f"no admissible base exponent for row with exponents {exps}")
-        b0 = beta.beta[base]
-        k0 = max(int((g - b0) / beta.N) for g in exps)
-        brows = [[Fraction(0)] for _ in range(k0 + 1)]
-        for g, c in items:
-            brows[int((g - b0) / beta.N)][0] = c
+        base = min(common)
+        steps = [r[base] for r in rungs]
+        brows = [[Fraction(0)] for _ in range(max(steps) + 1)]
+        for k, (_, c) in zip(steps, items):
+            brows[k][0] = c
         groups.append(AtZeroGroup(base, tuple(tuple(r) for r in brows)))
     return KernelSpec(beta, tuple(groups), ())
 
 
 def _group_elements(beta: BesselIndex, group: AtZeroGroup):
-    """The quasi-polynomial elements of one at-zero group (seed derivatives)."""
+    """The quasi-polynomial elements of one at-zero group (seed
+    derivatives), and the least d0 with all of them inside the kernel of
+    the d0-th power: a term x^gamma (ln x)^p needs the p-th rung of gamma's
+    ladder, counted from the lowest."""
     b0 = beta.beta[group.base_index]
-    seed_terms = []
+    seed_terms, d0 = [], 0
     for k, row in enumerate(group.b):
         gamma = b0 + k * beta.N
-        mult = beta.multiplicity(gamma)
+        steps = sorted(beta.rungs(gamma).values())
         for j, c in enumerate(row):
             if not c:
                 continue
-            if j >= mult:
+            if j >= len(steps):
                 raise SpecInvalidError(
                     f"log power {j} at exponent {gamma} exceeds its "
-                    f"multiplicity {mult}")
+                    f"multiplicity {len(steps)}")
             seed_terms.append(((gamma, j), c))
-    seed = QuasiPolynomial(seed_terms)
-    elements = [seed]
+            d0 = max(d0, steps[j] + 1)
+    # the derivatives lower log powers only, so the seed sets d0
+    elements = [QuasiPolynomial(seed_terms)]
     for _ in range(group.j0):
         elements.append(elements[-1].log_derivative())
-    return elements
-
-
-def _zero_depth(beta: BesselIndex, elements):
-    """Minimal d with every element inside the kernel of the d-th power.
-
-    ``_group_elements`` has checked every log power p against the
-    multiplicity of its exponent, so the p-th ladder step exists.
-    """
-    d0 = 0
-    for q in elements:
-        for (gamma, p), _ in q.items():
-            ms = sorted(int((gamma - b) / beta.N) for b in beta.beta
-                        if ((gamma - b) / beta.N).denominator == 1
-                        and gamma >= b)
-            d0 = max(d0, ms[p] + 1)
-    return d0
+    return elements, d0
 
 
 @dataclass(frozen=True)
@@ -301,9 +286,11 @@ class ValidatedSpec:
 def validate_spec(spec: KernelSpec) -> ValidatedSpec:
     """Check structural conditions and derive the certificate polynomials."""
     beta = spec.beta
-    elements = []
+    elements, d0 = [], 0
     for group in spec.at_zero:
-        elements.extend(_group_elements(beta, group))
+        group_elements, group_d0 = _group_elements(beta, group)
+        elements.extend(group_elements)
+        d0 = max(d0, group_d0)
     n0 = len(elements)
     if elements:
         cols = sorted({key for q in elements for key, _ in q.items()})
@@ -326,7 +313,7 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
     if n == 0:
         raise SpecInvalidError("empty kernel specification")
     g = Poly.monomial("z", n0)
-    h = Poly.monomial("y", _zero_depth(beta, elements))
+    h = Poly.monomial("y", d0)
     for lam, vectors in per_lam_vectors.items():
         width = max(len(v) for v in vectors)
         rows = [list(v) + [Fraction(0)] * (width - len(v)) for v in vectors]
@@ -605,7 +592,7 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
                     f"is not annihilated by P")
         witnesses["kernel"] = True
     psi = bessel_wave(beta, K)
-    image = psi.apply(P, "x")
+    image = psi.apply(P)
     xlo, xhi, zlo, zhi = image.box
     for i, j in image.nums:
         if i > 0:

@@ -232,15 +232,15 @@ def make_pair(cert: DarbouxCertificate) -> BispectralPair:
     P_b, g_b = involute_P(cert.P, cert.g, beta)
     Q_b, f_b = involute_Q(cert.Q, cert.f, beta)
     bcert = certify(beta, P_b, Q_b, f_b, g_b)
-    # DFORM products, converted once each for the document; on a monomial
-    # kernel P_b and Q_b are Laurent, so Lambda is multiplied by graded parts
-    L = cert.P.convert(DFORM) * cert.Q.convert(DFORM)
+    # L in the form its factors arrive in; Lambda in DFORM, since on a
+    # monomial kernel P_b and Q_b are Laurent and multiply by graded parts
+    L = (cert.P * cert.Q).convert(DEL)
     lam_x = P_b.convert(DFORM) * Q_b.convert(DFORM)
     theta_x = (f_b * g_b).relabel(P_b.var)
     if not theta_x.is_power_pattern(beta.N):
         raise ShapeError("f_b * g_b is not a polynomial in x^N")
     theta = theta_x.contract_arg_power(beta.N, var="y")
-    return BispectralPair(beta=beta, L=L.convert(DEL),
+    return BispectralPair(beta=beta, L=L,
                           Lambda=lam_x.relabel("z").convert(DEL),
                           h=cert.h, theta=theta,
                           P_b=P_b, Q_b=Q_b, f_b=f_b, g_b=g_b,
@@ -263,16 +263,16 @@ def verify_pair(pair: BispectralPair, depth: int = None) -> dict:
     h_z = pair.h.expand_arg_power(beta.N, var="z")
     theta_z = pair.theta.expand_arg_power(beta.N, var="z")
 
-    s = psi.apply(pair.certificate.P, "x")
-    lhs = s.apply(pair.L, "x")
-    rhs = s.mul_poly(h_z, axis=1)
+    s = psi.apply(pair.certificate.P)
+    lhs = s.apply(pair.L)
+    rhs = s.mul_poly(h_z)
     res1 = lhs - rhs
     if res1.nums:
         raise VerificationError("L psi - h(z^N) psi has a nonzero residual")
 
-    t = psi.apply(pair.P_b, "x")
-    lhs2 = t.apply(pair.Lambda.relabel("x"), "x")
-    rhs2 = t.mul_poly(theta_z, axis=1)
+    t = psi.apply(pair.P_b)
+    lhs2 = t.apply(pair.Lambda.relabel("x"))
+    rhs2 = t.mul_poly(theta_z)
     res2 = lhs2 - rhs2
     if res2.nums:
         raise VerificationError(
@@ -403,20 +403,15 @@ class SpectralAlgebraReport:
 
 
 def _semigroup_generators(degrees):
+    """The found degrees that are no sum of smaller found degrees, from one
+    reachability table up to the largest, updated once per generator."""
+    reachable = [True] + [False] * max(degrees)
     gens = []
-    reachable = {0}
     for dgr in sorted(degrees):
-        if dgr not in reachable:
+        if not reachable[dgr]:
             gens.append(dgr)
-        limit = max(degrees)
-        frontier = set(reachable)
-        for g in gens:
-            for base in sorted(frontier):
-                v = base
-                while v <= limit:
-                    reachable.add(v)
-                    v += g
-            frontier = set(reachable)
+            for v in range(dgr, len(reachable)):
+                reachable[v] = reachable[v] or reachable[v - dgr]
     return tuple(gens)
 
 
@@ -568,15 +563,12 @@ def beta_prime(beta: BesselIndex, gammas, rows):
         support = [gammas[i] for i, c in enumerate(row) if c]
         if not support:
             raise AssociationError("empty kernel row")
-        candidates = []
-        for s, b in enumerate(beta.beta):
-            if all(((g - b) / beta.N).denominator == 1 and g >= b
-                   for g in support):
-                candidates.append((b, s))
+        rungs = [beta.rungs(g) for g in support]
+        candidates = sorted((beta.beta[s], s) for s in
+                            set(rungs[0]).intersection(*rungs[1:]))
         if not candidates:
             raise AssociationError(
                 f"row with exponents {support} matches no base weight")
-        candidates.sort()
         if len(candidates) > 1:
             ambiguous = True
         counts[candidates[0][1]] += 1

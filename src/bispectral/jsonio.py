@@ -35,9 +35,17 @@ def write(path, document):
 
 
 def read(path):
-    """Parse a document file; every document the tool reads is an object."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Parse a document file; every document the tool reads is an object.
+
+    Bytes that do not decode, malformed JSON, an integer past the int digit
+    limit (each a ValueError) and nesting too deep to parse raise
+    UsageError.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object, "
                          f"got {type(data).__name__}")

@@ -15,32 +15,37 @@
 
 No document stores any of these, so they have no JSON form.
 
-Operators act on WaveSeries/ExpSeries after peeling the exponential
-prefactor: d/dx becomes (z + d/dx) resp. (c + d/dx).  An operator is read
-in its cleared form den^{-1} sum_k nums[k] DEL^k (see ``weyl``), so its
-image is den^{-1} sum_k nums[k] DEL^k psi: the numerator pieces are summed
-once and the sum is divided once.  A denominator x^m acts by a shift; one
-with a root away from 0 by division by recurrence from the window top:
-true coefficients vanish above the window, so den * out = in has exactly
-one solution without terms above it, and each row costs O(width * deg den).
+Operators act on a WaveSeries in x only.  The wave function depends on
+xz alone, so the bispectral pair's Lambda, an operator in z, is applied
+after relabelling it to x, and z enters the series layer only through
+``mul_poly``, which multiplies by an eigenvalue polynomial p(z).  Operators act on
+WaveSeries/ExpSeries after peeling the exponential prefactor: d/dx
+becomes (z + d/dx) on a WaveSeries and (c + d/dx) on an ExpSeries.  An
+operator is read in its cleared form den^{-1} sum_k nums[k] DEL^k (see
+``weyl``), so its image is den^{-1} sum_k nums[k] DEL^k psi: the
+numerator pieces are summed once and the sum is divided once.  A
+denominator x^m acts by a shift; one with a root away from 0 by division
+by recurrence from the window top: true coefficients vanish above the
+window, so den * out = in has exactly one solution without terms above
+it, and each row costs O(width * deg den).
 
 The numerator pieces (one per shifted term) are summed on dense integer
-rows: a row holds one power of the other variable over the acting window.
-The box comes first, from the power boxes and the nonzero shifts alone: it
-is the fold of max over the piece boxes, component by component, as the
-pairwise + builds it.  Each DEL power's nonzero entries, times each term,
-are then added into the rows inside that box, and entries outside it are
-dropped, as a series drops them.  A coefficient inside the final box lies
-inside every partial box, so the one-pass sum keeps exactly what the
-pairwise sums keep, and the windows are the same.  When den = var^m the
-rows are written out once; otherwise each row is divided as it stands
-(``_divide_row``), which shifts the box by -deg den.  Against the
-per-coefficient route, which divides n_k / den_k reduced, each piece's box
-moves by the same deg n_k - deg den_k, since reducing leaves that
-difference unchanged and the max-fold commutes with the common shift; so
-the windows are the same there too.  The DEL steps stay on the sparse
-coefficient dict: the wave function has one nonzero per row, and dense
-rows would carry mostly zeros through every step.
+rows: a row holds one power of z over the x window.  The box comes first,
+from the power boxes and the nonzero shifts alone: it is the fold of max
+over the piece boxes, component by component, as the pairwise + builds
+it.  Each DEL power's nonzero entries, times each term, are then added
+into the rows inside that box, and entries outside it are dropped, as a
+series drops them.  A coefficient inside the final box lies inside every
+partial box, so the one-pass sum keeps exactly what the pairwise sums
+keep, and the windows are the same.  When den = x^m the rows are written
+out once; otherwise each row is divided as it stands (``_divide_row``),
+which shifts the box by -deg den.  Against the per-coefficient route,
+which divides n_k / den_k reduced, each piece's box moves by the same
+deg n_k - deg den_k, since reducing leaves that difference unchanged and
+the max-fold commutes with the common shift; so the windows are the same
+there too.  The DEL steps stay on the sparse coefficient dict: the wave
+function has one nonzero per row, and dense rows would carry mostly zeros
+through every step.
 
 Integer form.  A WaveSeries keeps integer numerators over one positive
 integer denominator and takes no gcd in its arithmetic; ``coeffs`` is the
@@ -52,7 +57,7 @@ E * den from the window top needs no division either: counted from the
 top, the k-th output has a denominator dividing E^(k+1), and the
 recurrence runs on the output times that power (``_divide_row``).  So the
 image of a series over s lies over s * D when den = x^m, and over
-s * D * E^(w-1) otherwise, w the window width along the acting variable;
+s * D * E^(w-1) otherwise, w the width of the x window;
 E = 1 (integral den) costs nothing.  An ExpSeries step (c + d/dx) with
 c = p/q is (p u + q u') / q, so each DEL power lies over q times the last
 one; the pieces are summed over the highest power's denominator, which
@@ -194,11 +199,6 @@ def _accumulate(pieces):
     return out, box
 
 
-def _oriented(box, axis):
-    """(xlo, xhi, zlo, zhi) as (acting lo, hi, other lo, hi), and back."""
-    return box if axis == 0 else box[2:] + box[:2]
-
-
 def _divide_rows(rows, lo, p: Poly):
     """Dense rows, row[k] the coefficient of var^(lo+k), times 1/p(var) for
     a monic p: the rows, their new lo and the integer they now lie over.
@@ -324,22 +324,14 @@ class WaveSeries:
                           (xlo + dx, xhi + dx, zlo + dz, zhi + dz),
                           self.den * c.denominator)
 
-    def _mul_inverse_poly(self, den: Poly, axis):
-        """Exact multiplication by 1/den(x) (axis 0) or 1/den(z) (axis 1):
-        the rows of self, divided as ``_image`` divides them."""
-        if den.nums[-1] != den.den:
-            return self.scale(1 / den.leading)._mul_inverse_poly(den.monic(),
-                                                                 axis)
-        return self._image(den, [Poly.const(den.var, 1)], axis)
-
-    def _image(self, den: Poly, nums, axis):
+    def _image(self, den: Poly, nums):
         """den^{-1} sum_k nums[k] DEL^k self for a monic den, in integers.
 
         The pieces nums[k] DEL^k self are summed once over T * D, T the den
         of the highest DEL power (a DEL step multiplies den by an integer,
         so T is a multiple of every power's den) and D the lcm of the
         numerators' denominators, on dense rows inside the max-folded box,
-        and the sum is divided once: by a shift when den = var^m, else row
+        and the sum is divided once: by a shift when den = x^m, else row
         by row by ``_divide_rows``.
         """
         D = math.lcm(*(num.den for num in nums))
@@ -347,7 +339,7 @@ class WaveSeries:
         laurent = den.valuation() == m
         powers = [self]
         for _ in nums[1:]:
-            powers.append(powers[-1]._apply_del(axis))
+            powers.append(powers[-1]._apply_del())
         top = powers[-1].den
         pieces, box = [], None
         for power, num in zip(powers, nums):
@@ -356,75 +348,76 @@ class WaveSeries:
                      for t, n in enumerate(num.nums) if n]
             if terms:
                 # the largest shift gives the fold of this power's pieces
-                alo, ahi, olo, ohi = _oriented(power.box, axis)
+                xlo, xhi, zlo, zhi = power.box
                 s = terms[-1][0]
-                piece_box = (alo + s, ahi + s, olo, ohi)
+                piece_box = (xlo + s, xhi + s, zlo, zhi)
                 box = piece_box if box is None else tuple(
                     map(max, box, piece_box))
                 pieces.append((power, terms))
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
-        alo, ahi, olo, ohi = box
-        w = ahi - alo + 1
-        rows = [[0] * w for _ in range(ohi - olo + 1)]
+        xlo, xhi, zlo, zhi = box
+        w = xhi - xlo + 1
+        rows = [[0] * w for _ in range(zhi - zlo + 1)]
         for power, terms in pieces:
-            for key, v in power.nums.items():
-                a, o = key if axis == 0 else key[::-1]
-                if o < olo:     # no power reaches above ohi, the max top
+            for (i, j), v in power.nums.items():
+                if j < zlo:     # no power reaches above zhi, the max top
                     continue
-                row, a = rows[o - olo], a - alo
+                row, i = rows[j - zlo], i - xlo
                 for s, c in terms:
-                    k = a + s
+                    k = i + s
                     if k >= w:
                         break
                     if k >= 0:
                         row[k] += c * v
         total = top * D
         if not laurent:
-            rows, alo, lift = _divide_rows(rows, alo, den)
+            rows, xlo, lift = _divide_rows(rows, xlo, den)
             total *= lift
-        if axis == 0:
-            out = {(alo + k, o): v for o, row in enumerate(rows, olo)
-                   for k, v in enumerate(row) if v}
-        else:
-            out = {(o, alo + k): v for o, row in enumerate(rows, olo)
-                   for k, v in enumerate(row) if v}
-        return self._like(out, _oriented((alo, alo + w - 1, olo, ohi), axis),
-                          total)
+        return self._like({(xlo + k, j): v for j, row in enumerate(rows, zlo)
+                           for k, v in enumerate(row) if v},
+                          (xlo, xlo + w - 1, zlo, zhi), total)
 
-    def mul_poly(self, p: Poly, axis):
+    def mul_poly(self, p: Poly):
+        """Multiply by p(z): one pass of shifts along z.  The window moves
+        up by deg p, and entries below its new bottom are dropped."""
         if p.is_zero:
             raise UsageError("multiplication by the zero function")
-        return self._image(Poly.const(p.var, 1), [p], axis)
+        xlo, xhi, zlo, zhi = self.box
+        zlo, zhi = zlo + p.degree, zhi + p.degree
+        terms = [(t, n) for t, n in enumerate(p.nums) if n]
+        out = {}
+        for (i, j), v in self.nums.items():
+            for t, n in terms:
+                if j + t >= zlo:
+                    key = (i, j + t)
+                    s = out.get(key)
+                    out[key] = n * v if s is None else s + n * v
+        return self._like(out, (xlo, xhi, zlo, zhi), self.den * p.den)
 
-    def _apply_del(self, axis):
-        """(z + d/dx) resp. (x + d/dz) on the bare series: one more DEL."""
+    def _apply_del(self):
+        """(z + d/dx) on the bare series: one more DEL."""
         xlo, xhi, zlo, zhi = self.box
         items = self.nums.items()
-        if axis == 0:
-            pieces = (((xlo, xhi, zlo + 1, zhi + 1),
-                       (((i, j + 1), v) for (i, j), v in items)),
-                      ((xlo - 1, xhi - 1, zlo, zhi),
-                       (((i - 1, j), i * v) for (i, j), v in items if i)))
-        else:
-            pieces = (((xlo + 1, xhi + 1, zlo, zhi),
-                       (((i + 1, j), v) for (i, j), v in items)),
-                      ((xlo, xhi, zlo - 1, zhi - 1),
-                       (((i, j - 1), j * v) for (i, j), v in items if j)))
-        return self._like(*_accumulate(pieces), self.den)
+        return self._like(*_accumulate((
+            ((xlo, xhi, zlo + 1, zhi + 1),
+             (((i, j + 1), v) for (i, j), v in items)),
+            ((xlo - 1, xhi - 1, zlo, zhi),
+             (((i - 1, j), i * v) for (i, j), v in items if i)))), self.den)
 
-    def apply(self, op: DiffOp, var: str) -> "WaveSeries":
-        """Image under an operator acting in x (var='x') or z (var='z').
+    def apply(self, op: DiffOp) -> "WaveSeries":
+        """Image under an operator in x; one in z is refused.
 
-        The e^{xz} prefactor is handled by d/dx -> (z + d/dx) and
-        symmetrically in z; the result is again prefactor-stripped.
+        The e^{xz} prefactor is handled by d/dx -> (z + d/dx); the result
+        is again prefactor-stripped.  The series layer acts in x only: z
+        enters through ``mul_poly``, and an operator in z, such as Lambda,
+        is applied after relabelling it to x, since psi depends on xz
+        alone.
         """
-        if var not in ("x", "z"):
-            raise UsageError("var must be 'x' or 'z'")
-        if op.var != var:
+        if op.var != "x":
             raise UsageError("operator in the wrong variable")
         a = op.convert(DEL)
-        return self._image(a.den, a.nums, 0 if var == "x" else 1)
+        return self._image(a.den, a.nums)
 
     def __eq__(self, other):
         if not isinstance(other, WaveSeries):
@@ -472,8 +465,8 @@ class ExpSeries(WaveSeries):
             return NotImplemented
         return self._same_point(other) and super().__eq__(other)
 
-    def _apply_del(self, axis):
-        """(rate + d/dvar) on the bare series (axis 0): one more DEL.  With
+    def _apply_del(self):
+        """(rate + d/dvar) on the bare series: one more DEL.  With
         rate = p/q the step is (p u + q u') / q, so den grows by q."""
         p, q = self.rate.numerator, self.rate.denominator
         xlo, xhi, _, _ = self.box
@@ -489,5 +482,5 @@ class ExpSeries(WaveSeries):
         if op.var != self.var:
             raise UsageError("operator in the wrong variable")
         a = op.convert(DEL)
-        return self._image(a.den, a.nums, 0)
+        return self._image(a.den, a.nums)
 

@@ -192,6 +192,13 @@ def test_multiplicity():
     assert BesselIndex.parse("1/2,1/2").multiplicity(Fraction(1, 2)) == 2
     assert BesselIndex.parse("-1,2").multiplicity(3) == 1
     assert BesselIndex.parse("-1,2").multiplicity(Fraction(1, 2)) == 0
+    # rungs: {i: k} for every gamma = b_i + k N with k >= 0
+    bi = BesselIndex.parse("5/2,-3/2")
+    assert bi.rungs(Fraction(5, 2)) == {0: 0, 1: 2}     # two rungs at one
+    assert bi.multiplicity(Fraction(5, 2)) == 2
+    assert BesselIndex.parse("0,1").rungs(2) == {0: 1}   # 1/2 step misses
+    assert bi.rungs(Fraction(-3, 2)) == {1: 0}           # step -2 is below
+    assert bi.rungs(Fraction(-7, 2)) == {}
 
 
 def test_zero_exponent_basis():

@@ -455,6 +455,21 @@ def test_documents_that_are_not_objects_exit_two(tmp_path, capsys):
             assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200000,
+    b"\xff\xfe{}",
+    b'{"kind": "bispectral-pair", "beta": ' + b"9" * 5000 + b"}",
+], ids=["deep-nesting", "utf-16-bom", "5000-digit-integer"])
+def test_files_that_do_not_parse_exit_two(tmp_path, capsys, content):
+    # nesting past the recursion limit, bytes that do not decode and an
+    # integer past the int digit limit; without a digit limit the last is
+    # a malformed pair, which exits 2 as well
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["bessel", "--beta", "2/3,1/3", "-K", "-2"],
     ["build", "spec.json", "-K", "-5"],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -142,8 +143,8 @@ def test_verify_pair_sees_one_changed_numerator(monkeypatch, side, message):
     target = pair.L if side == "L" else pair.Lambda.relabel("x")
     apply = WaveSeries.apply
 
-    def tampered(self, op, var):
-        image = apply(self, op, var)
+    def tampered(self, op):
+        image = apply(self, op)
         if op == target:
             # the top corner of the image's box lies in the residual's box
             key = (image.box[1], image.box[3])
@@ -569,6 +570,29 @@ def test_order2_point_algebra_report():
     assert rep.degrees == (4, 6, 8)
     assert rep.generators == (4, 6)
     assert rep.rank == 2
+
+
+def _is_sum_of(d, parts):
+    """Whether d is a sum of one or more of the parts, repeats allowed: a
+    memoized search over the part taken off first."""
+    @functools.cache
+    def reach(rest):
+        return rest == 0 or any(p <= rest and reach(rest - p) for p in parts)
+    return d > 0 and reach(d)
+
+
+def test_semigroup_generators_match_the_brute_force_oracle():
+    # a found degree is a generator exactly when it is not a sum of
+    # smaller found degrees; the -5,2,6 plane degrees are those of CI
+    rng = random.Random(41)
+    cases = [[3, 6, 7] + list(range(9, 33)), [2, 4, 6, 8], [5], [1, 2, 3]]
+    for _ in range(40):
+        cases.append(rng.sample(range(1, 40), rng.randint(1, 8)))
+    for degrees in cases:
+        want = tuple(d for d in sorted(degrees)
+                     if not _is_sum_of(d, [e for e in degrees if e < d]))
+        assert involution._semigroup_generators(degrees) == want
+    assert involution._semigroup_generators(cases[0]) == (3, 7, 11)
 
 
 def test_plane_reports():

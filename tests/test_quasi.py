@@ -118,7 +118,7 @@ def test_module_action_randomized():
 def test_wave_series_basic_action():
     one = WaveSeries({(0, 0): Fraction(1)}, (-6, 0, -6, 0))
     dx = DiffOp("x", "del", (0, 1))
-    img = one.apply(dx, "x")
+    img = one.apply(dx)
     assert img.coeff(0, 1) == 1 and len(img.coeffs) == 1
 
 
@@ -128,7 +128,7 @@ def test_rank_one_eigen_pair_on_series():
                      (-8, 0, -8, 0))
     op = DiffOp("x", "del",
                 [RationalFunction(Poly("x", [-2]), Poly("x", [0, 0, 1])), 0, 1])
-    lhs = psi.apply(op, "x")
+    lhs = psi.apply(op)
     rhs = psi.shift(0, 2)
     assert not (lhs - rhs).coeffs
 
@@ -143,18 +143,29 @@ def test_bessel_wave_eigen_identity_random_weights():
         bi = BesselIndex(n, tuple(entries))
         depth = 12
         psi = bessel_wave(bi, depth)
-        img = psi.apply(bessel_op(bi), "x")
-        rhs = psi.mul_poly(Poly.monomial("z", n), axis=1)
+        img = psi.apply(bessel_op(bi))
+        rhs = psi.mul_poly(Poly.monomial("z", n))
         assert not (img - rhs).coeffs
+
+
+def _transposed(series):
+    """The series with x and z exchanged."""
+    xlo, xhi, zlo, zhi = series.box
+    return WaveSeries({(j, i): v for (i, j), v in series.coeffs.items()},
+                      (zlo, zhi, xlo, xhi))
 
 
 def test_spectral_side_action_matches_homogeneity():
     # the eigenfunction depends on x and z only through their product, so
-    # the degree-weighted derivatives in either variable coincide
+    # it is symmetric, and the degree-weighted derivatives in either
+    # variable coincide: D_z psi is D_x of the transposed series,
+    # transposed back
     bi = BesselIndex.parse("2/3,1/3")
     psi = bessel_wave(bi, 10)
-    dz = psi.apply(DiffOp("z", "D", (0, 1)), "z")
-    dx = psi.apply(DiffOp("x", "D", (0, 1)), "x")
+    assert _transposed(psi) == psi
+    theta = DiffOp("x", "D", (0, 1))
+    dz = _transposed(_transposed(psi).apply(theta))
+    dx = psi.apply(theta)
     assert not (dz - dx).coeffs
 
 
@@ -163,15 +174,15 @@ def test_action_commutes_with_other_variable_scalars():
     psi = bessel_wave(bi, 10)
     p_z = Poly("z", [3, 0, -1])
     op = bessel_op(bi)
-    a = psi.mul_poly(p_z, axis=1).apply(op, "x")
-    b = psi.apply(op, "x").mul_poly(p_z, axis=1)
+    a = psi.mul_poly(p_z).apply(op)
+    b = psi.apply(op).mul_poly(p_z)
     assert not (a - b).coeffs
 
 
 def test_window_bookkeeping_is_conservative():
     bi = BesselIndex.parse("2/3,1/3")
-    shallow = bessel_wave(bi, 6).apply(bessel_op(bi), "x")
-    deep = bessel_wave(bi, 14).apply(bessel_op(bi), "x")
+    shallow = bessel_wave(bi, 6).apply(bessel_op(bi))
+    deep = bessel_wave(bi, 14).apply(bessel_op(bi))
     xlo, xhi, zlo, zhi = shallow.box
     for i in range(xlo, xhi + 1):
         for j in range(zlo, zhi + 1):
@@ -189,7 +200,7 @@ def test_windows_translate_under_application():
     # the x^-3 piece lives on (-11,-3) but the derivative piece on (-8,0);
     # only degrees every piece can see are guaranteed
     psi = bessel_wave(BesselIndex.parse("0,1"), 8)
-    img = psi.apply(DiffOp("x", "del", [x_power("x", -3), 1]), "x")
+    img = psi.apply(DiffOp("x", "del", [x_power("x", -3), 1]))
     assert img.box == (-8, 0, -7, 1)
 
 
@@ -198,7 +209,7 @@ def test_rational_coefficient_action_matches_cleared_identity():
     psi = bessel_wave(BesselIndex.parse("0,1"), 10)
     q = Poly("x", [Fraction(-5), 0, 1])
     rf = RationalFunction(Poly.const("x", 1), q)
-    back = psi.mul_poly(q, axis=0).apply(mult("x", rf), "x")
+    back = psi.apply(mult("x", RationalFunction(q))).apply(mult("x", rf))
     xlo, xhi, zlo, zhi = back.box
     for i in range(xlo, xhi + 1):
         for j in range(zlo, zhi + 1):
@@ -217,6 +228,17 @@ def _laurent_coefficients(rng, var, scalar):
             yield rf
 
 
+def _shift_sum(series, p, axis):
+    """series times p(x) (axis 0) or p(z) (axis 1) as the pairwise sum of
+    its shifted, scaled copies."""
+    out = None
+    for k, c in enumerate(p.coeffs):
+        if c:
+            piece = series.shift(*((k, 0) if axis == 0 else (0, k)), c)
+            out = piece if out is None else out + piece
+    return out
+
+
 def test_wave_series_laurent_product_matches_inverse_expansion():
     rng = random.Random(33)
     psi = WaveSeries({(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -226,11 +248,16 @@ def test_wave_series_laurent_product_matches_inverse_expansion():
     def scalar():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
-    for axis, var in ((0, "x"), (1, "z")):
-        for rf in _laurent_coefficients(rng, var, scalar):
-            want = psi.mul_poly(rf.num, axis)._mul_inverse_poly(rf.den, axis)
-            got = psi.apply(mult(var, rf), var)
-            assert got.box == want.box and got.coeffs == want.coeffs
+    for rf in _laurent_coefficients(rng, "x", scalar):
+        want = _shift_sum(psi, rf.num, 0).shift(-rf.den.degree, 0)
+        got = psi.apply(mult("x", rf))
+        assert got.box == want.box and got.coeffs == want.coeffs
+    # multiplication by p(z) is the same sum of shifts along z
+    for rf in _laurent_coefficients(rng, "z", scalar):
+        want = _shift_sum(psi, rf.num, 1)
+        got = psi.mul_poly(rf.num)
+        assert got.box == want.box and got.coeffs == want.coeffs
+        assert got == want
 
 
 def test_exp_series_laurent_product_matches_inverse_expansion():
@@ -243,12 +270,7 @@ def test_exp_series_laurent_product_matches_inverse_expansion():
     # a rate with a denominator: each DEL step lies over twice the last den
     series = ExpSeries("x", rate, {d: scalar() for d in range(-7, 1)}, (-7, 0))
     for rf in _laurent_coefficients(rng, "x", scalar):
-        want = None
-        for k, c in enumerate(rf.num.coeffs):
-            if c:
-                piece = series.shift(k, 0).scale(c)
-                want = piece if want is None else want + piece
-        want = want._mul_inverse_poly(rf.den, 0)
+        want = _shift_sum(series, rf.num, 0).shift(-rf.den.degree, 0)
         got = series.apply(mult("x", rf))
         assert got.box == want.box and got.coeffs == want.coeffs
         assert got == want
@@ -330,30 +352,24 @@ def _inverse_expansion(den: Poly, count: int):
     return out
 
 
-def _reference_wave_division(series, den, axis):
+def _reference_wave_division(series, den):
     d = den.degree
-    xlo, xhi, zlo, zhi = series.box
-    if axis == 0:
-        lo, hi, olo, ohi = xlo, xhi, zlo, zhi
-    else:
-        lo, hi, olo, ohi = zlo, zhi, xlo, xhi
+    lo, hi, zlo, zhi = series.box
     inv = _inverse_expansion(den, hi - lo + 1)
     out = {}
-    for o in range(olo, ohi + 1):
+    for j in range(zlo, zhi + 1):
         for i in range(lo - d, hi - d + 1):
             acc = Fraction(0)
             for s, u in enumerate(inv):
                 src = i + d + s
                 if src > hi:
                     break
-                key = (src, o) if axis == 0 else (o, src)
-                c = series.coeffs.get(key)
+                c = series.coeffs.get((src, j))
                 if c is not None:
                     acc = acc + u * c
             if acc:
-                out[(i, o) if axis == 0 else (o, i)] = acc
-    box = (lo - d, hi - d, olo, ohi) if axis == 0 else (olo, ohi, lo - d, hi - d)
-    return WaveSeries(out, box)
+                out[(i, j)] = acc
+    return WaveSeries(out, (lo - d, hi - d, zlo, zhi))
 
 
 def _reference_exp_division(series, den):
@@ -373,6 +389,13 @@ def _reference_exp_division(series, den):
         if acc is not None and acc:
             out[i] = acc
     return ExpSeries(series.var, series.rate, out, (lo - d, hi - d))
+
+
+def _divided(series, den):
+    """series times 1/den(x) for any nonzero den: the library's one
+    division, ``_image`` on the monic den, after scaling by 1/lead."""
+    return series.scale(1 / den.leading)._image(den.monic(),
+                                                [Poly.const("x", 1)])
 
 
 def _denominators_away_from_zero(rng, var, scalar):
@@ -416,16 +439,15 @@ def test_wave_division_matches_inverse_expansion():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
     checked = 0
-    for axis, var in ((0, "x"), (1, "z")):
-        for box in ((-7, 0, -5, 1), (-3, 4, -6, -1)):
-            psi = _random_wave(rng, box)
-            for den in _denominators_away_from_zero(rng, var, scalar):
-                assert not RationalFunction(Poly.const(var, 1), den).is_laurent
-                want = _reference_wave_division(psi, den, axis)
-                got = psi._mul_inverse_poly(den, axis)
-                assert got.box == want.box and got.coeffs == want.coeffs
-                checked += 1
-    assert checked == 4 * 17
+    for box in ((-7, 0, -5, 1), (-3, 4, -6, -1)):
+        psi = _random_wave(rng, box)
+        for den in _denominators_away_from_zero(rng, "x", scalar):
+            assert not RationalFunction(Poly.const("x", 1), den).is_laurent
+            want = _reference_wave_division(psi, den)
+            got = _divided(psi, den)
+            assert got.box == want.box and got.coeffs == want.coeffs
+            checked += 1
+    assert checked == 2 * 17
 
 
 def test_exp_division_matches_inverse_expansion():
@@ -440,7 +462,7 @@ def test_exp_division_matches_inverse_expansion():
                                        if rng.random() < 0.8}, (lo, hi))
         for den in _denominators_away_from_zero(rng, "x", scalar):
             want = _reference_exp_division(series, den)
-            got = series._mul_inverse_poly(den, 0)
+            got = _divided(series, den)
             assert got.box == want.box and got.coeffs == want.coeffs
             assert got == want
 
@@ -465,32 +487,25 @@ def _mixed_op(rng, var, order):
 def test_wave_apply_is_the_pairwise_sum_of_its_pieces():
     rng = random.Random(37)
     piece_boxes = set()
-    for axis, var in ((0, "x"), (1, "z")):
-        for _ in range(6):
-            psi = _random_wave(rng, (-6, 0, -6, 0))
-            op = _mixed_op(rng, var, rng.randint(1, 3))
-            assert any(c.is_laurent for c in op.coeffs)
-            assert not all(c.is_laurent for c in op.coeffs)
-            power, want, boxes = psi, None, set()
-            for k, c in enumerate(op.coeffs):
-                if k:
-                    xlo, xhi, zlo, zhi = power.box
-                    if axis == 0:
-                        deriv = WaveSeries({(i - 1, j): i * v for (i, j), v
-                                            in power.coeffs.items() if i},
-                                           (xlo - 1, xhi - 1, zlo, zhi))
-                        power = power.shift(0, 1) + deriv
-                    else:
-                        deriv = WaveSeries({(i, j - 1): j * v for (i, j), v
-                                            in power.coeffs.items() if j},
-                                           (xlo, xhi, zlo - 1, zhi - 1))
-                        power = power.shift(1, 0) + deriv
-                piece = power.apply(mult(var, c), var)
-                boxes.add(piece.box)
-                want = piece if want is None else want + piece
-            got = psi.apply(op, var)
-            assert got.box == want.box and got.coeffs == want.coeffs
-            piece_boxes.add(len(boxes))
+    for _ in range(12):
+        psi = _random_wave(rng, (-6, 0, -6, 0))
+        op = _mixed_op(rng, "x", rng.randint(1, 3))
+        assert any(c.is_laurent for c in op.coeffs)
+        assert not all(c.is_laurent for c in op.coeffs)
+        power, want, boxes = psi, None, set()
+        for k, c in enumerate(op.coeffs):
+            if k:
+                xlo, xhi, zlo, zhi = power.box
+                deriv = WaveSeries({(i - 1, j): i * v for (i, j), v
+                                    in power.coeffs.items() if i},
+                                   (xlo - 1, xhi - 1, zlo, zhi))
+                power = power.shift(0, 1) + deriv
+            piece = power.apply(mult("x", c))
+            boxes.add(piece.box)
+            want = piece if want is None else want + piece
+        got = psi.apply(op)
+        assert got.box == want.box and got.coeffs == want.coeffs
+        piece_boxes.add(len(boxes))
     assert max(piece_boxes) > 1
 
 
@@ -535,49 +550,38 @@ def _sum_pieces(pieces):
             if v and alo <= a <= ahi and olo <= o <= ohi}, box
 
 
-def _fraction_image(psi, op, axis, rate=None):
-    """sum_k a_k DEL^k psi over Fractions read from the coeffs view, keyed
-    (power of the acting variable, power of the other) until the end; the
+def _fraction_image(psi, op, rate=None):
+    """sum_k a_k DEL^k psi over Fractions read from the coeffs view; the
     same boxes as the library, and the same division oracle as above.  DEL
-    is (other + d/dvar), or (rate + d/dx) for an ExpSeries."""
-    def swap(key):
-        return tuple(key) if axis == 0 else tuple(key[::-1])
-
-    def swap_box(box):
-        return tuple(box) if axis == 0 else box[2:] + box[:2]
-
-    power = {swap(k): v for k, v in psi.coeffs.items()}
-    box = swap_box(psi.box)
+    is (z + d/dx), or (rate + d/dx) for an ExpSeries."""
+    power, box = dict(psi.coeffs), psi.box
     out = []
     for k, rf in enumerate(op.convert("del").coeffs):
         if k:
-            alo, ahi, olo, ohi = box
-            step = (({(a, o + 1): v for (a, o), v in power.items()},
-                     (alo, ahi, olo + 1, ohi + 1)) if rate is None else
+            xlo, xhi, zlo, zhi = box
+            step = (({(i, j + 1): v for (i, j), v in power.items()},
+                     (xlo, xhi, zlo + 1, zhi + 1)) if rate is None else
                     ({key: rate * v for key, v in power.items()}, box))
             power, box = _sum_pieces([
-                step, ({(a - 1, o): a * v for (a, o), v in power.items()},
-                       (alo - 1, ahi - 1, olo, ohi))])
+                step, ({(i - 1, j): i * v for (i, j), v in power.items()},
+                       (xlo - 1, xhi - 1, zlo, zhi))])
         if rf.is_zero:
             continue
-        alo, ahi, olo, ohi = box
+        xlo, xhi, zlo, zhi = box
         piece, pbox = _sum_pieces(
-            [({(a + m, o): c * v for (a, o), v in power.items()},
-              (alo + m, ahi + m, olo, ohi))
+            [({(i + m, j): c * v for (i, j), v in power.items()},
+              (xlo + m, xhi + m, zlo, zhi))
              for m, c in enumerate(rf.num.coeffs) if c])
         d = rf.den.degree
         if rf.is_laurent:
-            piece = {(a - d, o): v for (a, o), v in piece.items()}
+            piece = {(i - d, j): v for (i, j), v in piece.items()}
             pbox = (pbox[0] - d, pbox[1] - d) + pbox[2:]
         else:
-            series = WaveSeries({swap(k): v for k, v in piece.items()},
-                                swap_box(pbox))
-            divided = _reference_wave_division(series, rf.den, axis)
-            piece = {swap(k): v for k, v in divided.coeffs.items()}
-            pbox = swap_box(divided.box)
+            divided = _reference_wave_division(WaveSeries(piece, pbox),
+                                               rf.den)
+            piece, pbox = divided.coeffs, divided.box
         out.append((piece, pbox))
-    image, box = _sum_pieces(out)
-    return {swap(k): v for k, v in image.items()}, swap_box(box)
+    return _sum_pieces(out)
 
 
 def test_wave_series_integer_form_randomized():
@@ -587,47 +591,46 @@ def test_wave_series_integer_form_randomized():
         return Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
 
     clearing = set()
-    for axis, var in ((0, "x"), (1, "z")):
-        # one nonzero per row, as bessel_wave; and empty rows and columns at
-        # both ends of the box
-        diagonal = WaveSeries({(-m, -m): scalar() for m in range(7)},
-                              (-6, 0, -6, 0))
-        gappy = WaveSeries({(i, j): scalar() for i in (-5, -2, 0)
-                            for j in (-1, 1)}, (-5, 0, -4, 1))
-        # (2 + var^3) / var^2 + 3 / var DEL: the shifts -2 and 1 of the
-        # first piece, and the first DEL power's other-axis lift, leave
-        # part of every piece below the folded box
-        below = DiffOp(var, "del", [
-            RationalFunction(Poly(var, [2, 0, 0, 1]), Poly.monomial(var, 2)),
-            RationalFunction(Poly.const(var, 3), Poly.monomial(var, 1))])
-        for n in range(10):
-            psi = (_random_wave(rng, (-5, 0, -4, 1)) if n < 8
-                   else (diagonal, gappy)[n - 8])
-            ops = [_mixed_op(rng, var, rng.randint(1, 2)),
-                   rand_laurent_op(rng, var)]
-            if n >= 8:
-                ops.append(below)
-                lifted = tuple(end + 1 for end in psi.box)
-                assert psi.apply(below, var).box == lifted
-            for op in ops:
-                got = psi.apply(op, var)
-                for series in (psi, got):
-                    assert all(type(v) is int for v in series.nums.values())
-                    assert type(series.den) is int and series.den > 0
-                want, box = _fraction_image(psi, op, axis)
-                assert got.box == box and got.coeffs == want
-                # equal values over different denominators compare equal
-                assert got == WaveSeries(want, box)
-                assert got.scale(3).scale(Fraction(1, 3)) == got
-                assert got + got == got.scale(2) == got.shift(0, 0, 2)
-                corner = WaveSeries({(box[0], box[2]): 1}, box)
-                assert got + corner != got and (got - got).is_zero
-                # E clears the monic denominators with a root away from 0
-                poles = [rf.den for rf in op.convert("del").coeffs
-                         if not rf.is_laurent]
-                if poles:
-                    clearing.add(math.lcm(*(c.denominator for q in poles
-                                            for c in q.coeffs)) > 1)
+    # one nonzero per row, as bessel_wave; and empty rows and columns at
+    # both ends of the box
+    diagonal = WaveSeries({(-m, -m): scalar() for m in range(7)},
+                          (-6, 0, -6, 0))
+    gappy = WaveSeries({(i, j): scalar() for i in (-5, -2, 0)
+                        for j in (-1, 1)}, (-5, 0, -4, 1))
+    # (2 + x^3) / x^2 + 3 / x DEL: the shifts -2 and 1 of the first piece,
+    # and the first DEL power's lift in z, leave part of every piece below
+    # the folded box
+    below = DiffOp("x", "del", [
+        RationalFunction(Poly("x", [2, 0, 0, 1]), Poly.monomial("x", 2)),
+        RationalFunction(Poly.const("x", 3), Poly.monomial("x", 1))])
+    for n in range(10):
+        psi = (_random_wave(rng, (-5, 0, -4, 1)) if n < 8
+               else (diagonal, gappy)[n - 8])
+        ops = [_mixed_op(rng, "x", rng.randint(1, 2)),
+               rand_laurent_op(rng, "x")]
+        if n >= 8:
+            ops.append(below)
+            lifted = tuple(end + 1 for end in psi.box)
+            assert psi.apply(below).box == lifted
+        for op in ops:
+            got = psi.apply(op)
+            for series in (psi, got):
+                assert all(type(v) is int for v in series.nums.values())
+                assert type(series.den) is int and series.den > 0
+            want, box = _fraction_image(psi, op)
+            assert got.box == box and got.coeffs == want
+            # equal values over different denominators compare equal
+            assert got == WaveSeries(want, box)
+            assert got.scale(3).scale(Fraction(1, 3)) == got
+            assert got + got == got.scale(2) == got.shift(0, 0, 2)
+            corner = WaveSeries({(box[0], box[2]): 1}, box)
+            assert got + corner != got and (got - got).is_zero
+            # E clears the monic denominators with a root away from 0
+            poles = [rf.den for rf in op.convert("del").coeffs
+                     if not rf.is_laurent]
+            if poles:
+                clearing.add(math.lcm(*(c.denominator for q in poles
+                                        for c in q.coeffs)) > 1)
     assert clearing == {False, True}
     # a rate with a denominator: each DEL step lies over twice the last den
     rate = Fraction(-3, 2)
@@ -638,5 +641,5 @@ def test_wave_series_integer_form_randomized():
                    rand_laurent_op(rng, "x")):
             got = series.apply(op)
             assert all(type(v) is int for v in got.nums.values())
-            want, box = _fraction_image(series, op, 0, rate)
+            want, box = _fraction_image(series, op, rate)
             assert got.box == box and got.coeffs == want
