@@ -163,10 +163,6 @@ class AtPointGroup:
         if not self.a or not self.a[-1]:
             raise SpecInvalidError("highest jet coefficient must be nonzero")
 
-    @property
-    def k0(self):
-        return len(self.a) - 1
-
     def to_json(self):
         return {"lambda": format_rational(self.lam),
                 "a": [format_rational(c) for c in self.a]}
@@ -276,6 +272,7 @@ def _group_elements(beta: BesselIndex, group: AtZeroGroup):
 class ValidatedSpec:
     spec: KernelSpec
     elements_at_zero: tuple
+    orbits: dict            # {lam: [a, ...]}, points and groups in spec order
     n0: int
     n: int
     g: Poly                 # in z
@@ -299,7 +296,7 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
             raise RankDeficiencyError("conditions at 0 are linearly dependent")
 
     seen_power = {}
-    per_lam_vectors = {}
+    orbits = {}
     for group in spec.at_points:
         key = group.lam ** beta.N
         other = seen_power.get(key)
@@ -307,14 +304,14 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
             raise SpecInvalidError(
                 f"points {other} and {group.lam} name the same orbit")
         seen_power[key] = group.lam
-        per_lam_vectors.setdefault(group.lam, []).append(group.a)
+        orbits.setdefault(group.lam, []).append(group.a)
 
     n = n0 + beta.N * len(spec.at_points)
     if n == 0:
         raise SpecInvalidError("empty kernel specification")
     g = Poly.monomial("z", n0)
     h = Poly.monomial("y", d0)
-    for lam, vectors in per_lam_vectors.items():
+    for lam, vectors in orbits.items():
         width = max(len(v) for v in vectors)
         rows = [list(v) + [Fraction(0)] * (width - len(v)) for v in vectors]
         if linalg.rank(rows) != len(rows):
@@ -330,7 +327,7 @@ def validate_spec(spec: KernelSpec) -> ValidatedSpec:
         raise RankDeficiencyError(
             "more conditions than the eigenvalue depth supports")
     return ValidatedSpec(spec=spec, elements_at_zero=tuple(elements),
-                         n0=n0, n=n, g=g, f=f, h=h)
+                         orbits=orbits, n0=n0, n=n, g=g, f=f, h=h)
 
 
 def _condition_rows(powers, n, N, bound, window=None):
@@ -420,10 +417,9 @@ def default_depth(h_degree: int, N: int, n: int) -> int:
     return 2 * (h_degree * N + n) + 8
 
 
-def _profiles(beta: BesselIndex, groups, depth):
-    """{lam: wave_jet_at(lam)}, one profile per orbit point of the groups."""
-    return {lam: wave_jet_at(beta, lam, depth)
-            for lam in dict.fromkeys(g.lam for g in groups)}
+def _profiles(beta: BesselIndex, orbits, depth):
+    """{lam: wave_jet_at(lam)}, one profile per orbit point."""
+    return {lam: wave_jet_at(beta, lam, depth) for lam in orbits}
 
 
 def _solve_annihilator(val: ValidatedSpec, depth=None):
@@ -433,7 +429,7 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
     base_bound = n * deg h, as MAX_ANSATZ_DOUBLINGS rounds that each double
     the last bound would.
     """
-    beta, groups = val.spec.beta, val.spec.at_points
+    beta = val.spec.beta
     n, N = val.n, beta.N
     d = max(1, val.h.degree)
     base_bound = max(1, n * d)
@@ -450,15 +446,14 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
         ncols = (n + 1) * (bound + 1)
         rows = [row for powers in zero_powers
                 for row in _condition_rows(powers, n, N, bound)]
-        if groups:
+        if val.orbits:
             K = max(depth or default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-            profiles = _profiles(beta, groups, K)
             slots = 0
-            for group in groups:
-                new_rows, new_slots = _orbit_rows(profiles[group.lam], group.a,
-                                                  n, N, bound)
-                rows.extend(new_rows)
-                slots += new_slots
+            for lam, profile in _profiles(beta, val.orbits, K).items():
+                for a in val.orbits[lam]:
+                    new_rows, new_slots = _orbit_rows(profile, a, n, N, bound)
+                    rows.extend(new_rows)
+                    slots += new_slots
             if slots < ncols + 5:
                 raise InconsistentSpecError(
                     "could not over-determine the point conditions")
@@ -570,7 +565,8 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             f"degree of g ({g.degree}) does not match the order of P ({n})")
     witnesses["shape"] = True
 
-    K = depth if depth is not None else default_depth(h.degree, beta.N, n)
+    least = default_depth(h.degree, beta.N, n)
+    K = depth if depth is not None else least
     if spec is not None:
         val = validate_spec(spec)
         if val.g != g or val.f != f or val.h != h:
@@ -582,14 +578,14 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             if not q.apply(cleared).is_zero:
                 raise CertificationError(
                     f"kernel element {q} is not annihilated by P")
-        profiles = _profiles(beta, spec.at_points,
-                             max(K, default_depth(h.degree, beta.N, n)))
-        for group in spec.at_points:
-            condition = profiles[group.lam].apply(DiffOp("x", DFORM, group.a))
-            if not condition.apply(cleared).is_zero:
-                raise CertificationError(
-                    f"orbit kernel element at {group.lam} (branch 0) "
-                    f"is not annihilated by P")
+        for lam, profile in _profiles(beta, val.orbits,
+                                      max(K, least)).items():
+            for a in val.orbits[lam]:
+                condition = profile.apply(DiffOp("x", DFORM, a))
+                if not condition.apply(cleared).is_zero:
+                    raise CertificationError(
+                        f"orbit kernel element at {lam} (branch 0) "
+                        f"is not annihilated by P")
         witnesses["kernel"] = True
     psi = bessel_wave(beta, K)
     image = psi.apply(P)

@@ -67,10 +67,9 @@ from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
                       default_depth, operator_from_json, validate_spec)
 from .errors import (AssociationError, CertificationError,
-                     RankDeficiencyError, ShapeError, UsageError,
-                     VerificationError)
+                     RankDeficiencyError, UsageError, VerificationError)
 from .poly import Poly
-from .weyl import DEL, DFORM, DiffOp, graded_op
+from .weyl import DEL, DFORM, DiffOp, _leibniz, graded_op
 
 
 def _peeled(parts, B: Poly, N: int, right: bool):
@@ -131,30 +130,23 @@ def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
 def _right_form(Q: DiffOp) -> DiffOp:
     """sum_s e_s D^s for the coefficients e_s of Q = sum_s D^s e_s.
 
-    With Q = sum_s a_s D^s, applying the antiautomorphism D -> -D twice
-    gives e_t = sum_{s>=t} (-1)^(s-t) C(s, t) theta^(s-t)(a_s).  Over v =
-    Q.den, theta^k(c / v) = c_k / (v r^k) with r = v / gcd(v, theta v), as
-    in ``DiffOp.__mul__``, so every e_t lies over v r^m, m = ord Q.
+    The antiautomorphism sigma(D) = -D, sigma(f) = f turns Q = v^{-1}
+    sum_s n_s D^s into (sum_s (-1)^s D^s n_s) v^{-1}, whose left factor has
+    polynomial coefficients by D^s n = sum_k C(s, k) theta^k(n) D^(s-k).
+    One Leibniz pass (``weyl._leibniz``) moves v^{-1} to the left, giving
+    w^{-1} sum_t c_t D^t, and sigma again gives Q = sum_t D^t (-1)^t c_t / w.
     """
     d = Q.convert(DFORM)
-    var, v, m = d.var, d.den, d.order
-    dv = v.theta()
-    g = Poly.gcd(v, dv)
-    r, s = v // g, dv // g
-    dr = r.theta()
-    rpow = [Poly.const(var, 1)]
-    for _ in range(m):
-        rpow.append(rpow[-1] * r)
-    out = [Poly.zero(var)] * (m + 1)
-    for top, c in enumerate(d.nums):
-        for k in range(top + 1):
+    var = d.var
+    left = [Poly.zero(var)] * len(d.nums)
+    for s, c in enumerate(d.nums):
+        for k in range(s + 1):
             if k:
-                # theta(c / (v r^(k-1))) = (theta(c) r - c (s + (k-1) theta r))
-                # / (v r^k)
-                c = c.theta() * r - c * (s + dr.scale(k - 1))
-            w = (-1) ** k * math.comb(top, k)
-            out[top - k] = out[top - k] + (c * rpow[m - k]).scale(w)
-    return DiffOp.from_cleared(var, DFORM, v * rpow[m], out)
+                c = c.theta()
+            left[s - k] = left[s - k] + c.scale((-1) ** s * math.comb(s, k))
+    w, nums = _leibniz(Poly.theta, left, d.den, [Poly.const(var, 1)])
+    return DiffOp.from_cleared(var, DFORM, w,
+                               [-c if t % 2 else c for t, c in enumerate(nums)])
 
 
 def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
@@ -236,13 +228,10 @@ def make_pair(cert: DarbouxCertificate) -> BispectralPair:
     # monomial kernel P_b and Q_b are Laurent and multiply by graded parts
     L = (cert.P * cert.Q).convert(DEL)
     lam_x = P_b.convert(DFORM) * Q_b.convert(DFORM)
-    theta_x = (f_b * g_b).relabel(P_b.var)
-    if not theta_x.is_power_pattern(beta.N):
-        raise ShapeError("f_b * g_b is not a polynomial in x^N")
-    theta = theta_x.contract_arg_power(beta.N, var="y")
+    # the b-side certify has read theta = f_b g_b in y = z^N
     return BispectralPair(beta=beta, L=L,
                           Lambda=lam_x.relabel("z").convert(DEL),
-                          h=cert.h, theta=theta,
+                          h=cert.h, theta=bcert.h,
                           P_b=P_b, Q_b=Q_b, f_b=f_b, g_b=g_b,
                           certificate=cert, b_witnesses=bcert.witnesses)
 
@@ -260,28 +249,18 @@ def verify_pair(pair: BispectralPair, depth: int = None) -> dict:
     if depth is None:
         depth = default_depth(pair.h.degree, beta.N, n)
     psi = bessel_wave(beta, depth)
-    h_z = pair.h.expand_arg_power(beta.N, var="z")
-    theta_z = pair.theta.expand_arg_power(beta.N, var="z")
-
-    s = psi.apply(pair.certificate.P)
-    lhs = s.apply(pair.L)
-    rhs = s.mul_poly(h_z)
-    res1 = lhs - rhs
-    if res1.nums:
-        raise VerificationError("L psi - h(z^N) psi has a nonzero residual")
-
-    t = psi.apply(pair.P_b)
-    lhs2 = t.apply(pair.Lambda.relabel("x"))
-    rhs2 = t.mul_poly(theta_z)
-    res2 = lhs2 - rhs2
-    if res2.nums:
-        raise VerificationError(
-            "Lambda psi - theta(x^N) psi has a nonzero residual")
-
-    return {"depth": depth,
-            "window_L": list(res1.box),
-            "window_Lambda": list(res2.box),
-            "residuals": [0, 0]}
+    report = {"depth": depth}
+    for name, left, op, poly, identity in (
+            ("L", pair.certificate.P, pair.L, pair.h, "L psi - h(z^N) psi"),
+            ("Lambda", pair.P_b, pair.Lambda.relabel("x"), pair.theta,
+             "Lambda psi - theta(x^N) psi")):
+        s = psi.apply(left)
+        res = s.apply(op) - s.mul_poly(poly.expand_arg_power(beta.N, var="z"))
+        if res.nums:
+            raise VerificationError(f"{identity} has a nonzero residual")
+        report[f"window_{name}"] = list(res.box)
+    report["residuals"] = [0, 0]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,7 @@ def closed_form_monomial(beta: BesselIndex, gammas, rows) -> dict:
     g = Poly.monomial("z", n)
     f = Poly.monomial("z", dN - n)
     h = Poly.monomial("y", d)
-    spectral = Poly("z", [w_terms.get(k, Fraction(0))
-                          for k in range(max(w_terms) + 1)])
+    spectral = wpoly.relabel("z")
     g_b = spectral.shift_mul(n)
     f_b = spectral.shift_mul(dN - n)
     P_b, g_b = _reduced(P_b, g_b, beta, right=True)
@@ -448,7 +426,8 @@ def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
                          "is read off its kernel conditions")
     N = cert.beta.N
     top = degree_bound // N
-    elements = validate_spec(cert.spec).elements_at_zero
+    val = validate_spec(cert.spec)
+    elements = val.elements_at_zero
     lbeta = bessel_op(cert.beta)
     conditions = []
     for q in elements:
@@ -457,10 +436,7 @@ def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
             images.append(images[-1].apply(lbeta))
         conditions.append(([img.terms for img in images],
                            [e.terms for e in elements]))
-    by_lam = {}
-    for group in cert.spec.at_points:
-        by_lam.setdefault(group.lam, []).append(group.a)
-    for lam, vectors in by_lam.items():
+    for lam, vectors in val.orbits.items():
         # a missing key of a shorter vector is its zero padding
         span = [dict(enumerate(a)) for a in vectors]
         for a in vectors:

@@ -27,18 +27,13 @@ import operator
 from fractions import Fraction
 
 from .poly import _primitive
-
-
-def _integer_row(row):
-    """(ints, d): the row times d, the lcm of its denominators."""
-    d = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (d // v.denominator) for v in row], d
+from .scalars import cleared
 
 
 def _echelon(rows):
     """Integer rows in reduced echelon shape (each pivot row a multiple of
     its reduced row) and the pivot column list."""
-    m = [_primitive(_integer_row(r)[0]) for r in rows]
+    m = [_primitive(cleared(r)[0]) for r in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -80,7 +75,7 @@ def det(rows):
     swaps on the integer rows."""
     m, scale = [], 1
     for r in rows:
-        ints, d = _integer_row(r)
+        ints, d = cleared(r)
         m.append(ints)
         scale *= d
     size = len(m)
@@ -108,7 +103,7 @@ def _spanning_rows(rows, ncols):
     the null space of the rows kept so far; a row orthogonal to all of B
     lies in their span and is skipped, and a kept row cuts B down by one.
     """
-    ints = sorted((_primitive(_integer_row(r)[0]) for r in rows),
+    ints = sorted((_primitive(cleared(r)[0]) for r in rows),
                   key=lambda row: max(map(abs, row), default=0))
     basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     kept = []

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .scalars import Cyclotomic, format_rational, parse_rationals
+from .scalars import Cyclotomic, cleared, format_rational, parse_rationals
 
 
 def _rational(c):
@@ -78,10 +78,7 @@ class Poly:
     __slots__ = ("var", "nums", "den", "_coeffs")
 
     def __init__(self, var, coeffs=()):
-        cs = [_rational(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        p = _poly(var, [c.numerator * (den // c.denominator) for c in cs],
-                  den)
+        p = _poly(var, *cleared([_rational(c) for c in coeffs]))
         self.var, self.nums, self.den, self._coeffs = var, p.nums, p.den, None
 
     @classmethod

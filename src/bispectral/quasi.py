@@ -10,8 +10,8 @@
   with a rational rate c.  It holds the profile psi(x, lam) of the wave
   function at a nonzero spectral point c = lam, and a jet condition
   sum_k a_k D_z^k at lam is the image of that one profile under a(D).  It
-  is a WaveSeries of one row (z-power 0) and shares all of its code but
-  the DEL step.
+  is a WaveSeries of one row (z-power 0) and shares all of its code, the
+  DEL step (rate + d/dx) included: only the rate differs.
 
 No document stores any of these, so they have no JSON form.
 
@@ -71,6 +71,7 @@ from fractions import Fraction
 
 from .errors import TruncationError, UnsupportedInputError, UsageError
 from .poly import Poly
+from .scalars import cleared
 from .weyl import DEL, DFORM, DiffOp
 
 
@@ -262,9 +263,8 @@ class WaveSeries:
     def __init__(self, coeffs, box):
         items = [(k, c) for k, c in
                  (coeffs.items() if isinstance(coeffs, dict) else coeffs) if c]
-        den = math.lcm(*(c.denominator for _, c in items))
-        self._set({k: c.numerator * (den // c.denominator) for k, c in items},
-                  box, den)
+        ints, den = cleared([c for _, c in items])
+        self._set(dict(zip((k for k, _ in items), ints)), box, den)
 
     def _set(self, nums, box, den):
         """Integer numerators over den > 0, kept inside the box; no gcd is
@@ -395,15 +395,27 @@ class WaveSeries:
                     out[key] = n * v if s is None else s + n * v
         return self._like(out, (xlo, xhi, zlo, zhi), self.den * p.den)
 
+    def _rate(self):
+        """The rate of the exponential as (dz, p, q): rate = (p/q) z^dz,
+        here the z of e^{xz}."""
+        return 1, 1, 1
+
     def _apply_del(self):
-        """(z + d/dx) on the bare series: one more DEL."""
+        """(rate + d/dx) on the bare series: one more DEL.  With
+        rate = (p/q) z^dz the step is (p z^dz u + q u') / q: keys move to
+        j + dz, and den grows by q.  A factor 1, as on every WaveSeries
+        step, is not multiplied in."""
+        dz, p, q = self._rate()
         xlo, xhi, zlo, zhi = self.box
         items = self.nums.items()
+        up = items if p == 1 else [(k, p * v) for k, v in items]
+        down = items if q == 1 else [(k, q * v) for k, v in items]
         return self._like(*_accumulate((
-            ((xlo, xhi, zlo + 1, zhi + 1),
-             (((i, j + 1), v) for (i, j), v in items)),
+            ((xlo, xhi, zlo + dz, zhi + dz),
+             (((i, j + dz), v) for (i, j), v in up)),
             ((xlo - 1, xhi - 1, zlo, zhi),
-             (((i - 1, j), i * v) for (i, j), v in items if i)))), self.den)
+             (((i - 1, j), i * v) for (i, j), v in down if i)))),
+            self.den * q)
 
     def apply(self, op: DiffOp) -> "WaveSeries":
         """Image under an operator in x; one in z is refused.
@@ -436,8 +448,9 @@ class ExpSeries(WaveSeries):
     """e^{rate * var} times a truncated series in var: a one-row WaveSeries.
 
     The coefficient of var^d sits at key (d, 0) of the window (lo, hi, 0,
-    0), and the rate is rational, so the arithmetic, the shifts and the
-    division are WaveSeries'; only the DEL step differs.
+    0), and the rate is rational, so the arithmetic, the shifts, the
+    division and the DEL step are WaveSeries'; only the rate differs, and
+    multiplication by p(z) is refused.
     """
 
     __slots__ = ("var", "rate")
@@ -465,17 +478,13 @@ class ExpSeries(WaveSeries):
             return NotImplemented
         return self._same_point(other) and super().__eq__(other)
 
-    def _apply_del(self):
-        """(rate + d/dvar) on the bare series: one more DEL.  With
-        rate = p/q the step is (p u + q u') / q, so den grows by q."""
-        p, q = self.rate.numerator, self.rate.denominator
-        xlo, xhi, _, _ = self.box
-        items = self.nums.items()
-        return self._like(*_accumulate((
-            ((xlo, xhi, 0, 0), (((i, 0), p * v) for (i, _), v in items)),
-            ((xlo - 1, xhi - 1, 0, 0),
-             (((i - 1, 0), q * i * v) for (i, _), v in items if i)))),
-            self.den * q)
+    def _rate(self):
+        """The rational rate, which keeps every key on its row."""
+        return 0, self.rate.numerator, self.rate.denominator
+
+    def mul_poly(self, p: Poly):
+        """Refused: a profile has no z to multiply by."""
+        raise UsageError("an exponential series has no z to multiply by")
 
     def apply(self, op: DiffOp) -> "ExpSeries":
         """Image under an operator in self.var, as ``WaveSeries.apply``."""

@@ -9,6 +9,7 @@ N = 1, 2 the single coordinate carries a plain rational value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +45,13 @@ def parse_int(data, what) -> int:
         raise UsageError(f"{what} must be an integer, got "
                          f"{type(data).__name__}")
     return data
+
+
+def cleared(values):
+    """(ints, d): the rationals times d, the lcm of their denominators; the
+    one routine that clears denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def format_rational(value) -> str:

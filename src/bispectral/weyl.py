@@ -29,9 +29,11 @@ DFORM product of two such operators multiplies parts by
 and writes the result once, with no content pass.  Every other product
 uses the Leibniz rule through the form's derivation (a -> a' in DEL,
 a -> x a' in DFORM) on the numerators: each power of the derivation raises
-the denominator v of the right factor by r = v / gcd(v, delta v).  DEL
-products stay on the Leibniz rule even for Laurent factors, so a product
-taken in both forms checks one route against the other (``certify``).
+the denominator v of the right factor by r = v / gcd(v, delta v).
+``_leibniz`` is the one recurrence of this rule; the involution's right
+coefficient form runs it too.  DEL products stay on the Leibniz rule even
+for Laurent factors, so a product taken in both forms checks one route
+against the other (``certify``).
 Conversion between forms uses the Stirling expansions
 x^k d^k = D(D-1)...(D-k+1) and D^j = sum_k S(j, k) x^k d^k, so round trips
 are identities and the two forms can cross-check each other.
@@ -236,28 +238,8 @@ class DiffOp:
                 _is_monomial(o.den):
             return graded_op(_graded_product(graded_parts(self),
                                              graded_parts(o)), self.var)
-        # del^i . (1/v) sum_j b_j del^j = (1/(v r^i)) sum_j c_ij del^j with
-        # r = v / gcd(v, delta v); delta(v r^i) / (v r^(i-1)) = s + i delta r
-        v, zero = o.den, Poly.zero(self.var)
-        dv = self._derive(v)
-        g = Poly.gcd(v, dv)
-        r, s = v // g, dv // g
-        dr = self._derive(r)
-        m = self.order
-        powers = [list(o.nums)]
-        for i in range(m):
-            prev = powers[-1] + [zero]
-            si = s + dr.scale(i)
-            powers.append([self._derive(c) * r - c * si
-                           + (prev[j - 1] * r if j else zero)
-                           for j, c in enumerate(prev)])
-        nums = [zero] * (m + len(o.nums))
-        for i, a in enumerate(self.nums):
-            w = a * r ** (m - i)
-            for j, c in enumerate(powers[i]):
-                nums[j] = nums[j] + w * c
-        return DiffOp.from_cleared(self.var, self.form,
-                                   self.den * v * r ** m, nums)
+        w, nums = _leibniz(self._derive, self.nums, o.den, o.nums)
+        return DiffOp.from_cleared(self.var, self.form, self.den * w, nums)
 
     # -- form conversion ------------------------------------------------------
 
@@ -391,6 +373,36 @@ class DiffOp:
         return out
 
     __str__ = to_str
+
+
+def _leibniz(derive, a, v, b):
+    """(w, nums) with (sum_i a_i del^i) . v^{-1} sum_j b_j del^j equal to
+    w^{-1} sum_j nums[j] del^j, for polynomials a_i, v, b_j and del the
+    derivation ``derive``.
+
+    del^i . (1/v) sum_j b_j del^j = (1/(v r^i)) sum_j c_ij del^j with
+    r = v / gcd(v, delta v), since delta(v r^i) / (v r^(i-1)) = s + i delta r
+    for s = delta v / gcd(v, delta v); so w = v r^m, m = len(a) - 1.
+    """
+    zero = Poly.zero(v.var)
+    dv = derive(v)
+    g = Poly.gcd(v, dv)
+    r, s = v // g, dv // g
+    dr = derive(r)
+    m = len(a) - 1
+    powers = [list(b)]
+    for i in range(m):
+        prev = powers[-1] + [zero]
+        si = s + dr.scale(i)
+        powers.append([derive(c) * r - c * si
+                       + (prev[j - 1] * r if j else zero)
+                       for j, c in enumerate(prev)])
+    nums = [zero] * (m + len(b))
+    for i, c_i in enumerate(a):
+        f = c_i * r ** (m - i)
+        for j, c in enumerate(powers[i]):
+            nums[j] = nums[j] + f * c
+    return v * r ** m, nums
 
 
 def _is_monomial(den):

@@ -48,15 +48,32 @@ def closed_order2_factor(a, lam2, mu2):
 def test_validate_counts_and_polynomials():
     val = validate_spec(rank1_spec())
     assert val.n0 == 1 and val.n == 1
+    assert val.orbits == {}
     assert val.g == Poly("z", [0, 1])
     assert val.f == Poly("z", [0, 1])
     assert val.h == Poly("y", [0, 0, 1])
 
     val2 = validate_spec(order2_point_spec())
     assert val2.n0 == 0 and val2.n == 2
+    assert val2.orbits == {F(1): [(F(1), F(1))]}
     assert val2.g == Poly("z", [-1, 0, 1])
     assert val2.f == Poly("z", [-1, 0, 1])
     assert val2.h == Poly("y", [1, -2, 1])
+
+    # two groups at lam = 2 around one at lam = 3: the orbits keep the
+    # points in the order they first appear and each point's groups in
+    # spec order, which is the row order of the ansatz
+    first, other, second = (F(1), F(1, 2)), (F(1),), (F(0), F(0), F(1))
+    val3 = validate_spec(KernelSpec(
+        BesselIndex.parse("1/3,2/3,2"), (),
+        (AtPointGroup(F(2), first), AtPointGroup(F(3), other),
+         AtPointGroup(F(2), second))))
+    assert list(val3.orbits.items()) == [(F(2), [first, second]),
+                                         (F(3), [other])]
+    assert val3.n0 == 0 and val3.n == 9
+    assert val3.g == (Poly("z", [-8, 0, 0, 1]) ** 2
+                      * Poly("z", [-27, 0, 0, 1]))
+    assert val3.h == Poly("y", [-8, 1]) ** 3 * Poly("y", [-27, 1])
 
 
 def test_congruence_violation_rejected():
@@ -327,6 +344,7 @@ def test_mixed_origin_and_orbit_spec():
                       (AtPointGroup(F(1), (F(1),)),))
     val = validate_spec(spec)
     assert val.n0 == 1 and val.n == 3
+    assert val.orbits == {F(1): [(F(1),)]}
     assert val.g == Poly("z", [0, -1, 0, 1])
     assert val.f == Poly("z", [0, 1])
     assert val.h == Poly("y", [0, -1, 1])

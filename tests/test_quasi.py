@@ -299,6 +299,18 @@ def test_exp_series_refuses_mixed_points():
         series.apply(DiffOp("z", "del", (0, 1)))
 
 
+def test_exp_series_refuses_multiplication_by_z():
+    # a profile has one row, z-power 0: multiplying by p(z) would move it
+    # off that row, and a DEL step after it would mix rows
+    series = ExpSeries("x", 2, {0: 1, -1: 3}, (-4, 0))
+    with pytest.raises(UsageError):
+        series.mul_poly(Poly("z", [0, 1]))
+    # the DEL step (2 + d/dx) keeps every key on the one row
+    step = series.apply(DiffOp("x", "del", (0, 1)))
+    assert step.box == (-4, 0, 0, 0)
+    assert step.coeffs == {(0, 0): 2, (-1, 0): 6, (-2, 0): -3}
+
+
 def test_point_jets_of_plain_exponential():
     bi = BesselIndex.parse("0")
     jet = wave_jet_at(bi, Fraction(2), 6)
