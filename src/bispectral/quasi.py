@@ -29,23 +29,29 @@ by recurrence from the window top: true coefficients vanish above the
 window, so den * out = in has exactly one solution without terms above
 it, and each row costs O(width * deg den).
 
-The numerator pieces (one per shifted term) are summed on dense integer
-rows: a row holds one power of z over the x window.  The box comes first,
-from the power boxes and the nonzero shifts alone: it is the fold of max
-over the piece boxes, component by component, as the pairwise + builds
-it.  Each DEL power's nonzero entries, times each term, are then added
-into the rows inside that box, and entries outside it are dropped, as a
-series drops them.  A coefficient inside the final box lies inside every
-partial box, so the one-pass sum keeps exactly what the pairwise sums
-keep, and the windows are the same.  When den = x^m the rows are written
-out once; otherwise each row is divided as it stands (``_divide_row``),
-which shifts the box by -deg den.  Against the per-coefficient route,
-which divides n_k / den_k reduced, each piece's box moves by the same
-deg n_k - deg den_k, since reducing leaves that difference unchanged and
-the max-fold commutes with the common shift; so the windows are the same
-there too.  The DEL steps stay on the sparse coefficient dict: the wave
-function has one nonzero per row, and dense rows would carry mostly zeros
-through every step.
+The DEL powers and the numerator pieces are kept on dense integer lines,
+in the x^a grading of the module at fixed t = xz: the entry (i, j) of a
+WaveSeries lies on the diagonal i - j = a, and an ExpSeries has one line,
+its row.  DEL = z + d/dx sends (i, j) to (i, j + 1) and to (i - 1, j),
+both on the diagonal a - 1, so a step maps line a densely onto line a - 1;
+psi = e^{xz}(1 + sum a_k (xz)^{-k}) lies on the diagonal 0 alone and
+DEL^k psi on -k.  On an ExpSeries the rate keeps an entry's x-power and
+d/dx lowers it, so the same step runs along the row (``_del_lines``).  A
+term x^t moves the diagonal a to a + t and the row to itself.  The box
+comes first, from the power boxes and the nonzero shifts alone: it is the
+fold of max over the piece boxes, component by component, as the pairwise
++ builds it.  Each DEL power's lines, times each term, are then added
+into the lines inside that box, and entries outside it are dropped, as a
+series drops them; the sums are transposed once to dense rows, a row
+holding one power of z over the x window.  A coefficient inside the
+final box lies inside every partial box, so the one-pass sum keeps
+exactly what the pairwise sums keep, and the windows are the same.  When
+den = x^m the rows are written out once; otherwise each row is divided as
+it stands (``_divide_row``), which shifts the box by -deg den.  Against
+the per-coefficient route, which divides n_k / den_k reduced, each
+piece's box moves by the same deg n_k - deg den_k, since reducing leaves
+that difference unchanged and the max-fold commutes with the common
+shift; so the windows are the same there too.
 
 Integer form.  A WaveSeries keeps integer numerators over one positive
 integer denominator and takes no gcd in its arithmetic; ``coeffs`` is the
@@ -191,13 +197,25 @@ def _add_into(out, items):
         out[k] = c if s is None else s + c
 
 
-def _accumulate(pieces):
-    """One-pass sum of (box, items) pieces: the dict and the max-folded box."""
-    out, box = {}, None
-    for piece_box, items in pieces:
-        box = piece_box if box is None else tuple(map(max, box, piece_box))
-        _add_into(out, items)
-    return out, box
+def _del_lines(lines, rate):
+    """(rate + d/dx) on dense lines {a: (s, v)}, v[k] the numerator at
+    x^(s+k) on the line dz x - z = a.
+
+    With rate = (p/q) z^dz the step is (p z^dz u + q u') / q: z^dz keeps
+    the x-power and d/dx lowers it, and both lower dz x - z by dz, so line
+    a goes densely to line a - dz, w[k] = p v[k-1] + q (s+k) v[k] from
+    x^(s-1) up.  A factor 1, as on every WaveSeries step, is not
+    multiplied in.  Nothing is truncated here: an entry below a power's box
+    stays below the boxes of the later powers, and so below the final box
+    of ``_image``, which drops it.
+    """
+    dz, p, q = rate
+    out = {}
+    for a, (s, v) in lines.items():
+        up = v if p == 1 else [p * u for u in v]
+        out[a - dz] = (s - 1, [u + i * y for i, u, y in zip(
+            range(q * s, q * (s + len(v) + 1), q), [0, *up], [*v, 0])])
+    return out
 
 
 def _divide_rows(rows, lo, p: Poly):
@@ -328,55 +346,82 @@ class WaveSeries:
         """den^{-1} sum_k nums[k] DEL^k self for a monic den, in integers.
 
         The pieces nums[k] DEL^k self are summed once over T * D, T the den
-        of the highest DEL power (a DEL step multiplies den by an integer,
-        so T is a multiple of every power's den) and D the lcm of the
-        numerators' denominators, on dense rows inside the max-folded box,
-        and the sum is divided once: by a shift when den = x^m, else row
-        by row by ``_divide_rows``.
+        of the highest DEL power (a DEL step multiplies den by q, so T is a
+        multiple of every power's den) and D the lcm of the numerators'
+        denominators, on dense lines inside the max-folded box (module
+        docstring); the sum is transposed once to rows of fixed z-power and
+        divided once: by a shift when den = x^m, else row by row by
+        ``_divide_rows``.
         """
         D = math.lcm(*(num.den for num in nums))
         m = den.degree
         laurent = den.valuation() == m
-        powers = [self]
-        for _ in nums[1:]:
-            powers.append(powers[-1]._apply_del())
-        top = powers[-1].den
+        dz, _, q = rate = self._rate()
+        top = len(nums) - 1
+        xlo, xhi, zlo, zhi = self.box
         pieces, box = [], None
-        for power, num in zip(powers, nums):
-            f = D // num.den * (top // power.den)
+        for k, num in enumerate(nums):
+            f = D // num.den * q ** (top - k)
             terms = [(t - m if laurent else t, n * f)
                      for t, n in enumerate(num.nums) if n]
             if terms:
-                # the largest shift gives the fold of this power's pieces
-                xlo, xhi, zlo, zhi = power.box
+                # a DEL step's box is the max of its two pieces' boxes, the
+                # last box moved by (0, 0, dz, dz) and by (-1, -1, 0, 0), so
+                # DEL^k moves self's box up by dz k; the largest shift gives
+                # the fold of this power's pieces
                 s = terms[-1][0]
-                piece_box = (xlo + s, xhi + s, zlo, zhi)
+                piece_box = (xlo + s, xhi + s, zlo + dz * k, zhi + dz * k)
                 box = piece_box if box is None else tuple(
                     map(max, box, piece_box))
-                pieces.append((power, terms))
+            pieces.append(terms)
         if box is None:
             raise UsageError("cannot apply the zero operator to a series")
         xlo, xhi, zlo, zhi = box
         w = xhi - xlo + 1
+        sums = {}
+        lines = self._lines()
+        for k, terms in enumerate(pieces):
+            if k:
+                lines = _del_lines(lines, rate)
+            for a, (s, v) in lines.items():
+                # v[b] sits at z-power dz (s + b) - a: entries below zlo are
+                # dropped; no power reaches above zhi, the max top
+                first = max(0, zlo + a - s) if dz else 0
+                for t, c in terms:
+                    o = s + t - xlo
+                    b, e = max(first, -o), min(len(v), w - o)
+                    if b < e:
+                        key = a + dz * t
+                        line = sums.get(key) or sums.setdefault(key, [0] * w)
+                        line[o + b:o + e] = [u + c * y for u, y in
+                                             zip(line[o + b:o + e], v[b:e])]
         rows = [[0] * w for _ in range(zhi - zlo + 1)]
-        for power, terms in pieces:
-            for (i, j), v in power.nums.items():
-                if j < zlo:     # no power reaches above zhi, the max top
-                    continue
-                row, i = rows[j - zlo], i - xlo
-                for s, c in terms:
-                    k = i + s
-                    if k >= w:
-                        break
-                    if k >= 0:
-                        row[k] += c * v
-        total = top * D
+        for a, line in sums.items():
+            r = dz * xlo - a - zlo
+            for k, v in enumerate(line):
+                if v:
+                    rows[r + dz * k][k] = v
+        total = self.den * q ** top * D
         if not laurent:
             rows, xlo, lift = _divide_rows(rows, xlo, den)
             total *= lift
         return self._like({(xlo + k, j): v for j, row in enumerate(rows, zlo)
                            for k, v in enumerate(row) if v},
                           (xlo, xlo + w - 1, zlo, zhi), total)
+
+    def _lines(self):
+        """The numerators as dense lines {a: (s, v)}: v[k] sits at x^(s+k)
+        on the line dz x - z = a, dz the z-power of the rate; a diagonal
+        i - j = a of a WaveSeries, the one row of an ExpSeries."""
+        dz = self._rate()[0]
+        grouped = {}
+        for (i, j), v in self.nums.items():
+            grouped.setdefault(dz * i - j, {})[i] = v
+        lines = {}
+        for a, line in grouped.items():
+            s = min(line)
+            lines[a] = (s, [line.get(i, 0) for i in range(s, max(line) + 1)])
+        return lines
 
     def mul_poly(self, p: Poly):
         """Multiply by p(z): one pass of shifts along z.  The window moves
@@ -400,23 +445,6 @@ class WaveSeries:
         here the z of e^{xz}."""
         return 1, 1, 1
 
-    def _apply_del(self):
-        """(rate + d/dx) on the bare series: one more DEL.  With
-        rate = (p/q) z^dz the step is (p z^dz u + q u') / q: keys move to
-        j + dz, and den grows by q.  A factor 1, as on every WaveSeries
-        step, is not multiplied in."""
-        dz, p, q = self._rate()
-        xlo, xhi, zlo, zhi = self.box
-        items = self.nums.items()
-        up = items if p == 1 else [(k, p * v) for k, v in items]
-        down = items if q == 1 else [(k, q * v) for k, v in items]
-        return self._like(*_accumulate((
-            ((xlo, xhi, zlo + dz, zhi + dz),
-             (((i, j + dz), v) for (i, j), v in up)),
-            ((xlo - 1, xhi - 1, zlo, zhi),
-             (((i - 1, j), i * v) for (i, j), v in down if i)))),
-            self.den * q)
-
     def apply(self, op: DiffOp) -> "WaveSeries":
         """Image under an operator in x; one in z is refused.
 
@@ -432,8 +460,12 @@ class WaveSeries:
         return self._image(a.den, a.nums)
 
     def __eq__(self, other):
+        """Equal values on equal windows; a series of another class, such as
+        an ExpSeries, whose prefactor differs, is never equal."""
         if not isinstance(other, WaveSeries):
             return NotImplemented
+        if type(self) is not type(other):
+            return False
         if self.box != other.box or self.nums.keys() != other.nums.keys():
             return False
         a, b = self.den, other.den

@@ -1,15 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bispectral import (BesselIndex, DiffOp, ExpSeries, Poly,
                         QuasiPolynomial, RationalFunction, TruncationError,
                         UnsupportedInputError, UsageError, WaveSeries,
-                        bessel_op, bessel_wave, wave_jet_at)
-from tests_support import (exp_wave, mult, rand_laurent_op, theta_chain,
-                           x_power)
+                        bessel_op, bessel_wave, jsonio, wave_jet_at)
+from tests_support import (del_image, del_step, exp_wave, mult,
+                           rand_laurent_op, theta_chain, x_power)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_theta_action_on_log_monomial():
@@ -309,6 +312,16 @@ def test_exp_series_refuses_multiplication_by_z():
     step = series.apply(DiffOp("x", "del", (0, 1)))
     assert step.box == (-4, 0, 0, 0)
     assert step.coeffs == {(0, 0): 2, (-1, 0): 6, (-2, 0): -3}
+
+
+def test_wave_series_never_equals_an_exp_series():
+    # the same numerators on the same window, under the prefactors e^{xz}
+    # and e^{5x}
+    wave = WaveSeries({(0, 0): 1, (-1, 0): 2}, (-1, 0, 0, 0))
+    exp = ExpSeries("x", 5, {0: 1, -1: 2}, (-1, 0))
+    assert (wave.nums, wave.den, wave.box) == (exp.nums, exp.den, exp.box)
+    assert not wave == exp and not exp == wave
+    assert wave != exp and exp != wave
 
 
 def test_point_jets_of_plain_exponential():
@@ -655,3 +668,120 @@ def test_wave_series_integer_form_randomized():
             assert all(type(v) is int for v in got.nums.values())
             want, box = _fraction_image(series, op, rate)
             assert got.box == box and got.coeffs == want
+
+
+# ---------------------------------------------------------------------------
+# the DEL step on dense lines against the sparse-dict step of tests_support
+# ---------------------------------------------------------------------------
+
+
+def _scattered_wave(rng, box):
+    """Entries on a few diagonals i - j with empty diagonals between them,
+    and one entry on each of the four edges of the box."""
+    xlo, xhi, zlo, zhi = box
+
+    def scalar():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                        rng.randint(1, 4))
+
+    entries = {}
+    for a in rng.sample(range(xlo - zhi, xhi - zlo + 1), 3):
+        for i in range(max(xlo, zlo + a), min(xhi, zhi + a) + 1):
+            if rng.random() < 0.7:
+                entries[(i, i - a)] = scalar()
+    for edge in ((xlo, rng.randint(zlo, zhi)), (xhi, rng.randint(zlo, zhi)),
+                 (rng.randint(xlo, xhi), zlo), (rng.randint(xlo, xhi), zhi)):
+        entries[edge] = scalar()
+    return WaveSeries(entries, box)
+
+
+def test_del_powers_match_the_sparse_dict_step():
+    # DEL^k through apply is the k-th power with D = 1: its numerators,
+    # den and box are those of k sparse-dict steps.  A WaveSeries line
+    # keeps its span, since DEL and the box both move it by one; the rate
+    # 0 lowers every entry of an ExpSeries row until truncation empties it
+    rng = random.Random(41)
+    series, gaps, emptied = [], 0, 0
+    for _ in range(8):
+        xlo, zlo = rng.randint(-7, 2), rng.randint(-7, 2)
+        box = (xlo, xlo + rng.randint(2, 7), zlo, zlo + rng.randint(2, 7))
+        wave = _scattered_wave(rng, box)
+        diagonals = {i - j for i, j in wave.nums}
+        gaps += max(diagonals) - min(diagonals) + 1 > len(diagonals)
+        series.append(wave)
+    for q in (1, 2, 3):
+        for p in (-5, -1, 0, 2):
+            lo = rng.randint(-8, 1)
+            hi = lo + rng.randint(0, 7)
+            series.append(ExpSeries(
+                "x", Fraction(p, q),
+                {d: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                 for d in range(lo, hi + 1) if rng.random() < 0.8} or {hi: 1},
+                (lo, hi)))
+    for s in series:
+        power = s
+        for k in range(13):
+            if k:
+                power = del_step(power)
+            got = s.apply(DiffOp("x", "del", (0,) * k + (1,)))
+            assert type(got) is type(power)
+            assert (got.nums, got.den, got.box) == (
+                power.nums, power.den, power.box)
+        emptied += power.is_zero and not s.is_zero
+        laurent = rand_laurent_op(rng, "x")
+        while laurent.is_zero:
+            laurent = rand_laurent_op(rng, "x")
+        for op in (_mixed_op(rng, "x", rng.randint(1, 4)), laurent):
+            got, want = s.apply(op), del_image(s, op)
+            assert got == want and got.box == want.box
+    assert gaps and emptied == 3
+
+
+@pytest.mark.parametrize("name", ["dg-even", "banded-d2"])
+def test_verify_pair_images_match_the_sparse_dict_step(name):
+    # the four images verify_pair takes: S = P psi and L S, and T = P_b psi
+    # and Lambda T after relabelling Lambda to x
+    pair = jsonio.load_pair(jsonio.read(
+        ROOT / "perfbench" / "data" / "pairs" / f"{name}.json"))
+    for depth in (8, 20, 33):
+        psi = bessel_wave(pair.beta, depth)
+        for left, op in ((pair.certificate.P, pair.L),
+                         (pair.P_b, pair.Lambda.relabel("x"))):
+            image = psi.apply(left)
+            want = del_image(psi, left)
+            assert image == want and image.box == want.box
+            outer = image.apply(op)
+            want = del_image(image, op)
+            assert outer == want and outer.box == want.box
+
+
+def test_apply_with_order_above_the_window_width():
+    # an operator of order 6 on windows of width 3: on the rate-0
+    # ExpSeries the DEL powers past the width come out empty, and on the
+    # WaveSeries, whose window is two z-powers high, every power below the
+    # top two falls below the final box, which still folds every power's
+    # box
+    rng = random.Random(42)
+    narrow = [(WaveSeries({(0, 0): 1, (-1, -1): Fraction(-3, 2), (-2, 0): 5,
+                           (0, -1): Fraction(2, 3)}, (-2, 0, -1, 0)), None)]
+    for rate in (Fraction(-3, 2), Fraction(0)):
+        narrow.append((ExpSeries("x", rate, {0: 1, -1: Fraction(1, 3), -2: -2},
+                                 (-2, 0)), rate))
+    dens = (Poly.monomial("x", 2), Poly("x", [-2, 1]) * Poly.monomial("x", 1))
+    for series, rate in narrow:
+        width = series.box[1] - series.box[0] + 1
+        order = width + 3
+        top = series.apply(DiffOp("x", "del", (0,) * order + (1,)))
+        assert top.is_zero == (rate == 0)
+        for den in dens:
+            coeffs = [RationalFunction(
+                Poly("x", [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                           for _ in range(rng.randint(1, 3))]), den)
+                for _ in range(order)]
+            coeffs.append(RationalFunction(Poly("x", [1, 1]), den))
+            op = DiffOp("x", "del", coeffs)
+            got = series.apply(op)
+            want, box = _fraction_image(series, op, rate)
+            assert got.box == box and got.coeffs == want
+        with pytest.raises(UsageError):
+            series.apply(DiffOp.zero("x", "del"))

@@ -270,3 +270,40 @@ def all_branch_residuals(P, beta, lam, avec):
     depth = 2 * len(coeffs) + 2 * n + 10
     return [sum(r * c for r, c in zip(row, coeffs))
             for row in all_branch_rows(beta, lam, avec, n, bound, depth)]
+
+
+def del_step(series):
+    """(rate + d/dx) on the sparse coefficient dict: the oracle of the DEL
+    step that ``WaveSeries._image`` runs on dense lines.
+
+    With rate = (p/q) z^dz the step is (p z^dz u + q u') / q: the two
+    pieces are summed in one pass inside the max of their boxes, and the
+    series drops what falls outside it.
+    """
+    dz, p, q = series._rate()
+    xlo, xhi, zlo, zhi = series.box
+    items = series.nums.items()
+    out, box = {}, None
+    for piece_box, piece in (
+            ((xlo, xhi, zlo + dz, zhi + dz),
+             [((i, j + dz), p * v) for (i, j), v in items]),
+            ((xlo - 1, xhi - 1, zlo, zhi),
+             [((i - 1, j), q * i * v) for (i, j), v in items if i])):
+        box = piece_box if box is None else tuple(map(max, box, piece_box))
+        for key, c in piece:
+            out[key] = out.get(key, 0) + c
+    return series._like(out, box, series.den * q)
+
+
+def del_image(series, op):
+    """sum_k a_k DEL^k series with the DEL powers of ``del_step``: each
+    reduced coefficient a_k acts as an operator of order 0, and the pieces
+    are summed pairwise."""
+    power, out = series, None
+    for k, c in enumerate(op.convert(DEL).coeffs):
+        if k:
+            power = del_step(power)
+        if not c.is_zero:
+            piece = power.apply(mult(op.var, c))
+            out = piece if out is None else out + piece
+    return out
