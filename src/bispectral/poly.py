@@ -8,7 +8,8 @@ through one normalizer that takes one ``math.gcd(den, *nums)``.
 ``divmod`` is fraction-free: it scales the running remainder only when the
 next quotient coefficient would not be integral, and divides by the
 tracked scale once at the end.  ``coeffs``, the tuple of Fractions, is
-built lazily for documents and printing.
+built lazily for documents and printing; ``from_json`` reads a document's
+coefficient text into the integer form without building any.
 
 Coefficients are rationals only.  A rational Cyclotomic is read through
 ``as_rational``; any other scalar is refused with UsageError.  (The series
@@ -31,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .scalars import Cyclotomic, cleared, format_rational, parse_rationals
+from .scalars import Cyclotomic, cleared, format_rational, parse_ratios
 
 
 def _rational(c):
@@ -354,7 +355,12 @@ class Poly:
 
     @classmethod
     def from_json(cls, var, data):
-        return cls(var, parse_rationals(data, "polynomial coefficients"))
+        """The integer form straight from the (p, q) pairs of the
+        coefficient text, cleared over the lcm of the q's as ``cleared``
+        clears Fractions."""
+        pairs = parse_ratios(data, "polynomial coefficients")
+        den = math.lcm(*(q for _, q in pairs))
+        return _poly(var, [p * (den // q) for p, q in pairs], den)
 
     def __repr__(self):
         return f"Poly({self.var!r}, {self.to_str()!r})"

@@ -1,7 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and roots of unity.
 
 Rationals are stdlib ``fractions.Fraction`` (already canonical: reduced,
-positive denominator).  The extension Q(eps), eps = exp(2*pi*i/N), is
+positive denominator).  Documents hold them as the text ``format_rational``
+writes, "p/q" or "p"; ``parse_ratio`` reads ASCII text of that shape,
+``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``, with ``int`` alone, and any other
+text through ``Fraction``.  The extension Q(eps), eps = exp(2*pi*i/N), is
 represented as a residue modulo the N-th cyclotomic polynomial Phi_N, so
 it is a field and every nonzero element has an exact inverse.  For
 N = 1, 2 the single coordinate carries a plain rational value.
@@ -10,33 +13,69 @@ N = 1, 2 the single coordinate carries a plain rational value.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, UsageError
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p/q" (or just "p") into an exact rational.
+# the text format_rational writes, not necessarily reduced; [0-9] matches
+# ASCII digits only, so other digits take the Fraction route
+_CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
-    Exponent notation is refused: "1e999999999" would ask for a power of
-    ten with a billion digits before any size cap could be checked.
-    """
-    text = str(text).strip()
+
+def _fraction_ratio(text):
+    """The route of text that is not canonical: strip, refuse exponent
+    notation, then ``Fraction``."""
+    text = text.strip()
     if "e" in text.lower():
         raise UsageError(f"not a rational: {text!r} (no exponent notation)")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational: {text!r}") from exc
+    return value.numerator, value.denominator
+
+
+def parse_ratio(text) -> tuple[int, int]:
+    """Parse "p/q" (or just "p") into integers (p, q) with q > 0, not
+    necessarily in lowest terms.
+
+    Text of the shape ``format_rational`` writes, ASCII digits and no
+    blanks, is read by ``int`` alone; any other text goes through
+    ``Fraction``.  Exponent notation is refused: "1e999999999" would ask
+    for a power of ten with a billion digits before any size cap could be
+    checked.  A number past the int digit limit raises UsageError too.
+    """
+    text = str(text)
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return _fraction_ratio(text)
+    p, q = match.groups()
+    try:
+        return int(p), int(q) if q else 1
+    except ValueError as exc:  # past the int digit limit
         raise UsageError(f"not a rational: {text!r}") from exc
 
 
-def parse_rationals(data, what) -> list:
-    """A JSON list of rationals; any other value, a string too, raises
-    UsageError naming ``what``."""
+def parse_rational(text) -> Fraction:
+    """``parse_ratio`` as a Fraction: canonical text, "p/q" or "p" with
+    ASCII digits, is read by ``int``, any other text by ``Fraction``."""
+    return Fraction(*parse_ratio(text))
+
+
+def parse_ratios(data, what) -> list:
+    """A JSON list of rationals as ``parse_ratio`` pairs; any other value,
+    a string too, raises UsageError naming ``what``."""
     if not isinstance(data, list):
         raise UsageError(f"{what} must be a list, got {type(data).__name__}")
-    return [parse_rational(c) for c in data]
+    return [parse_ratio(c) for c in data]
+
+
+def parse_rationals(data, what) -> list:
+    """A JSON list of rationals as Fractions; see ``parse_ratios``."""
+    return [Fraction(p, q) for p, q in parse_ratios(data, what)]
 
 
 def parse_int(data, what) -> int:

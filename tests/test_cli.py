@@ -43,6 +43,12 @@ def test_bessel_command_rejects_bad_weights(capsys):
     assert "sum" in capsys.readouterr().err
 
 
+def test_bessel_weight_past_the_digit_limit_exits_two(capsys):
+    assert main(["bessel", "--beta", "9" * 5000 + ",1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a rational" in err
+
+
 def test_build_pair_verify_round_trip(tmp_path, capsys):
     spec = write(tmp_path, "spec.json", RANK1_SPEC)
     cert_path = str(tmp_path / "cert.json")
@@ -671,6 +677,8 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
     ("cert", ("P", "coeffs", 0, "num", 0), "1e999999999", ["rank"]),
     ("pair", ("provenance", "P", "coeffs", 1, "den"), "9" * 5000,
      ["verify", "-K", "8"]),
+    # a coefficient past the int digit limit
+    ("pair", ("L", "coeffs", 0, "num", 0), "9" * 5000, ["verify", "-K", "8"]),
     # a string where a list belongs was read character by character, and
     # a float was truncated: each built a spec other than the document's
     ("orbit-spec", ("beta", "beta"), "10", ["build"]),
@@ -685,13 +693,14 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
     ("cert", ("depth",), True, ["pair"]),
 ], ids=["provenance-not-an-object", "base-index-out-of-range",
         "empty-row-of-b", "exponent-notation", "string-as-coefficients",
-        "string-as-weights", "string-as-jet-vector", "string-as-b",
-        "float-N", "float-base-index", "float-depth", "string-as-depth",
-        "boolean-depth"])
+        "digit-limit-coefficient", "string-as-weights",
+        "string-as-jet-vector", "string-as-b", "float-N", "float-base-index",
+        "float-depth", "string-as-depth", "boolean-depth"])
 def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
                                       argv):
     # a wrong-typed node, an index out of range, an exponent that would
-    # build a billion-digit integer and a string read as a coefficient list
+    # build a billion-digit integer, a string read as a coefficient list and
+    # a coefficient too long for int
     docs = _documents(tmp_path)
     doc = json.loads(Path(docs[kind]).read_text())
     parent = doc

@@ -1,10 +1,13 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bispectral import DomainError, Poly, RationalFunction, UsageError
+from bispectral import (DomainError, Poly, RationalFunction, UsageError,
+                        jsonio, parse_rational)
 
 
 def rand_poly(rng, var="x", deg=4):
@@ -80,6 +83,38 @@ def test_poly_json_round_trip():
     assert Poly.from_json("x", p.to_json()) == p
     r = RationalFunction(p, Poly("x", [0, 0, 5]))
     assert RationalFunction.from_json("x", r.to_json()) == r
+
+
+def test_from_json_matches_the_fraction_constructor():
+    # the integer form read from (p, q) pairs is the Poly that the parsed
+    # Fractions build: non-reduced text, zeros with denominators, trailing
+    # zeros, all zeros and the empty list
+    rng = random.Random(26)
+    lists = [[], ["0"], ["0", "0/7", "-0"], ["2/4", "0", "0/9"],
+             ["-6/9", "10/15", "3"], [" 1/2", "+3", "4/6"]]
+    for _ in range(300):
+        lists.append([f"{rng.randint(-10**6, 10**6) * rng.choice((0, 1, 1))}"
+                      + rng.choice(("", f"/{rng.randint(1, 10**4)}"))
+                      for _ in range(rng.randint(0, 9))]
+                     + ["0"] * rng.choice((0, 0, 2)))
+    for data in lists:
+        got = Poly.from_json("x", data)
+        want = Poly("x", [parse_rational(s) for s in data])
+        assert (got.nums, got.den) == (want.nums, want.den), data
+    with pytest.raises(UsageError):
+        Poly.from_json("x", "123")
+
+
+@pytest.mark.parametrize("name", ["dg-even", "banded-d2"])
+def test_stored_pairs_load_back_to_the_same_text(name):
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+            / "pairs" / f"{name}.json")
+    data = jsonio.read(path)
+    out = jsonio.load_pair(data).to_json()
+    assert set(data) - set(out) == {"tool", "kind"}
+    assert (json.dumps(out, indent=2, sort_keys=True)
+            == json.dumps({k: data[k] for k in out}, indent=2,
+                          sort_keys=True))
 
 
 def _euclid_divmod(a, b):

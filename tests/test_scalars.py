@@ -1,12 +1,17 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bispectral import (Cyclotomic, DomainError, Poly, RationalFunction,
                         UsageError, cyclotomic_polynomial, euler_phi,
                         format_rational, parse_rational)
-from bispectral.scalars import primitive_root
+from bispectral import jsonio, scalars
+from bispectral.scalars import parse_ratio, primitive_root
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cyclotomic_polynomials():
@@ -101,6 +106,60 @@ def test_rational_parse_print_round_trip():
     assert parse_rational("-6/4") == Fraction(-3, 2)
     with pytest.raises(UsageError):
         parse_rational("1/0")
+
+
+def _fraction_route(text):
+    """The parse before the integer route: strip, refuse exponent
+    notation, Fraction; a refusal is returned as its UsageError message."""
+    text = str(text).strip()
+    if "e" in text.lower():
+        return f"not a rational: {text!r} (no exponent notation)"
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational: {text!r}"
+
+
+def test_integer_route_matches_the_fraction_route():
+    rng = random.Random(26)
+    texts = [format_rational(Fraction(rng.randint(-10**rng.randint(0, 40),
+                                                  10**rng.randint(0, 40)),
+                                      rng.randint(1, 10**rng.randint(0, 30))))
+             for _ in range(500)]
+    assert len({t for t in texts if "/" in t}) > 100
+    texts += ["0", "+3", " 1/2 ", "2/4", "-0", "007", "0/5", "1/-2", "1.5",
+              "1_000", "\u0661\u0662", "1e3", "1E3", "1/0", "-", "", "/2",
+              "1/", "1/2/3", "1 / 2", "0x10", "3\n", 3, -7, 1.5, True, None]
+    # past the int digit limit, where int() raises a bare ValueError
+    texts += ["9" * 5000, "-1/" + "9" * 5000]
+    for text in texts:
+        want = _fraction_route(text)
+        if isinstance(want, Fraction):
+            p, q = parse_ratio(text)
+            assert q > 0 and Fraction(p, q) == want, text
+            assert parse_rational(text) == want, text
+        else:
+            for parse in (parse_ratio, parse_rational):
+                with pytest.raises(UsageError) as err:
+                    parse(text)
+                assert str(err.value) == want, text
+
+
+def test_stored_documents_load_without_the_fraction_route(monkeypatch):
+    # every number the tool writes takes the integer route
+    def refuse(text):
+        raise AssertionError(f"Fraction route taken for {text!r}")
+
+    monkeypatch.setattr(scalars, "_fraction_ratio", refuse)
+    with pytest.raises(AssertionError):
+        parse_rational(" 1/2")
+    for name in ("dg-even", "banded-d2"):
+        pair = jsonio.load_pair(jsonio.read(
+            ROOT / "perfbench" / "data" / "pairs" / f"{name}.json"))
+        written = jsonio.dumps(jsonio.document(
+            "darboux-certificate", pair.certificate.to_json()))
+        cert = jsonio.load_certificate(json.loads(written))
+        assert cert.to_json() == pair.certificate.to_json()
 
 
 def test_cyclotomic_json_round_trip():
