@@ -9,7 +9,7 @@ wave function depends on xz only.
 """
 
 from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
-                     indicial_poly, ladder_op, wave_coeffs, wave_jet_at,
+                     indicial_poly, wave_coeffs, wave_jet_at,
                      zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
                       KernelSpec, banded_rows, build_certificate, certify,

@@ -18,7 +18,7 @@ particular the powers of L are Bessel-type again:
     L^j = x^{-jN} I_j(D),  I_j = B(D - (j-1)N) ... B(D - N) B(D),
 
 and every polynomial in L, and every sum_j L^j T_j(D), is written down in
-closed form (``bessel_power_sum``) rather than multiplied out.
+closed form (``power_sum_parts``) rather than multiplied out.
 
 The formal eigenfunction of L is e^{xz} (1 + sum a_k (xz)^{-k}); the a_k
 are produced by a recursion that is derived here generically, by
@@ -106,25 +106,14 @@ def indicial_poly(entries, var="y") -> Poly:
     return out
 
 
-def ladder_op(entries, var="x") -> DiffOp:
-    """x^{-L} prod (D - g) for any exponent list of length L."""
-    return poly_ladder_op(indicial_poly(entries), var)
-
-
-def poly_ladder_op(p: Poly, var="x") -> DiffOp:
-    """x^{-deg p} p(D) as an operator."""
-    return graded_op({-p.degree: p}, var)
-
-
-def bessel_poly(bi: BesselIndex, var="x") -> DiffOp:
+def bessel_poly(bi: BesselIndex) -> DiffOp:
     """The constant-coefficient D-polynomial prod (D - b_i)."""
-    p = indicial_poly(bi.beta)
-    return DiffOp(var, DFORM, p.coeffs)
+    return DiffOp("x", DFORM, indicial_poly(bi.beta).coeffs)
 
 
-def bessel_op(bi: BesselIndex, var="x") -> DiffOp:
+def bessel_op(bi: BesselIndex) -> DiffOp:
     """x^{-N} prod (D - b_i), an operator of order N."""
-    return ladder_op(bi.beta, var)
+    return graded_op({-bi.N: indicial_poly(bi.beta)})
 
 
 def power_ladders(bi: BesselIndex, J: int):
@@ -145,14 +134,10 @@ def power_sum_parts(bi: BesselIndex, terms) -> dict:
             if not t.is_zero}
 
 
-def bessel_power_sum(bi: BesselIndex, terms, var="x") -> DiffOp:
-    """sum_j L^j T_j(D) in DFORM, L = x^{-N} B(D) the base operator."""
-    return graded_op(power_sum_parts(bi, terms), var)
-
-
-def poly_at_bessel(bi: BesselIndex, p: Poly, var="x") -> DiffOp:
+def poly_at_bessel(bi: BesselIndex, p: Poly) -> DiffOp:
     """p(L) for a polynomial p, L = x^{-N} B(D) the base operator."""
-    return bessel_power_sum(bi, [Poly.const("y", c) for c in p.coeffs], var)
+    return graded_op(power_sum_parts(bi, [Poly.const("y", c)
+                                          for c in p.coeffs]))
 
 
 def _conjugated_images(bi: BesselIndex, depth: int):
@@ -234,7 +219,7 @@ def wave_jet_at(bi: BesselIndex, lam, depth: int) -> ExpSeries:
     coeffs = {0: Fraction(1)}
     coeffs.update({-m: am / lam ** m
                    for m, am in enumerate(wave_coeffs(bi, depth), start=1)})
-    return ExpSeries("x", lam, coeffs, (-depth, 0))
+    return ExpSeries(lam, coeffs, (-depth, 0))
 
 
 def zero_exponent_basis(bi: BesselIndex, d0: int):

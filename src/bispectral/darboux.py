@@ -97,9 +97,12 @@ def _check_caps(N, at_zero, at_points):
                                    f"the cap darboux.{name} = {cap}")
 
 
-def operator_from_json(data) -> DiffOp:
-    """``DiffOp.from_json`` for documents: a list longer than
-    MAX_COEFF_ENTRIES raises UsageError before any entry is parsed."""
+def operator_from_json(data, var) -> DiffOp:
+    """``DiffOp.from_json`` for documents: an operator in another variable
+    than var, or a list longer than MAX_COEFF_ENTRIES, raises UsageError
+    before any entry is parsed."""
+    if data["var"] != var:
+        raise UsageError(f"operator in the wrong variable: expected {var!r}")
     longest = max([len(data["coeffs"])] + [len(c[key]) for c in data["coeffs"]
                                            for key in ("num", "den")])
     if longest > MAX_COEFF_ENTRIES:
@@ -508,8 +511,8 @@ class DarbouxCertificate:
         spec = (KernelSpec.from_json(data["spec"])
                 if data.get("spec") is not None else None)
         return cls(beta=BesselIndex.from_json(data["beta"]),
-                   P=operator_from_json(data["P"]),
-                   Q=operator_from_json(data["Q"]),
+                   P=operator_from_json(data["P"], "x"),
+                   Q=operator_from_json(data["Q"], "x"),
                    f=Poly.from_json("z", data["f"]),
                    g=Poly.from_json("z", data["g"]),
                    h=Poly.from_json("y", data["h"]),
@@ -536,7 +539,9 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     jet (module docstring).  ``depth`` sets the series windows and is
     recorded in the certificate; the orbit profiles of the kernel witness
     use at least the default depth, below which P's image of a condition
-    can vanish on the window although it is not annihilated.
+    can vanish on the window although it is not annihilated.  P and Q act
+    in x: h(L) is built in x, so factors in another variable fail the
+    product witness.
     """
     witnesses = {}
     if g.is_zero or g.leading != 1:
@@ -546,7 +551,7 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     h = _eigenvalue_pattern(f, g, beta.N)
     witnesses["eigenvalue_pattern"] = True
 
-    target = poly_at_bessel(beta, h, P.var)
+    target = poly_at_bessel(beta, h)
     # one product in each form, whatever form P and Q come in: DEL runs the
     # Leibniz rule, and DFORM multiplies Laurent factors by graded parts, so
     # the two witnesses take different routes
@@ -573,7 +578,7 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             raise CertificationError(
                 "certificate polynomials do not match the kernel group counts")
         witnesses["counts"] = True
-        cleared = DiffOp(P.var, DFORM, P.convert(DFORM).nums)
+        cleared = DiffOp("x", DFORM, P.convert(DFORM).nums)
         for q in val.elements_at_zero:
             if not q.apply(cleared).is_zero:
                 raise CertificationError(

@@ -200,12 +200,12 @@ class BispectralPair:
     def from_json(cls, data):
         cert = DarbouxCertificate.from_json(data["provenance"])
         return cls(beta=cert.beta,
-                   L=operator_from_json(data["L"]),
-                   Lambda=operator_from_json(data["Lambda"]),
+                   L=operator_from_json(data["L"], "x"),
+                   Lambda=operator_from_json(data["Lambda"], "z"),
                    h=Poly.from_json("y", data["h"]),
                    theta=Poly.from_json("y", data["theta"]),
-                   P_b=operator_from_json(data["P_b"]),
-                   Q_b=operator_from_json(data["Q_b"]),
+                   P_b=operator_from_json(data["P_b"], "x"),
+                   Q_b=operator_from_json(data["Q_b"], "x"),
                    f_b=Poly.from_json("z", data["f_b"]),
                    g_b=Poly.from_json("z", data["g_b"]),
                    certificate=cert,

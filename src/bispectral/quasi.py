@@ -5,22 +5,25 @@
 * WaveSeries: e^{xz} * sum c_ij x^i z^j on a rectangular window.  True
   coefficients vanish above the window top in each variable, and every
   stored coefficient inside the window equals the exact one, so window
-  bookkeeping is conservative by construction.
-* ExpSeries: e^{c x} * sum over a degree window, the one-variable analogue
-  with a rational rate c.  It holds the profile psi(x, lam) of the wave
-  function at a nonzero spectral point c = lam, and a jet condition
-  sum_k a_k D_z^k at lam is the image of that one profile under a(D).  It
-  is a WaveSeries of one row (z-power 0) and shares all of its code, the
-  DEL step (rate + d/dx) included: only the rate differs.
+  bookkeeping is conservative by construction.  The exponential is data,
+  the step (dz, p, q) of rate (p/q) z^dz: (1, 1, 1) for e^{xz}.
+* ExpSeries: a WaveSeries of one row (z-power 0) with step (0, p, q), the
+  series e^{c x} * sum c_d x^d with a rational rate c = p/q.  It holds the
+  profile psi(x, lam) of the wave function at a nonzero spectral point
+  c = lam, and a jet condition sum_k a_k D_z^k at lam is the image of that
+  one profile under a(D).  It adds only its constructor and ``rate``; the
+  arithmetic, the division and the DEL step (rate + d/dx) are the
+  WaveSeries code, which refuses to add series of different steps and to
+  multiply a profile by p(z).
 
 No document stores any of these, so they have no JSON form.
 
 Operators act on a WaveSeries in x only.  The wave function depends on
 xz alone, so the bispectral pair's Lambda, an operator in z, is applied
 after relabelling it to x, and z enters the series layer only through
-``mul_poly``, which multiplies by an eigenvalue polynomial p(z).  Operators act on
-WaveSeries/ExpSeries after peeling the exponential prefactor: d/dx
-becomes (z + d/dx) on a WaveSeries and (c + d/dx) on an ExpSeries.  An
+``mul_poly``, which multiplies by an eigenvalue polynomial p(z).
+Operators act after peeling the exponential prefactor: d/dx becomes
+(z + d/dx) on e^{xz} and (c + d/dx) on an ExpSeries.  An
 operator is read in its cleared form den^{-1} sum_k nums[k] DEL^k (see
 ``weyl``), so its image is den^{-1} sum_k nums[k] DEL^k psi: the
 numerator pieces are summed once and the sum is divided once.  A
@@ -197,19 +200,19 @@ def _add_into(out, items):
         out[k] = c if s is None else s + c
 
 
-def _del_lines(lines, rate):
+def _del_lines(lines, step):
     """(rate + d/dx) on dense lines {a: (s, v)}, v[k] the numerator at
     x^(s+k) on the line dz x - z = a.
 
-    With rate = (p/q) z^dz the step is (p z^dz u + q u') / q: z^dz keeps
-    the x-power and d/dx lowers it, and both lower dz x - z by dz, so line
-    a goes densely to line a - dz, w[k] = p v[k-1] + q (s+k) v[k] from
-    x^(s-1) up.  A factor 1, as on every WaveSeries step, is not
-    multiplied in.  Nothing is truncated here: an entry below a power's box
-    stays below the boxes of the later powers, and so below the final box
-    of ``_image``, which drops it.
+    With step = (dz, p, q), rate = (p/q) z^dz, the DEL step is
+    (p z^dz u + q u') / q: z^dz keeps the x-power and d/dx lowers it, and
+    both lower dz x - z by dz, so line a goes densely to line a - dz,
+    w[k] = p v[k-1] + q (s+k) v[k] from x^(s-1) up.  A factor 1, as on
+    every e^{xz} step, is not multiplied in.  Nothing is truncated here: an
+    entry below a power's box stays below the boxes of the later powers,
+    and so below the final box of ``_image``, which drops it.
     """
-    dz, p, q = rate
+    dz, p, q = step
     out = {}
     for a, (s, v) in lines.items():
         up = v if p == 1 else [p * u for u in v]
@@ -270,18 +273,20 @@ def _divide_row(row, q, lead=1):
 
 
 class WaveSeries:
-    """e^{xz} times a truncated double series; see the module docstring.
+    """e^{xz}, or the exponential of ``step``, times a truncated double
+    series; see the module docstring.
 
     Integer numerators ``nums[(i, j)]`` over one positive integer ``den``;
     ``coeffs`` is the reduced rational view, computed once per series.
     """
 
-    __slots__ = ("nums", "den", "box", "_coeffs")
+    __slots__ = ("nums", "den", "box", "step", "_coeffs")
 
     def __init__(self, coeffs, box):
         items = [(k, c) for k, c in
                  (coeffs.items() if isinstance(coeffs, dict) else coeffs) if c]
         ints, den = cleared([c for _, c in items])
+        self.step = (1, 1, 1)
         self._set(dict(zip((k for k, _ in items), ints)), box, den)
 
     def _set(self, nums, box, den):
@@ -295,8 +300,9 @@ class WaveSeries:
                      if v and xlo <= i <= xhi and zlo <= j <= zhi}
 
     def _like(self, nums, box, den):
-        """An arithmetic result of self's kind (see ``_set``)."""
+        """An arithmetic result of self's kind and step (see ``_set``)."""
         out = object.__new__(type(self))
+        out.step = self.step
         out._set(nums, box, den)
         return out
 
@@ -316,6 +322,8 @@ class WaveSeries:
         return not self.nums
 
     def __add__(self, other):
+        if self.step != other.step:
+            raise UsageError("series at different exponential points")
         g = math.gcd(self.den, other.den)
         a, b = other.den // g, self.den // g
         out = {k: v * a for k, v in self.nums.items()}
@@ -356,7 +364,7 @@ class WaveSeries:
         D = math.lcm(*(num.den for num in nums))
         m = den.degree
         laurent = den.valuation() == m
-        dz, _, q = rate = self._rate()
+        dz, _, q = step = self.step
         top = len(nums) - 1
         xlo, xhi, zlo, zhi = self.box
         pieces, box = [], None
@@ -382,7 +390,7 @@ class WaveSeries:
         lines = self._lines()
         for k, terms in enumerate(pieces):
             if k:
-                lines = _del_lines(lines, rate)
+                lines = _del_lines(lines, step)
             for a, (s, v) in lines.items():
                 # v[b] sits at z-power dz (s + b) - a: entries below zlo are
                 # dropped; no power reaches above zhi, the max top
@@ -412,8 +420,8 @@ class WaveSeries:
     def _lines(self):
         """The numerators as dense lines {a: (s, v)}: v[k] sits at x^(s+k)
         on the line dz x - z = a, dz the z-power of the rate; a diagonal
-        i - j = a of a WaveSeries, the one row of an ExpSeries."""
-        dz = self._rate()[0]
+        i - j = a of e^{xz}, the one row of e^{rate x}."""
+        dz = self.step[0]
         grouped = {}
         for (i, j), v in self.nums.items():
             grouped.setdefault(dz * i - j, {})[i] = v
@@ -425,7 +433,10 @@ class WaveSeries:
 
     def mul_poly(self, p: Poly):
         """Multiply by p(z): one pass of shifts along z.  The window moves
-        up by deg p, and entries below its new bottom are dropped."""
+        up by deg p, and entries below its new bottom are dropped.  A
+        series of step dz = 0, a profile, has no z to multiply by."""
+        if not self.step[0]:
+            raise UsageError("an exponential series has no z to multiply by")
         if p.is_zero:
             raise UsageError("multiplication by the zero function")
         xlo, xhi, zlo, zhi = self.box
@@ -439,11 +450,6 @@ class WaveSeries:
                     s = out.get(key)
                     out[key] = n * v if s is None else s + n * v
         return self._like(out, (xlo, xhi, zlo, zhi), self.den * p.den)
-
-    def _rate(self):
-        """The rate of the exponential as (dz, p, q): rate = (p/q) z^dz,
-        here the z of e^{xz}."""
-        return 1, 1, 1
 
     def apply(self, op: DiffOp) -> "WaveSeries":
         """Image under an operator in x; one in z is refused.
@@ -460,11 +466,10 @@ class WaveSeries:
         return self._image(a.den, a.nums)
 
     def __eq__(self, other):
-        """Equal values on equal windows; a series of another class, such as
-        an ExpSeries, whose prefactor differs, is never equal."""
+        """Equal values on equal windows under the same exponential step."""
         if not isinstance(other, WaveSeries):
             return NotImplemented
-        if type(self) is not type(other):
+        if self.step != other.step:
             return False
         if self.box != other.box or self.nums.keys() != other.nums.keys():
             return False
@@ -477,51 +482,26 @@ class WaveSeries:
 
 
 class ExpSeries(WaveSeries):
-    """e^{rate * var} times a truncated series in var: a one-row WaveSeries.
+    """e^{rate x} times a truncated series in x: a one-row WaveSeries.
 
-    The coefficient of var^d sits at key (d, 0) of the window (lo, hi, 0,
-    0), and the rate is rational, so the arithmetic, the shifts, the
-    division and the DEL step are WaveSeries'; only the rate differs, and
-    multiplication by p(z) is refused.
+    The coefficient of x^d sits at key (d, 0) of the window (lo, hi, 0, 0),
+    and the step is (0, p, q) for rate = p/q, so every method is
+    WaveSeries'.
     """
 
-    __slots__ = ("var", "rate")
+    __slots__ = ()
 
-    def __init__(self, var, rate, coeffs, box):
-        self.var, self.rate = var, Fraction(rate)
+    def __init__(self, rate, coeffs, box):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         super().__init__({(d, 0): c for d, c in items}, (*box, 0, 0))
+        rate = Fraction(rate)
+        self.step = (0, rate.numerator, rate.denominator)
 
-    def _like(self, nums, box, den):
-        out = super()._like(nums, box, den)
-        out.var, out.rate = self.var, self.rate
-        return out
+    @property
+    def rate(self):
+        """The rational rate p/q of the exponential."""
+        return Fraction(*self.step[1:])
 
-    def _same_point(self, other):
-        return self.var == other.var and self.rate == other.rate
-
-    def __add__(self, other):
-        if not self._same_point(other):
-            raise UsageError("series at different exponential points")
-        return super().__add__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpSeries):
-            return NotImplemented
-        return self._same_point(other) and super().__eq__(other)
-
-    def _rate(self):
-        """The rational rate, which keeps every key on its row."""
-        return 0, self.rate.numerator, self.rate.denominator
-
-    def mul_poly(self, p: Poly):
-        """Refused: a profile has no z to multiply by."""
-        raise UsageError("an exponential series has no z to multiply by")
-
-    def apply(self, op: DiffOp) -> "ExpSeries":
-        """Image under an operator in self.var, as ``WaveSeries.apply``."""
-        if op.var != self.var:
-            raise UsageError("operator in the wrong variable")
-        a = op.convert(DEL)
-        return self._image(a.den, a.nums)
-
+    # the same function as WaveSeries.apply, bound here too so that a timer
+    # patched onto one class attribute can tell profile images apart
+    apply = WaveSeries.apply

@@ -25,16 +25,25 @@ from .errors import DomainError, UsageError
 _CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
+def _shown(text):
+    """text as a message shows it: its repr, or for a text past 32
+    characters the repr of the first 32 and the length."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def _fraction_ratio(text):
     """The route of text that is not canonical: strip, refuse exponent
     notation, then ``Fraction``."""
     text = text.strip()
     if "e" in text.lower():
-        raise UsageError(f"not a rational: {text!r} (no exponent notation)")
+        raise UsageError(f"not a rational: {_shown(text)} "
+                         f"(no exponent notation)")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
+        raise UsageError(f"not a rational: {_shown(text)}") from exc
     return value.numerator, value.denominator
 
 
@@ -47,6 +56,7 @@ def parse_ratio(text) -> tuple[int, int]:
     ``Fraction``.  Exponent notation is refused: "1e999999999" would ask
     for a power of ten with a billion digits before any size cap could be
     checked.  A number past the int digit limit raises UsageError too.
+    A refusal shows a long text by a prefix and its length.
     """
     text = str(text)
     match = _CANONICAL.fullmatch(text)
@@ -56,7 +66,7 @@ def parse_ratio(text) -> tuple[int, int]:
     try:
         return int(p), int(q) if q else 1
     except ValueError as exc:  # past the int digit limit
-        raise UsageError(f"not a rational: {text!r}") from exc
+        raise UsageError(f"not a rational: {_shown(text)}") from exc
 
 
 def parse_rational(text) -> Fraction:

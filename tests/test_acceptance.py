@@ -15,9 +15,9 @@ from bispectral import (AtPointGroup, BesselIndex, CertificationError,
                         SpecInvalidError, VerificationError, bessel_op,
                         bessel_plane_report, beta_prime, build_certificate,
                         certify, cleared_coefficients, closed_form_monomial,
-                        ladder_op, make_pair, monomial_kernel,
-                        spectral_algebra, verify_pair)
-from tests_support import adjoint, mult, op_power
+                        make_pair, monomial_kernel, spectral_algebra,
+                        verify_pair)
+from tests_support import adjoint, ladder_op, mult, op_power
 
 F = Fraction
 

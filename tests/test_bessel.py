@@ -5,11 +5,11 @@ import pytest
 
 from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
                         bessel_op, bessel_poly, bessel_wave, indicial_poly,
-                        ladder_op, wave_coeffs, zero_exponent_basis)
-from bispectral.bessel import bessel_power_sum, poly_at_bessel, power_ladders
+                        wave_coeffs, zero_exponent_basis)
+from bispectral.bessel import poly_at_bessel, power_ladders, power_sum_parts
 from bispectral.weyl import graded_op
-from tests_support import (exp_wave, horner, op_of_parts, op_power,
-                           poly_at_operator, rand_index)
+from tests_support import (exp_wave, horner, ladder_op, op_of_parts,
+                           op_power, poly_at_operator, rand_index)
 
 
 def test_normalization_enforced():
@@ -106,13 +106,12 @@ def test_power_sum_matches_the_operator_powers():
             want = DiffOp.zero("x", DFORM)
             for j, t in enumerate(terms):
                 want = want + op_power(L, j) * DiffOp("x", DFORM, t.coeffs)
-            _same_in_both_forms(bessel_power_sum(bi, terms), want)
-    # a trailing zero term does not change the sum, and the variable is kept
+            _same_in_both_forms(graded_op(power_sum_parts(bi, terms)), want)
+    # a trailing zero term does not change the sum
     bi = BesselIndex.parse("2/3,1/3")
     t = [Poly("y", [1, 2]), Poly("y", [0, 0, 3])]
-    assert bessel_power_sum(bi, t + [Poly.zero("y")], "z") == \
-        bessel_power_sum(bi, t, "x").relabel("z")
-    assert bessel_power_sum(bi, []).is_zero
+    assert power_sum_parts(bi, t + [Poly.zero("y")]) == power_sum_parts(bi, t)
+    assert power_sum_parts(bi, []) == {}
 
 
 def test_graded_writer_follows_the_product_rule():
@@ -146,7 +145,7 @@ def test_wave_coefficients_against_substitution_oracle():
         bi = rand_index(rng, n)
         depth = 10
         prof = exp_wave(bi, depth)
-        img = prof.apply(bessel_poly(bi, var="z").convert("del"))
+        img = prof.apply(bessel_poly(bi).convert("del"))
         rhs = prof.shift(n, 0)
         assert not (img - rhs).coeffs, bi
 

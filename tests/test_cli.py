@@ -286,12 +286,20 @@ def test_stored_documents_load_under_the_operator_cap():
     assert darboux.MAX_COEFF_ENTRIES == 445
 
 
-def test_operators_in_the_wrong_variable_exit_two(tmp_path, capsys):
+def _blank_led(op):
+    """op with every coefficient entry written with a leading blank: the
+    same numbers, in text that no other entry of a document has."""
+    return dict(op, coeffs=[{key: [" " + t for t in c[key]]
+                             for key in ("num", "den")} for c in op["coeffs"]])
+
+
+def test_operators_in_the_wrong_variable_exit_two(tmp_path, capsys,
+                                                 monkeypatch):
     # a stored pair and its certificate with the x-side operators in z:
     # pair wrote a pair in z from such a certificate, and verify passed it
     root = Path(__file__).resolve().parents[1]
-    pair = json.loads((root / "perfbench" / "data" / "pairs"
-                       / "dg-even.json").read_text())
+    stored = (root / "perfbench" / "data" / "pairs" / "dg-even.json")
+    pair = json.loads(stored.read_text())
     for doc, names in ((pair["provenance"], ("P", "Q")),
                        (pair, ("L", "P_b", "Q_b"))):
         for name in names:
@@ -303,6 +311,28 @@ def test_operators_in_the_wrong_variable_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("operator in the wrong variable") == 2
+    # each variable is checked at load, before any entry of the operator
+    # is parsed: a stored pair whose Lambda is in x (verify passed it), and
+    # a certificate whose P is in z for involute and rank
+    from bispectral import scalars
+    parsed = []
+    parse_ratio = scalars.parse_ratio
+    monkeypatch.setattr(scalars, "parse_ratio",
+                        lambda text: parsed.append(text) or parse_ratio(text))
+    pair = json.loads(stored.read_text())
+    lam_x = dict(pair, Lambda=dict(_blank_led(pair["Lambda"]), var="x"))
+    p_z = dict(pair["provenance"], kind="darboux-certificate",
+               P=dict(_blank_led(pair["provenance"]["P"]), var="z"))
+    assert main(["verify", write(tmp_path, "pair.json", lam_x)]) == 2
+    for command in ("involute", "rank"):
+        assert main([command, write(tmp_path, "cert.json", p_z)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("operator in the wrong variable") == 3
+    assert parsed and not [t for t in parsed if t.startswith(" ")]
+    # the spy does see the entries of an operator in its own variable
+    darboux.operator_from_json(_blank_led(pair["Lambda"]), "z")
+    assert [t for t in parsed if t.startswith(" ")]
 
 
 def test_an_operator_above_the_cap_exits_two_at_once(tmp_path, capsys):
@@ -670,45 +700,60 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
     assert {2, 3} <= codes
 
 
-@pytest.mark.parametrize("kind, path, value, argv", [
-    ("pair", ("provenance",), "1/0", ["verify", "-K", "8"]),
-    ("spec", ("at_zero", 0, "base_index"), 7, ["betaprime"]),
-    ("spec", ("at_zero", 0, "b", 0), [], ["betaprime"]),
-    ("cert", ("P", "coeffs", 0, "num", 0), "1e999999999", ["rank"]),
+@pytest.mark.parametrize("kind, path, value, argv, fragment", [
+    ("pair", ("provenance",), "1/0", ["verify", "-K", "8"],
+     "malformed pair: 'str' object"),
+    ("spec", ("at_zero", 0, "base_index"), 7, ["betaprime"],
+     "base index 7 out of range"),
+    ("spec", ("at_zero", 0, "b", 0), [], ["betaprime"], "empty row of b"),
+    ("cert", ("P", "coeffs", 0, "num", 0), "1e999999999", ["rank"],
+     "not a rational: '1e999999999' (no exponent notation)"),
     ("pair", ("provenance", "P", "coeffs", 1, "den"), "9" * 5000,
-     ["verify", "-K", "8"]),
-    # a coefficient past the int digit limit
-    ("pair", ("L", "coeffs", 0, "num", 0), "9" * 5000, ["verify", "-K", "8"]),
+     ["verify", "-K", "8"], "operator too large: a list of 5000 entries"),
+    # a coefficient past the int digit limit, shown by a prefix and its
+    # length
+    ("pair", ("L", "coeffs", 0, "num", 0), "9" * 5000, ["verify", "-K", "8"],
+     "not a rational: '" + "9" * 32 + "'... (5000 characters)"),
     # a string where a list belongs was read character by character, and
     # a float was truncated: each built a spec other than the document's
-    ("orbit-spec", ("beta", "beta"), "10", ["build"]),
-    ("orbit-spec", ("at_points", 0, "a"), "12", ["build"]),
-    ("spec", ("at_zero", 0, "b"), "1", ["build"]),
-    ("orbit-spec", ("beta", "N"), 2.7, ["build"]),
-    ("spec", ("at_zero", 0, "base_index"), 0.9, ["build"]),
+    ("orbit-spec", ("beta", "beta"), "10", ["build"],
+     "weights must be a list, got str"),
+    ("orbit-spec", ("at_points", 0, "a"), "12", ["build"],
+     "a must be a list, got str"),
+    ("spec", ("at_zero", 0, "b"), "1", ["build"],
+     "row of b must be a list, got str"),
+    ("orbit-spec", ("beta", "N"), 2.7, ["build"],
+     "N must be an integer, got float"),
+    ("spec", ("at_zero", 0, "base_index"), 0.9, ["build"],
+     "base_index must be an integer, got float"),
     # a certificate's depth was truncated or parsed from a string, and the
     # pair recorded a depth the document does not hold
-    ("cert", ("depth",), 20.9, ["pair"]),
-    ("cert", ("depth",), "20", ["pair"]),
-    ("cert", ("depth",), True, ["pair"]),
+    ("cert", ("depth",), 20.9, ["pair"],
+     "depth must be an integer, got float"),
+    ("cert", ("depth",), "20", ["pair"], "depth must be an integer, got str"),
+    ("cert", ("depth",), True, ["pair"], "depth must be an integer, got bool"),
 ], ids=["provenance-not-an-object", "base-index-out-of-range",
         "empty-row-of-b", "exponent-notation", "string-as-coefficients",
         "digit-limit-coefficient", "string-as-weights",
         "string-as-jet-vector", "string-as-b", "float-N", "float-base-index",
         "float-depth", "string-as-depth", "boolean-depth"])
 def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
-                                      argv):
+                                      argv, fragment):
     # a wrong-typed node, an index out of range, an exponent that would
     # build a billion-digit integer, a string read as a coefficient list and
-    # a coefficient too long for int
+    # a coefficient too long for int; each is refused by its own check,
+    # whose message names it in one short line
     docs = _documents(tmp_path)
     doc = json.loads(Path(docs[kind]).read_text())
     parent = doc
     for step in path[:-1]:
         parent = parent[step]
     parent[path[-1]] = value
+    capsys.readouterr()
     assert main(argv + [write(tmp_path, "bad.json", doc)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert len(err) < 200
 
 
 def test_importing_the_library_loads_no_front_end():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
-                        CertificationError, DarbouxCertificate, DiffOp,
+                        BispectralError, CertificationError, DarbouxCertificate, DiffOp,
                         InconsistentSpecError, KernelSpec, Poly,
                         RankDeficiencyError, RationalFunction, ShapeError,
                         SpecInvalidError, UnsupportedInputError, UsageError,
@@ -379,6 +379,11 @@ def test_certify_negative_controls():
                                                  r"annihilated by P"):
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g,
                 spec=order2_point_spec(a=F(2)))
+    # h(L) is built in x, so factors in z, alone or together, never certify
+    for P, Q in ((cert.P.relabel("z"), cert.Q.relabel("z")),
+                 (cert.P.relabel("z"), cert.Q), (cert.P, cert.Q.relabel("z"))):
+        with pytest.raises(BispectralError):
+            certify(cert.beta, P, Q, cert.f, cert.g, spec=cert.spec)
 
 
 def test_certify_catches_a_lossy_graded_product(monkeypatch):

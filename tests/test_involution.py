@@ -20,8 +20,8 @@ from bispectral.bessel import graded_op
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL, DFORM
-from tests_support import (basis_off_rref, mult, op_of_parts, op_power,
-                           poly_at_operator, profile_plane_degrees,
+from tests_support import (basis_off_rref, ladder_op, mult, op_of_parts,
+                           op_power, poly_at_operator, profile_plane_degrees,
                            rand_index, rand_op, x_power)
 
 F = Fraction
@@ -196,7 +196,7 @@ def _peel_by_division(op, poly, beta, right):
     """The Euclidean route of ``involution._reduced``, kept as its oracle:
     (op', poly', steps), dividing by L on one side while poly has a factor
     z^N and the division is exact."""
-    lbeta = bessel_op(beta, op.var)
+    lbeta = bessel_op(beta)
     zN = Poly.monomial("z", beta.N)
     steps = 0
     while poly.valuation() >= beta.N:
@@ -399,10 +399,10 @@ def test_closed_form_equals_pipeline_randomized():
 def _division_degrees(cert, degree_bound):
     """u(L) ker P inside ker P iff P u(L) is left-divisible by P."""
     beta = cert.beta
-    lbeta = bessel_op(beta, cert.P.var)
+    lbeta = bessel_op(beta)
     P = cert.P
     remainders = []
-    power = DiffOp(cert.P.var, DEL, (1,))
+    power = DiffOp("x", DEL, (1,))
     found = []
     for t in range(0, degree_bound // beta.N + 1):
         if t:
@@ -671,7 +671,6 @@ def test_closed_form_single_condition():
     bi = BesselIndex.parse("0,1")
     cf = closed_form_monomial(bi, (F(0), F(2), F(1), F(3)),
                               [[F(0), F(0), F(1), F(0)]])
-    from bispectral import ladder_op
     assert cf["P"] == ladder_op([F(1)])
     assert cf["g"] == Poly("z", [0, 1])
     cert = build_certificate(monomial_kernel(bi, [[(F(1), F(1))]]))

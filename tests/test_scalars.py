@@ -110,14 +110,17 @@ def test_rational_parse_print_round_trip():
 
 def _fraction_route(text):
     """The parse before the integer route: strip, refuse exponent
-    notation, Fraction; a refusal is returned as its UsageError message."""
+    notation, Fraction; a refusal is returned as its UsageError message,
+    which shows a text past 32 characters by its first 32 and its length."""
     text = str(text).strip()
+    shown = repr(text) if len(text) <= 32 else (
+        repr(text[:32]) + f"... ({len(text)} characters)")
     if "e" in text.lower():
-        return f"not a rational: {text!r} (no exponent notation)"
+        return f"not a rational: {shown} (no exponent notation)"
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return f"not a rational: {text!r}"
+        return f"not a rational: {shown}"
 
 
 def test_integer_route_matches_the_fraction_route():
@@ -130,8 +133,10 @@ def test_integer_route_matches_the_fraction_route():
     texts += ["0", "+3", " 1/2 ", "2/4", "-0", "007", "0/5", "1/-2", "1.5",
               "1_000", "\u0661\u0662", "1e3", "1E3", "1/0", "-", "", "/2",
               "1/", "1/2/3", "1 / 2", "0x10", "3\n", 3, -7, 1.5, True, None]
-    # past the int digit limit, where int() raises a bare ValueError
-    texts += ["9" * 5000, "-1/" + "9" * 5000]
+    # past the int digit limit, where int() raises a bare ValueError, and
+    # long refusals on both routes, shown by a prefix and the length
+    texts += ["9" * 5000, "-1/" + "9" * 5000, "1/" + "x" * 40,
+              "1e" + "9" * 40, "7" * 32 + "x", "7" * 31 + "x"]
     for text in texts:
         want = _fraction_route(text)
         if isinstance(want, Fraction):

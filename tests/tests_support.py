@@ -4,15 +4,25 @@ from fractions import Fraction
 
 from bispectral import (BesselIndex, CertificationError, DiffOp, ExpSeries,
                         Poly, QuasiPolynomial, RationalFunction, bessel_op,
-                        cleared_coefficients, euler_phi, linalg, wave_coeffs)
-from bispectral.bessel import poly_ladder_op
+                        cleared_coefficients, euler_phi, indicial_poly,
+                        linalg, wave_coeffs)
 from bispectral.scalars import primitive_root
-from bispectral.weyl import DEL, DFORM
+from bispectral.weyl import DEL, DFORM, graded_op
 
 
 def mult(var, f, form="del"):
     """Multiplication by the function f, as an operator."""
     return DiffOp(var, form, (f,))
+
+
+def poly_ladder_op(p):
+    """x^{-deg p} p(D) as an operator in x."""
+    return graded_op({-p.degree: p})
+
+
+def ladder_op(entries):
+    """x^{-L} prod (D - g) for any exponent list of length L."""
+    return poly_ladder_op(indicial_poly(entries))
 
 
 def rand_rf(rng, var="x"):
@@ -50,7 +60,7 @@ def op_of_parts(parts, var="x"):
 
 def poly_at_operator(p, a):
     """p evaluated at an operator by Horner's scheme: the product-based
-    oracle of ``bessel.bessel_power_sum``."""
+    oracle of ``bessel.poly_at_bessel`` and ``bessel.power_sum_parts``."""
     out = DiffOp.zero(a.var, a.form)
     for c in reversed(p.coeffs):
         out = out * a + mult(a.var, c, a.form)
@@ -84,7 +94,7 @@ def adjoint(a):
 
 def compute_Q(P, h, beta):
     """The exact left quotient of h(L) by P, by Euclidean division."""
-    quot, rem = poly_at_operator(h, bessel_op(beta, P.var)).left_divide(P)
+    quot, rem = poly_at_operator(h, bessel_op(beta)).left_divide(P)
     if not rem.is_zero:
         raise CertificationError(
             "remainder nonzero: kernel is not inside the eigenvalue kernel")
@@ -150,11 +160,12 @@ def theta_chain(profile, a):
 
 
 def exp_wave(bi, depth):
-    """The one-variable profile e^z (1 + sum a_k z^{-k}) of the wave function."""
+    """The one-variable profile e^x (1 + sum a_k x^{-k}) of the wave
+    function, psi at z = 1."""
     coeffs = {0: Fraction(1)}
     coeffs.update({-m: am for m, am in enumerate(wave_coeffs(bi, depth), 1)
                    if am})
-    return ExpSeries("z", Fraction(1), coeffs, (-depth, 0))
+    return ExpSeries(1, coeffs, (-depth, 0))
 
 
 def _profile_eigen_poly(profile, deg):
@@ -214,7 +225,7 @@ def branch_rows(beta, lam, avec, n, bound, depth, branch):
     commutes with D.
     """
     N = beta.N
-    theta = DiffOp("z", DFORM, (0, 1))
+    theta = DiffOp("x", DFORM, (0, 1))
     jets = [exp_wave(beta, depth)]
     for _ in avec[1:]:
         jets.append(jets[-1].apply(theta))
@@ -280,7 +291,7 @@ def del_step(series):
     pieces are summed in one pass inside the max of their boxes, and the
     series drops what falls outside it.
     """
-    dz, p, q = series._rate()
+    dz, p, q = series.step
     xlo, xhi, zlo, zhi = series.box
     items = series.nums.items()
     out, box = {}, None
