@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .poly import Poly
 from .quasi import ExpSeries, QuasiPolynomial, WaveSeries
-from .scalars import (format_rational, parse_int, parse_rational,
+from .scalars import (_shown, format_rational, parse_int, parse_rational,
                       parse_rationals)
 from .weyl import DFORM, DiffOp, graded_op
 
@@ -55,8 +55,8 @@ class BesselIndex:
         object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
         want = Fraction(self.N * (self.N - 1), 2)
         if sum(self.beta) != want:
-            raise UsageError(
-                f"weights must sum to N(N-1)/2 = {want}, got {sum(self.beta)}")
+            raise UsageError(f"weights must sum to N(N-1)/2 = {want}, "
+                             f"got {_shown(sum(self.beta))}")
 
     @classmethod
     def parse(cls, text: str) -> "BesselIndex":

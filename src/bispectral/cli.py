@@ -133,8 +133,8 @@ def cmd_build(args):
     into_dir = bool(args.out) and Path(args.out).is_dir()
     if len(args.spec) > 1 and args.out and not into_dir:
         raise UsageError("--out must be a directory for multiple specs")
-    certs = [build_certificate(jsonio.load_spec(jsonio.read(path)),
-                               depth=args.depth) for path in args.spec]
+    certs = [build_certificate(jsonio.load_spec(jsonio.read(path)))
+             for path in args.spec]
     for path, cert in zip(args.spec, certs):
         out = (Path(args.out) / (Path(path).stem + ".cert.json")
                if into_dir else args.out)
@@ -239,7 +239,6 @@ def build_parser():
 
     p = sub.add_parser("build", help="kernel spec -> certified factorization")
     p.add_argument("spec", nargs="+", help="kernel spec JSON files")
-    p.add_argument("-K", "--depth", type=size(0, MAX_DEPTH), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 

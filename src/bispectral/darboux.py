@@ -358,14 +358,15 @@ def _condition_rows(powers, n, N, bound, window=None):
 
 
 def _orbit_rows(profile, a, n, N, bound):
-    """(rows, slots) of the orbit condition sum_k a_k D_z^k at lam, branch 0.
+    """Rows of the orbit condition sum_k a_k D_z^k at lam, branch 0.
 
     ``profile`` is ``wave_jet_at`` of lam, so the condition a(D) profile and
     its D-powers are series over Q, read as integer numerators over the lcm
-    of their denominators.  ``slots`` counts the degrees of the window.  On
-    branch j the row of degree deg over Q(eps) is eps^{j(deg+n)} times
-    this row (module docstring), so the other branches add nothing to the
-    row space or to the nullspace.
+    of their denominators.  The window spans K + 1 degrees at profile depth
+    K: a(D) with a_m != 0 moves the box (-K, 0) to (-K + m, m), and each D
+    moves it up by one.  On branch j the row of degree deg over Q(eps) is
+    eps^{j(deg+n)} times this row (module docstring), so the other branches
+    add nothing to the row space or to the nullspace.
     """
     powers = [profile.apply(DiffOp("x", DFORM, a))]
     for _ in range(n):
@@ -374,7 +375,7 @@ def _orbit_rows(profile, a, n, N, bound):
     lo, hi = (max(p.box[i] for p in powers) + bound * N - n for i in (0, 1))
     ints = [{key: v * (den // p.den) for key, v in p.nums.items()}
             for p in powers]
-    return _condition_rows(ints, n, N, bound, (lo, hi)), hi - lo + 1
+    return _condition_rows(ints, n, N, bound, (lo, hi))
 
 
 def _assemble(beta, n, N, solution, bound):
@@ -425,7 +426,7 @@ def _profiles(beta: BesselIndex, orbits, depth):
     return {lam: wave_jet_at(beta, lam, depth) for lam in orbits}
 
 
-def _solve_annihilator(val: ValidatedSpec, depth=None):
+def _solve_annihilator(val: ValidatedSpec):
     """Find the minimal monic annihilator by escalating polynomial degree.
 
     The bounds run 0, 1, ... up to base_bound * 2^(MAX_ANSATZ_DOUBLINGS - 1),
@@ -450,16 +451,11 @@ def _solve_annihilator(val: ValidatedSpec, depth=None):
         rows = [row for powers in zero_powers
                 for row in _condition_rows(powers, n, N, bound)]
         if val.orbits:
-            K = max(depth or default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-            slots = 0
+            # each condition gives K + 1 > ncols degrees (``_orbit_rows``)
+            K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
             for lam, profile in _profiles(beta, val.orbits, K).items():
                 for a in val.orbits[lam]:
-                    new_rows, new_slots = _orbit_rows(profile, a, n, N, bound)
-                    rows.extend(new_rows)
-                    slots += new_slots
-            if slots < ncols + 5:
-                raise InconsistentSpecError(
-                    "could not over-determine the point conditions")
+                    rows.extend(_orbit_rows(profile, a, n, N, bound))
         if not rows:
             continue
         sols = linalg.nullspace(rows, ncols)
@@ -612,15 +608,15 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
                               witnesses=witnesses, depth=K, spec=spec)
 
 
-def build_certificate(spec: KernelSpec, depth=None) -> DarbouxCertificate:
+def build_certificate(spec: KernelSpec) -> DarbouxCertificate:
     """End-to-end: validate, build P, divide for Q, certify everything."""
     val = validate_spec(spec)
     if spec.at_points and not spec.is_log_free:
         raise UnsupportedInputError(
             "log-bearing conditions are only supported for kernels at 0")
-    P, Q = _solve_annihilator(val, depth=depth)
+    P, Q = _solve_annihilator(val)
     return certify(spec.beta, P.convert(DEL), Q.convert(DEL),
-                   val.f, val.g, spec=spec, depth=depth)
+                   val.f, val.g, spec=spec)
 
 
 def kernel_matrix(spec: KernelSpec):

@@ -53,13 +53,13 @@ def _first_divergence(produced, stored, path=""):
     return None
 
 
-def _certified(spec, depth, degree_bound):
-    """The steps every suite shares: build, pair, verify at depth and the
-    spectral algebra to degree_bound.  Returns the certificate, the pair
-    and the payload common to all goldens."""
+def _certified(spec, degree_bound):
+    """The steps every suite shares: build, pair, verify at the default
+    depth and the spectral algebra to degree_bound.  Returns the
+    certificate, the pair and the payload common to all goldens."""
     cert = build_certificate(spec)
     pair = make_pair(cert)
-    verify_pair(pair, depth=depth)
+    verify_pair(pair)
     rep = spectral_algebra(cert, degree_bound)
     return cert, pair, {"pair": pair.to_json(), "algebra": rep.to_json()}
 
@@ -67,13 +67,13 @@ def _certified(spec, depth, degree_bound):
 def _example_rank1():
     spec = monomial_kernel(BesselIndex.parse("0"),
                            [[(Fraction(1), Fraction(1))]])
-    return _certified(spec, 10, 4)[2]
+    return _certified(spec, 4)[2]
 
 
 def _example4(nu, a, lam):
     bi = BesselIndex(2, (1 - nu, nu))
     spec = KernelSpec(bi, (), (AtPointGroup(lam, (Fraction(1), a)),))
-    cert, _, payload = _certified(spec, 16, 8)
+    cert, _, payload = _certified(spec, 8)
     _, pks = cleared_coefficients(cert.P, bi.N)
     return {**payload, "cleared_p": [p.to_json() for p in pks]}
 
@@ -86,7 +86,7 @@ def _example_dg_even(bi, d, flat):
     gammas = bi.power(d)
     spec = monomial_kernel(
         bi, [[(gammas[i], c) for i, c in enumerate(row) if c] for row in rows])
-    cert, pair, payload = _certified(spec, None, 4 * bi.N)
+    cert, pair, payload = _certified(spec, 4 * bi.N)
     cf = closed_form_monomial(bi, gammas, rows)
     agreement = (cf["P"] == cert.P and cf["Q"] == cert.Q
                  and cf["P_b"] == pair.P_b and cf["Q_b"] == pair.Q_b

@@ -11,6 +11,7 @@ from . import __version__
 from .darboux import DarbouxCertificate, KernelSpec, certify
 from .errors import UsageError
 from .involution import BispectralPair
+from .scalars import _shown
 
 # what a document of the wrong shape raises inside a from_json: a missing
 # key, a value of the wrong type, or a list of the wrong length
@@ -55,7 +56,8 @@ def read(path):
 def _check_kind(data, kind, optional=False):
     got = data.get("kind")
     if got != kind and not (optional and got is None):
-        raise UsageError(f"document kind {got!r} where {kind!r} was expected")
+        raise UsageError(f"document kind {_shown(got)} where {kind!r} "
+                         f"was expected")
 
 
 def load_spec(data) -> KernelSpec:

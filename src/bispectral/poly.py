@@ -11,9 +11,9 @@ tracked scale once at the end.  ``coeffs``, the tuple of Fractions, is
 built lazily for documents and printing; ``from_json`` reads a document's
 coefficient text into the integer form without building any.
 
-Coefficients are rationals only.  A rational Cyclotomic is read through
-``as_rational``; any other scalar is refused with UsageError.  (The series
-are rational too: no library arithmetic runs in Q(eps).)
+Coefficients are rationals only, ints or Fractions; any other scalar is
+refused with UsageError.  (The series are rational too: no library
+arithmetic runs in Q(eps).)
 
 Gcds run the primitive polynomial remainder sequence over Z (Collins
 1967, Brown 1971): each pseudo-remainder is replaced by its primitive
@@ -32,15 +32,13 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .scalars import Cyclotomic, cleared, format_rational, parse_ratios
+from .scalars import cleared, format_rational, parse_ratios
 
 
 def _rational(c):
     """c as an int or a Fraction; the only coefficients a Poly takes."""
     if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, Cyclotomic) and c.is_rational:
-        return c.as_rational()
     raise UsageError(f"polynomial coefficients are rationals, got {c!r}")
 
 

@@ -25,12 +25,14 @@ from .errors import DomainError, UsageError
 _CANONICAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
-def _shown(text):
-    """text as a message shows it: its repr, or for a text past 32
-    characters the repr of the first 32 and the length."""
+def _shown(value):
+    """value as a message shows it: a string by its repr, anything else by
+    its str, and a text past 32 characters by its first 32 and the length."""
+    show = repr if isinstance(value, str) else str
+    text = str(value)
     if len(text) <= 32:
-        return repr(text)
-    return f"{text[:32]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:32])}... ({len(text)} characters)"
 
 
 def _fraction_ratio(text):

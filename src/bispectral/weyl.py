@@ -48,6 +48,7 @@ from fractions import Fraction
 
 from .errors import DomainError, UsageError
 from .poly import Poly, RationalFunction, _poly
+from .scalars import _shown
 
 DEL = "del"
 DFORM = "D"
@@ -91,7 +92,7 @@ class DiffOp:
 
     def __init__(self, var, form, coeffs=()):
         if form not in _FORMS:
-            raise UsageError(f"unknown form {form!r}")
+            raise UsageError(f"unknown form {_shown(form)}")
         cs = [_coerce_rf(var, c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()

@@ -385,6 +385,19 @@ def test_rank_beta_takes_no_depth(capsys):
         "generators: [2]; rank = 2; only multiples of N: True\n")
 
 
+def test_build_takes_no_depth(tmp_path, capsys):
+    # a certificate is certified at the default depth, the only one that
+    # pair and load_certificate use, so build has no depth to set
+    spec = write(tmp_path, "spec.json", RANK1_SPEC)
+    for value in ("20", "-5", "257"):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", spec, "-K", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -K" in capsys.readouterr().err
+    assert main(["build", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 14
+
+
 def test_examples_rank1(capsys):
     assert main(["examples", "rank1"]) == 0
     assert "exact match" in capsys.readouterr().out
@@ -508,7 +521,6 @@ def test_files_that_do_not_parse_exit_two(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("argv", [
     ["bessel", "--beta", "2/3,1/3", "-K", "-2"],
-    ["build", "spec.json", "-K", "-5"],
     ["pair", "cert.json", "--verify", "-2"],
     ["verify", "pair.json", "-K", "-3"],
     ["rank", "cert.json", "--degree-bound", "-2"],
@@ -531,7 +543,6 @@ def _weights(n):
 
 @pytest.mark.parametrize("argv, limit", [
     (["bessel", "--beta", "2/3,1/3", "-K", "257"], cli.MAX_DEPTH),
-    (["build", "spec.json", "-K", "257"], cli.MAX_DEPTH),
     (["pair", "cert.json", "--verify", "1000"], cli.MAX_DEPTH),
     (["verify", "pair.json", "-K", "257"], cli.MAX_DEPTH),
     (["rank", "--beta", "2/3,1/3", "--degree-bound", "33"],
@@ -732,11 +743,22 @@ def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
      "depth must be an integer, got float"),
     ("cert", ("depth",), "20", ["pair"], "depth must be an integer, got str"),
     ("cert", ("depth",), True, ["pair"], "depth must be an integer, got bool"),
+    # a long kind or form, and the sum of a long weight, shown by a prefix
+    # and its length
+    ("pair", ("kind",), "k" * 5000, ["verify"],
+     "document kind '" + "k" * 32 + "'... (5000 characters) where "
+     "'bispectral-pair' was expected"),
+    ("pair", ("L", "form"), "f" * 5000, ["verify", "-K", "8"],
+     "unknown form '" + "f" * 32 + "'... (5000 characters)"),
+    ("spec", ("beta", "beta", 0), "9" * 4000, ["build"],
+     "weights must sum to N(N-1)/2 = 0, got " + "9" * 32
+     + "... (4000 characters)"),
 ], ids=["provenance-not-an-object", "base-index-out-of-range",
         "empty-row-of-b", "exponent-notation", "string-as-coefficients",
         "digit-limit-coefficient", "string-as-weights",
         "string-as-jet-vector", "string-as-b", "float-N", "float-base-index",
-        "float-depth", "string-as-depth", "boolean-depth"])
+        "float-depth", "string-as-depth", "boolean-depth", "long-kind",
+        "long-form", "long-weight-sum"])
 def test_malformed_documents_exit_two(tmp_path, capsys, kind, path, value,
                                       argv, fragment):
     # a wrong-typed node, an index out of range, an exponent that would

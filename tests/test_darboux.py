@@ -12,8 +12,8 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         cleared_coefficients, kernel_matrix, linalg,
                         monomial_kernel, validate_spec, wave_jet_at)
 from bispectral import DEL, DFORM, darboux, weyl
-from bispectral.darboux import (_assemble, _condition_rows, _orbit_rows,
-                                default_depth)
+from bispectral.darboux import (THETA, _assemble, _condition_rows,
+                                _orbit_rows, default_depth)
 from bispectral.involution import involute_P, involute_Q
 from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
                            compute_Q, mult, poly_at_operator, x_power)
@@ -267,7 +267,7 @@ def _all_branch_build(spec):
         for group in spec.at_points:
             rows += all_branch_rows(beta, group.lam, group.a, n, bound, depth)
             profile = wave_jet_at(beta, group.lam, depth)
-            rows0 += _orbit_rows(profile, group.a, n, N, bound)[0]
+            rows0 += _orbit_rows(profile, group.a, n, N, bound)
         sols = linalg.nullspace(rows, ncols)
         assert sols == linalg.nullspace(rows0, ncols), bound
         for sol in sols:
@@ -309,6 +309,27 @@ def test_branch_zero_build_matches_all_branch_oracle():
         for group in points:
             residuals = all_branch_residuals(cert.P, beta, group.lam, group.a)
             assert residuals and not any(residuals)
+
+
+def test_orbit_condition_windows_span_the_depth():
+    # the powers of an orbit condition as _orbit_rows builds them; their
+    # window spans K + 1 degrees, so the ansatz depth
+    # K >= 2 ncols + 2 n + 10 gives every condition more rows than columns
+    for weights in ("2/3,1/3", "1/3,2/3,2"):
+        beta = BesselIndex.parse(weights)
+        for lam in (F(1), F(-3, 2), F(2)):
+            for order in range(4):
+                a = (F(1), F(1, 2), F(-2))[:order] + (F(1),)
+                n = validate_spec(
+                    KernelSpec(beta, (), (AtPointGroup(lam, a),))).n
+                for K in range(10, 61):
+                    powers = [wave_jet_at(beta, lam, K).apply(
+                        DiffOp("x", DFORM, a))]
+                    for _ in range(n):
+                        powers.append(powers[-1].apply(THETA))
+                    hi = max(p.box[1] for p in powers)
+                    lo = max(p.box[0] for p in powers)
+                    assert hi - lo == K, (weights, lam, a, K)
 
 
 def test_rational_orbit_points_need_no_cyclotomics(monkeypatch):

@@ -221,7 +221,7 @@ def test_ansatz_point_systems_match_gauss_jordan(monkeypatch):
         # the depth _solve_annihilator uses at this bound
         K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
         profile = wave_jet_at(beta, Fraction(2), K)
-        rows, _slots = _orbit_rows(profile, avec, n, N, bound)
+        rows = _orbit_rows(profile, avec, n, N, bound)
         del eliminated[:]
         basis = _check_tall(rows, ncols)
         shapes.append((len(rows), ncols, len(basis)))

@@ -25,9 +25,9 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.fields import field  # noqa: E402
 
-from bispectral import (AtPointGroup, BesselIndex, KernelSpec,  # noqa: E402
-                        banded_rows, build_certificate, make_pair,
-                        monomial_kernel)
+from bispectral import (AtPointGroup, AtZeroGroup,  # noqa: E402
+                        BesselIndex, KernelSpec, banded_rows,
+                        build_certificate, make_pair, monomial_kernel)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "bispectral" / "golden"
 FIELD, X, A = field("x,a", sympy.QQ)
@@ -158,6 +158,11 @@ BUILT = {
     "point-N3": lambda rng: _point_spec(rng, "1/3,2/3,2", (1, 2),
                                         (1, Fraction(1, 2))),
     "banded-k2": lambda rng: _banded_spec(rng, 2),
+    # the seed x^(1/2) ln x + x^(5/2) and its ell-derivative x^(1/2): P and
+    # Q both of order 2, h = y^2
+    "log": lambda rng: KernelSpec(
+        BesselIndex.parse("1/2,1/2"),
+        (AtZeroGroup(0, ((Fraction(0), Fraction(1)), (Fraction(1),))),), ()),
 }
 
 
