@@ -456,8 +456,6 @@ def _solve_annihilator(val: ValidatedSpec):
             for lam, profile in _profiles(beta, val.orbits, K).items():
                 for a in val.orbits[lam]:
                     rows.extend(_orbit_rows(profile, a, n, N, bound))
-        if not rows:
-            continue
         sols = linalg.nullspace(rows, ncols)
         largest = max(largest, (len(rows), ncols),
                       key=lambda shape: shape[0] * shape[1])
@@ -466,7 +464,7 @@ def _solve_annihilator(val: ValidatedSpec):
             if not any(sol[n * (bound + 1):]):
                 continue
             op = _assemble(beta, n, N, sol, bound)
-            if op is None or op.order != n:
+            if op is None:
                 continue
             quot, rem = h_at_l.left_divide(op)
             if rem.is_zero:

@@ -53,20 +53,26 @@ def read(path):
     return data
 
 
-def _check_kind(data, kind, optional=False):
+def _parse(data, kind, cls, what, optional=False):
+    """``cls.from_json`` of a document of the given kind.
+
+    A document of another kind, or one of the wrong shape, raises
+    UsageError; ``optional`` lets the document leave out its kind.
+    """
     got = data.get("kind")
     if got != kind and not (optional and got is None):
         raise UsageError(f"document kind {_shown(got)} where {kind!r} "
                          f"was expected")
+    try:
+        return cls.from_json(data)
+    except _MALFORMED as exc:
+        raise UsageError(f"malformed {what}: {exc}") from exc
 
 
 def load_spec(data) -> KernelSpec:
     """Parse a kernel spec; a spec file may leave out its kind."""
-    try:
-        _check_kind(data, "kernel-spec", optional=True)
-        return KernelSpec.from_json(data)
-    except _MALFORMED as exc:
-        raise UsageError(f"malformed kernel spec: {exc}") from exc
+    return _parse(data, "kernel-spec", KernelSpec, "kernel spec",
+                  optional=True)
 
 
 def load_certificate(data) -> DarbouxCertificate:
@@ -74,11 +80,8 @@ def load_certificate(data) -> DarbouxCertificate:
 
     The parsed certificate is returned as stored; a failed witness raises.
     """
-    try:
-        _check_kind(data, "darboux-certificate")
-        cert = DarbouxCertificate.from_json(data)
-    except _MALFORMED as exc:
-        raise UsageError(f"malformed certificate: {exc}") from exc
+    cert = _parse(data, "darboux-certificate", DarbouxCertificate,
+                  "certificate")
     certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=cert.spec)
     return cert
 
@@ -88,8 +91,4 @@ def pair_document(pair: BispectralPair, **params):
 
 
 def load_pair(data) -> BispectralPair:
-    try:
-        _check_kind(data, "bispectral-pair")
-        return BispectralPair.from_json(data)
-    except _MALFORMED as exc:
-        raise UsageError(f"malformed pair: {exc}") from exc
+    return _parse(data, "bispectral-pair", BispectralPair, "pair")

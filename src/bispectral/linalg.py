@@ -122,7 +122,7 @@ def _spanning_rows(rows, ncols):
     return kept
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the solution space of rows * v = 0.
 
     Each basis vector carries a 1 in one free column and is reduced against
@@ -130,10 +130,6 @@ def nullspace(rows, ncols=None):
     Given more rows than columns, it eliminates only a spanning subset of
     them (``_spanning_rows``); the RREF, and so the basis, is the same.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer the number of columns")
-        ncols = len(rows[0])
     if len(rows) > ncols:
         rows = _spanning_rows(rows, ncols)
     red, pivots = rref(rows)

@@ -64,6 +64,32 @@ def _poly(var, nums, den=1):
     return _raw(var, tuple(nums), den)
 
 
+def power_text(base, k):
+    """base^k as text: "" for k = 0 and base alone for k = 1."""
+    return "" if k == 0 else (base if k == 1 else f"{base}^{k}")
+
+
+def signed_sum(terms):
+    """The text of a sum of (coefficient text, monomial text) terms.
+
+    A term with no monomial is its coefficient; a coefficient 1 or -1 is
+    written as a sign, any other is joined to its monomial with "*"; a
+    negative term is joined to the ones before it with " - ".  An empty
+    sum is "0".
+    """
+    parts = []
+    for coeff, mono in terms:
+        if mono and coeff in ("1", "-1"):
+            coeff = coeff[:-1]  # 1 and -1 keep only their sign
+        elif mono:
+            coeff += "*"
+        parts.append(coeff + mono)
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 def _primitive(nums):
     """An integer list divided by the gcd of its entries; a list of zeros
     is returned as it is."""
@@ -181,8 +207,6 @@ class Poly:
         return self._combine(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -203,11 +227,6 @@ class Poly:
                     if y:
                         out[j] += x * y
         return _poly(self.var, out, den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, c):
         c = _rational(c)
@@ -365,27 +384,9 @@ class Poly:
 
     def to_str(self, var=None):
         var = var if var is not None else self.var
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if k == 0:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum((str(c), power_text(var, k))
+                          for k, c in reversed(list(enumerate(self.coeffs)))
+                          if c)
 
     __str__ = to_str
 
@@ -542,9 +543,7 @@ class RationalFunction:
         if self.is_laurent and len([c for c in self.num.coeffs if c]) == 1:
             k = self.num.valuation()
             c = self.num.coeffs[k]
-            power = k - self.den.degree
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            return f"{head}{var}^{power}"
+            return signed_sum([(str(c), power_text(var, k - self.den.degree))])
         return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
 
     __str__ = to_str

@@ -79,7 +79,7 @@ import math
 from fractions import Fraction
 
 from .errors import TruncationError, UnsupportedInputError, UsageError
-from .poly import Poly
+from .poly import Poly, power_text, signed_sum
 from .scalars import cleared
 from .weyl import DEL, DFORM, DiffOp
 
@@ -127,15 +127,6 @@ class QuasiPolynomial:
             out[k] = out.get(k, Fraction(0)) + c
         return QuasiPolynomial(out)
 
-    def __neg__(self):
-        return QuasiPolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return QuasiPolynomial({k: c * v for k, v in self.terms.items()})
-
     def apply_theta(self):
         """Image under D = x d/dx:  D x^g y^j = g x^g y^j + j x^g y^{j-1}."""
         out = {}
@@ -177,17 +168,11 @@ class QuasiPolynomial:
         return f"QuasiPolynomial({self.to_str()!r})"
 
     def to_str(self, var="x"):
-        if self.is_zero:
-            return "0"
-        parts = []
+        terms = []
         for (g, j), c in self.items():
-            body = [] if c == 1 and (g or j) else [str(c)]
-            if g:
-                body.append(f"{var}^{g}" if g != 1 else var)
-            if j:
-                body.append(f"ln({var})" + (f"^{j}" if j > 1 else ""))
-            parts.append("*".join(body) if body else str(c))
-        return " + ".join(parts)
+            monos = [power_text(var, g), power_text(f"ln({var})", j)]
+            terms.append((str(c), "*".join(m for m in monos if m)))
+        return signed_sum(terms)
 
     __str__ = to_str
 

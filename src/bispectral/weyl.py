@@ -47,7 +47,7 @@ import weakref
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .poly import Poly, RationalFunction, _poly
+from .poly import Poly, RationalFunction, _poly, power_text, signed_sum
 from .scalars import _shown
 
 DEL = "del"
@@ -159,12 +159,6 @@ class DiffOp:
     @property
     def is_zero(self):
         return not self.nums
-
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise DomainError("zero operator has no leading coefficient")
-        return self.coeffs[-1]
 
     def coeff(self, k):
         if 0 <= k < len(self.nums):
@@ -347,31 +341,17 @@ class DiffOp:
         return f"DiffOp({self.to_str()!r})"
 
     def to_str(self):
-        if self.is_zero:
-            return "0"
         sym = f"d_{self.var}" if self.form == DEL else f"D_{self.var}"
-        parts = []
+        terms = []
         for k in range(self.order, -1, -1):
             c = self.coeff(k)
             if c.is_zero:
                 continue
-            mono = "" if k == 0 else (sym if k == 1 else f"{sym}^{k}")
             cs = c.to_str()
-            if k == 0:
-                body = cs
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = f"-{mono}"
-            else:
-                wrapped = cs if cs.lstrip("-").replace(".", "").isalnum() or (
-                    "/" not in cs and "+" not in cs and " " not in cs) else f"({cs})"
-                body = f"{wrapped}*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            if k and any(ch in cs for ch in "/+ "):
+                cs = f"({cs})"
+            terms.append((cs, power_text(sym, k)))
+        return signed_sum(terms)
 
     __str__ = to_str
 
