@@ -63,15 +63,17 @@ MAX_LOG_POWER = 1       # len(row) - 1 of one row of b
 MAX_JET_ORDER = 3       # len(a) - 1 of one orbit group
 
 # Longest list of coefficients, or of numerator or denominator entries, of
-# an operator in a certificate or pair document.  Write a factor P of order
-# n of h(L) as (x^n tau)^{-1} sum_k p_k(x^N) D^k, tau = p_n(x^N), and let
-# D = N deg h.  The longest lists of a pair are the denominators of
-# L = P Q, of degree D (1 + deg tau), and deg tau <= n D (for monomial
-# kernels by the closed form's subset sums).  One group at the caps above
-# has n <= MAX_N and D <= MAX_N * max(MAX_ROWS, MAX_JET_ORDER + 1) = 12,
-# hence D (1 + n D) + 1 = 445 entries.  Built pairs of one to three groups
-# at N = 2 and 3 measured 37 to 121.  A longer list exits 2 before it is
-# parsed; one 2000-entry den made ``verify -K 8`` run past 20 s.
+# an operator, and longest polynomial, in a certificate or pair document.
+# Write a factor P of order n of h(L) as (x^n tau)^{-1} sum_k p_k(x^N) D^k,
+# tau = p_n(x^N), and let D = N deg h.  The longest lists of a pair are the
+# denominators of L = P Q, of degree D (1 + deg tau), and deg tau <= n D
+# (for monomial kernels by the closed form's subset sums).  One group at
+# the caps above has n <= MAX_N and D <= MAX_N * max(MAX_ROWS,
+# MAX_JET_ORDER + 1) = 12, hence D (1 + n D) + 1 = 445 entries.  Built
+# pairs of one to three groups at N = 2 and 3 measured 37 to 181 (three
+# orbits at N = 3), and their polynomials at most 11.  A longer list exits
+# 2 before it is parsed; one 2000-entry den made ``verify -K 8`` run past
+# 20 s.
 _D_CAP = MAX_N * max(MAX_ROWS, MAX_JET_ORDER + 1)
 MAX_COEFF_ENTRIES = _D_CAP * (1 + MAX_N * _D_CAP) + 1
 
@@ -97,19 +99,32 @@ def _check_caps(N, at_zero, at_points):
                                    f"the cap darboux.{name} = {cap}")
 
 
+def _check_entries(what, lists):
+    """Raise UsageError when one of the lists of a document's ``what`` is
+    longer than MAX_COEFF_ENTRIES."""
+    longest = max(len(entries) for entries in lists)
+    if longest > MAX_COEFF_ENTRIES:
+        raise UsageError(f"{what} too large: a list of {longest} entries is "
+                         f"above the cap darboux.MAX_COEFF_ENTRIES = "
+                         f"{MAX_COEFF_ENTRIES}")
+
+
 def operator_from_json(data, var) -> DiffOp:
     """``DiffOp.from_json`` for documents: an operator in another variable
     than var, or a list longer than MAX_COEFF_ENTRIES, raises UsageError
     before any entry is parsed."""
     if data["var"] != var:
         raise UsageError(f"operator in the wrong variable: expected {var!r}")
-    longest = max([len(data["coeffs"])] + [len(c[key]) for c in data["coeffs"]
-                                           for key in ("num", "den")])
-    if longest > MAX_COEFF_ENTRIES:
-        raise UsageError(f"operator too large: a list of {longest} entries is "
-                         f"above the cap darboux.MAX_COEFF_ENTRIES = "
-                         f"{MAX_COEFF_ENTRIES}")
+    _check_entries("operator", [data["coeffs"]] + [
+        c[key] for c in data["coeffs"] for key in ("num", "den")])
     return DiffOp.from_json(data)
+
+
+def poly_from_json(data, var) -> Poly:
+    """``Poly.from_json`` for documents: a list longer than
+    MAX_COEFF_ENTRIES raises UsageError before any entry is parsed."""
+    _check_entries("polynomial", [data])
+    return Poly.from_json(var, data)
 
 
 @dataclass(frozen=True)
@@ -504,14 +519,18 @@ class DarbouxCertificate:
     def from_json(cls, data):
         spec = (KernelSpec.from_json(data["spec"])
                 if data.get("spec") is not None else None)
-        return cls(beta=BesselIndex.from_json(data["beta"]),
+        cert = cls(beta=BesselIndex.from_json(data["beta"]),
                    P=operator_from_json(data["P"], "x"),
                    Q=operator_from_json(data["Q"], "x"),
-                   f=Poly.from_json("z", data["f"]),
-                   g=Poly.from_json("z", data["g"]),
-                   h=Poly.from_json("y", data["h"]),
+                   f=poly_from_json(data["f"], "z"),
+                   g=poly_from_json(data["g"], "z"),
+                   h=poly_from_json(data["h"], "y"),
                    witnesses=dict(data["witnesses"]),
                    depth=parse_int(data["depth"], "depth"), spec=spec)
+        # h sets the depths of the checks that read a stored certificate
+        if cert.h != _eigenvalue_pattern(cert.f, cert.g, cert.beta.N):
+            raise CertificationError("stored h is not f*g read in y = z^N")
+        return cert
 
 
 def _eigenvalue_pattern(f: Poly, g: Poly, N: int) -> Poly:
@@ -542,6 +561,12 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
         raise CertificationError("g is not monic")
     if f.is_zero or f.leading != 1:
         raise CertificationError("f is not monic")
+    # before h(L) is built: its size follows deg h = (deg f + deg g) / N
+    for poly, name, op, op_name in ((g, "g", P, "P"), (f, "f", Q, "Q")):
+        if poly.degree != op.order:
+            raise CertificationError(
+                f"degree of {name} ({poly.degree}) does not match the order "
+                f"of {op_name} ({op.order})")
     h = _eigenvalue_pattern(f, g, beta.N)
     witnesses["eigenvalue_pattern"] = True
 
@@ -559,9 +584,6 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
     witnesses["product_dual_form"] = True
 
     n, _ = cleared_coefficients(P, beta.N)
-    if n != P.order or g.degree != n:
-        raise CertificationError(
-            f"degree of g ({g.degree}) does not match the order of P ({n})")
     witnesses["shape"] = True
 
     least = default_depth(h.degree, beta.N, n)

@@ -65,7 +65,8 @@ from . import linalg
 from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
                      power_ladders, power_sum_parts)
 from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
-                      default_depth, operator_from_json, validate_spec)
+                      default_depth, operator_from_json, poly_from_json,
+                      validate_spec)
 from .errors import (AssociationError, CertificationError,
                      RankDeficiencyError, UsageError, VerificationError)
 from .poly import Poly
@@ -199,15 +200,18 @@ class BispectralPair:
     @classmethod
     def from_json(cls, data):
         cert = DarbouxCertificate.from_json(data["provenance"])
+        h = poly_from_json(data["h"], "y")
+        if h != cert.h:
+            raise CertificationError("the pair's h differs from the h of "
+                                     "its provenance")
         return cls(beta=cert.beta,
                    L=operator_from_json(data["L"], "x"),
                    Lambda=operator_from_json(data["Lambda"], "z"),
-                   h=Poly.from_json("y", data["h"]),
-                   theta=Poly.from_json("y", data["theta"]),
+                   h=h, theta=poly_from_json(data["theta"], "y"),
                    P_b=operator_from_json(data["P_b"], "x"),
                    Q_b=operator_from_json(data["Q_b"], "x"),
-                   f_b=Poly.from_json("z", data["f_b"]),
-                   g_b=Poly.from_json("z", data["g_b"]),
+                   f_b=poly_from_json(data["f_b"], "z"),
+                   g_b=poly_from_json(data["g_b"], "z"),
                    certificate=cert,
                    b_witnesses=dict(data["b_witnesses"]))
 

@@ -106,6 +106,24 @@ def test_betaprime_command(tmp_path, capsys):
     assert "beta' = (1, 0)" in capsys.readouterr().out
 
 
+AMBIGUOUS_SPEC = {
+    # the exponent 3/2 lies on the ladders of both weights
+    "beta": {"N": 2, "beta": ["-1/2", "3/2"]},
+    "at_zero": [{"base_index": 1, "b": [["1"]]}],
+    "at_points": [],
+}
+
+
+def test_betaprime_notes_a_row_that_matches_two_weights(tmp_path, capsys):
+    out = tmp_path / "prime.json"
+    assert main(["betaprime", write(tmp_path, "spec.json", AMBIGUOUS_SPEC),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "beta' = (1/2, 1/2)\n"
+        "note: association admits a relabeling; one choice reported\n")
+    assert json.loads(out.read_text())["ambiguous"] is True
+
+
 def test_tampered_certificate_exits_three(tmp_path):
     spec = write(tmp_path, "spec.json", RANK1_SPEC)
     cert_path = str(tmp_path / "cert.json")
@@ -148,6 +166,35 @@ def test_every_loader_checks_the_document_kind(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(kind) in captured.err and repr(wanted) in captured.err
+
+
+@pytest.mark.parametrize("argv, kind, params, key", [
+    (["bessel", "--beta", "2/3,1/3", "-K", "3"], "bessel", {"depth": 3},
+     "wave_coeffs"),
+    (["rank", "--beta", "2/3,1/3", "--degree-bound", "4"], "spectral-report",
+     {"degree_bound": 4}, "degrees"),
+    (["rank", "{cert}"], "spectral-report", {"degree_bound": 8}, "degrees"),
+    (["betaprime", "{spec}"], "beta-prime", {}, "beta_prime"),
+    (["verify", "{pair}", "-K", "10"], "verification", {"depth": 10},
+     "residuals"),
+    (["verify", "{pair}"], "verification", {}, "residuals"),
+])
+def test_out_documents_name_their_kind_and_tool(tmp_path, capsys, argv,
+                                                kind, params, key):
+    from bispectral import __version__
+    docs = _documents(tmp_path)
+    argv = [arg.format(**docs) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    doc = json.loads(out.read_text())
+    assert doc["kind"] == kind
+    assert doc["tool"] == {"name": "bispectral", "version": __version__,
+                           **params}
+    assert key in doc
 
 
 def test_a_spec_may_leave_out_its_kind(tmp_path):
@@ -353,6 +400,95 @@ def test_an_operator_above_the_cap_exits_two_at_once(tmp_path, capsys):
     doc["provenance"]["P"]["coeffs"][1]["den"] = ["1"]
     doc["Lambda"]["coeffs"] = doc["Lambda"]["coeffs"] * 300
     assert main(["verify", write(tmp_path, "long.json", doc), "-K", "8"]) == 2
+
+
+def _stored_dg_even():
+    root = Path(__file__).resolve().parents[1]
+    return json.loads(
+        (root / "perfbench" / "data" / "pairs" / "dg-even.json").read_text())
+
+
+@pytest.mark.parametrize("command, name", [
+    ("rank", "f"), ("rank", "g"), ("rank", "h"), ("verify", "h"),
+    ("verify", "theta"), ("verify", "f_b"), ("verify", "g_b"),
+])
+def test_a_polynomial_above_the_cap_exits_two_at_once(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      name):
+    # the stored polynomials size the work: a certificate whose f and g had
+    # 801 entries ran rank past 120 s; the list is refused before any of
+    # its entries is parsed
+    from bispectral import scalars
+    parsed = []
+    parse_ratio = scalars.parse_ratio
+    monkeypatch.setattr(scalars, "parse_ratio",
+                        lambda text: parsed.append(text) or parse_ratio(text))
+    pair = _stored_dg_even()
+    long = [" 0"] * (darboux.MAX_COEFF_ENTRIES + 1)
+    if command == "rank":
+        doc = dict(pair["provenance"], kind="darboux-certificate")
+    else:
+        doc = pair
+    doc[name] = long
+    capsys.readouterr()
+    assert main([command, write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"polynomial too large: a list of {len(long)} entries is above "
+            f"the cap darboux.MAX_COEFF_ENTRIES") in captured.err
+    assert parsed and " 0" not in parsed
+
+
+def test_a_stored_h_that_is_not_f_times_g_exits_three(tmp_path, capsys):
+    # pair wrote such an h into the pair and exited 0; only a later verify
+    # exited 4
+    pair = _stored_dg_even()
+    cert = dict(pair["provenance"], kind="darboux-certificate",
+                h=["0", "0", "0", "1"])
+    consistent = dict(pair, h=cert["h"],
+                      provenance=dict(pair["provenance"], h=cert["h"]))
+    capsys.readouterr()
+    for command in ("pair", "involute", "rank"):
+        assert main([command, write(tmp_path, "cert.json", cert)]) == 3
+    assert main(["verify", write(tmp_path, "pair.json", consistent)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("stored h is not f*g read in y = z^N") == 4
+
+
+def test_a_pair_whose_h_is_not_its_provenance_h_exits_three(tmp_path,
+                                                            capsys):
+    # verify_pair takes its default depth from this h: with 400 entries it
+    # ran out of memory
+    pair = dict(_stored_dg_even(), h=["0", "0", "0", "1"])
+    capsys.readouterr()
+    assert main(["verify", write(tmp_path, "pair.json", pair)]) == 3
+    assert "the pair's h differs from the h of its provenance" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f, g, message", [
+    (["0", "0", "0", "1"], ["0", "0", "0", "1"],
+     "degree of g (3) does not match the order of P (2)"),
+    (["0", "0", "0", "0", "1"], ["0", "0", "1"],
+     "degree of f (4) does not match the order of Q (2)"),
+])
+def test_certify_checks_degrees_before_it_builds_h_of_l(tmp_path, capsys,
+                                                        monkeypatch, f, g,
+                                                        message):
+    # f g = h(z^N) holds, so the stored h passes; a consistent certificate
+    # with f = g = z^440 took 14.75 s to exit 3 while h(L) was built
+    built = []
+    poly_at_bessel = darboux.poly_at_bessel
+    monkeypatch.setattr(darboux, "poly_at_bessel",
+                        lambda *args: built.append(args)
+                        or poly_at_bessel(*args))
+    cert = dict(_stored_dg_even()["provenance"], kind="darboux-certificate",
+                f=f, g=g, h=["0", "0", "0", "1"])
+    capsys.readouterr()
+    assert main(["rank", write(tmp_path, "cert.json", cert)]) == 3
+    assert message in capsys.readouterr().err
+    assert not built
 
 
 def test_invalid_spec_exits_two(tmp_path):

@@ -375,7 +375,7 @@ def test_mixed_origin_and_orbit_spec():
     assert QuasiPolynomial.monomial(F(2, 3)).apply(cert.P).is_zero
 
 
-def test_certify_negative_controls():
+def test_certify_negative_controls(monkeypatch):
     cert = build_certificate(rank1_spec())
     with pytest.raises(CertificationError, match="remainder nonzero"):
         certify(cert.beta, cert.P, cert.Q + DiffOp("x", "del", (1,)),
@@ -400,6 +400,27 @@ def test_certify_negative_controls():
                                                  r"annihilated by P"):
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g,
                 spec=order2_point_spec(a=F(2)))
+    # f = g = z^2 - 1 here; each witness below gets its own tampering
+    assert cert.f == cert.g == Poly("z", [-1, 0, 1])
+    with pytest.raises(CertificationError, match="eigenvalue pattern broken"):
+        certify(cert.beta, cert.P, cert.Q, cert.f, Poly("z", [0, 1, 1]))
+    with pytest.raises(CertificationError, match="do not match the kernel "
+                                                 "group counts"):
+        certify(cert.beta, cert.P, cert.Q, cert.f, cert.g,
+                spec=order2_point_spec(lam=F(2)))
+    # the other split of f g = (z^2 - 1)^2 into monic quadratics
+    with pytest.raises(CertificationError, match=r"^normalization: x\^0 row "
+                                                 r"of P psi is not g"):
+        certify(cert.beta, cert.P, cert.Q, Poly("z", [1, -2, 1]),
+                Poly("z", [1, 2, 1]))
+    # the positive-power check, through a tampered wave function: psi * x
+    wave = darboux.bessel_wave
+    with monkeypatch.context() as m:
+        m.setattr(darboux, "bessel_wave",
+                  lambda beta, depth: wave(beta, depth).shift(1, 0))
+        with pytest.raises(CertificationError, match="normalization: "
+                                                     r"positive power x\^1"):
+            certify(cert.beta, cert.P, cert.Q, cert.f, cert.g)
     # h(L) is built in x, so factors in z, alone or together, never certify
     for P, Q in ((cert.P.relabel("z"), cert.Q.relabel("z")),
                  (cert.P.relabel("z"), cert.Q), (cert.P, cert.Q.relabel("z"))):
