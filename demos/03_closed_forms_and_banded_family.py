@@ -46,6 +46,6 @@ print("P L P^-1 =", generator)
 rep = spectral_algebra(cert, 8)
 print("algebra degrees:", list(rep.degrees), "-> rank", rep.rank)
 
-prime, info = beta_prime(bi, gammas, rows)
+prime, info = beta_prime(spec)
 print("shifted weights:", tuple(str(b) for b in prime),
       "counts", info["counts"])

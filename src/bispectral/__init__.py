@@ -13,12 +13,11 @@ from .bessel import (BesselIndex, bessel_op, bessel_poly, bessel_wave,
                      zero_exponent_basis)
 from .darboux import (AtPointGroup, AtZeroGroup, DarbouxCertificate,
                       KernelSpec, banded_rows, build_certificate, certify,
-                      cleared_coefficients, kernel_matrix, monomial_kernel,
-                      validate_spec)
-from .errors import (AssociationError, BispectralError, CertificationError,
-                     DomainError, InconsistentSpecError, RankDeficiencyError,
-                     ShapeError, SpecInvalidError, TruncationError,
-                     UnsupportedInputError, UsageError, VerificationError)
+                      cleared_coefficients, monomial_kernel, validate_spec)
+from .errors import (BispectralError, CertificationError, DomainError,
+                     InconsistentSpecError, RankDeficiencyError, ShapeError,
+                     SpecInvalidError, TruncationError, UnsupportedInputError,
+                     UsageError, VerificationError)
 from .involution import (BispectralPair, SpectralAlgebraReport,
                          bessel_plane_report, beta_prime,
                          closed_form_monomial, involute_P, involute_Q,

@@ -13,8 +13,7 @@ from pathlib import Path
 
 from . import __version__, examples, jsonio
 from .bessel import BesselIndex, bessel_op, bessel_poly, wave_coeffs
-from .darboux import (MAX_N, banded_rows, build_certificate, certify,
-                      kernel_matrix)
+from .darboux import MAX_N, banded_rows, build_certificate, certify
 from .errors import (BispectralError, CertificationError, ShapeError,
                      TruncationError, UsageError, VerificationError)
 from .involution import (beta_prime, bessel_plane_report, involute_P,
@@ -185,8 +184,7 @@ def cmd_rank(args):
 
 def cmd_betaprime(args):
     spec = jsonio.load_spec(jsonio.read(args.kernel))
-    d, gammas, rows = kernel_matrix(spec)
-    prime, info = beta_prime(spec.beta, gammas, rows)
+    prime, info = beta_prime(spec)
     print("beta' =", "(" + ", ".join(str(b) for b in prime) + ")")
     if info["ambiguous"]:
         print("note: association admits a relabeling; one choice reported")

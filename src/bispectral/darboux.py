@@ -417,7 +417,13 @@ def cleared_coefficients(P: DiffOp, N: int):
     if d.is_zero:
         raise ShapeError("zero operator has no structured form")
     n = d.order
-    cleared = d.lmul_fn(Poly.monomial(d.var, n))
+    # x^n P: cancel the x^k, k <= n, that den holds; what is left of x^n is
+    # prime to den // x^k, so the numerators stay prime to it
+    k = min(n, d.den.valuation())
+    cleared = DiffOp.from_cleared(d.var, DFORM,
+                                  d.den // Poly.monomial(d.var, k),
+                                  [p.shift_mul(n - k) for p in d.nums],
+                                  Poly.const(d.var, 1))
     if cleared.nums[-1] != cleared.den:
         raise ShapeError(f"leading coefficient {d.coeff(n)} of D^{n} "
                          f"is not x^-{n}")
@@ -434,11 +440,6 @@ def cleared_coefficients(P: DiffOp, N: int):
 def default_depth(h_degree: int, N: int, n: int) -> int:
     """Series depth that covers the windows of an order-n factor of h(L)."""
     return 2 * (h_degree * N + n) + 8
-
-
-def _profiles(beta: BesselIndex, orbits, depth):
-    """{lam: wave_jet_at(lam)}, one profile per orbit point."""
-    return {lam: wave_jet_at(beta, lam, depth) for lam in orbits}
 
 
 def _solve_annihilator(val: ValidatedSpec):
@@ -468,16 +469,15 @@ def _solve_annihilator(val: ValidatedSpec):
         if val.orbits:
             # each condition gives K + 1 > ncols degrees (``_orbit_rows``)
             K = max(default_depth(d, N, n), 2 * ncols + 2 * n + 10)
-            for lam, profile in _profiles(beta, val.orbits, K).items():
-                for a in val.orbits[lam]:
+            for lam, vectors in val.orbits.items():
+                profile = wave_jet_at(beta, lam, K)
+                for a in vectors:
                     rows.extend(_orbit_rows(profile, a, n, N, bound))
         sols = linalg.nullspace(rows, ncols)
         largest = max(largest, (len(rows), ncols),
                       key=lambda shape: shape[0] * shape[1])
         dim = len(sols)
         for sol in sols:
-            if not any(sol[n * (bound + 1):]):
-                continue
             op = _assemble(beta, n, N, sol, bound)
             if op is None:
                 continue
@@ -519,7 +519,15 @@ class DarbouxCertificate:
     def from_json(cls, data):
         spec = (KernelSpec.from_json(data["spec"])
                 if data.get("spec") is not None else None)
-        cert = cls(beta=BesselIndex.from_json(data["beta"]),
+        beta = BesselIndex.from_json(data["beta"])
+        # the spec's cap on N, also without a spec, before certify builds psi
+        if beta.N > MAX_N:
+            raise SpecInvalidError(f"certificate too large: N {beta.N} is "
+                                   f"above the cap darboux.MAX_N = {MAX_N}")
+        if spec is not None and spec.beta != beta:
+            raise CertificationError("the certificate's weights differ from "
+                                     "the weights of its spec")
+        cert = cls(beta=beta,
                    P=operator_from_json(data["P"], "x"),
                    Q=operator_from_json(data["Q"], "x"),
                    f=poly_from_json(data["f"], "z"),
@@ -599,9 +607,9 @@ def certify(beta: BesselIndex, P: DiffOp, Q: DiffOp, f: Poly, g: Poly,
             if not q.apply(cleared).is_zero:
                 raise CertificationError(
                     f"kernel element {q} is not annihilated by P")
-        for lam, profile in _profiles(beta, val.orbits,
-                                      max(K, least)).items():
-            for a in val.orbits[lam]:
+        for lam, vectors in val.orbits.items():
+            profile = wave_jet_at(beta, lam, max(K, least))
+            for a in vectors:
                 condition = profile.apply(DiffOp("x", DFORM, a))
                 if not condition.apply(cleared).is_zero:
                     raise CertificationError(
@@ -637,33 +645,6 @@ def build_certificate(spec: KernelSpec) -> DarbouxCertificate:
     P, Q = _solve_annihilator(val)
     return certify(spec.beta, P.convert(DEL), Q.convert(DEL),
                    val.f, val.g, spec=spec)
-
-
-def kernel_matrix(spec: KernelSpec):
-    """(d, gammas, rows) of the flat exponent description of a log-free
-    monomial spec; needed by the closed-form route."""
-    if not (spec.is_monomial and spec.is_log_free):
-        raise UnsupportedInputError("flat form needs a log-free monomial spec")
-    if not spec.at_zero:
-        raise SpecInvalidError("empty kernel specification")
-    beta = spec.beta
-    d = 1
-    for g in spec.at_zero:
-        d = max(d, len(g.b))
-    gammas = beta.power(d)
-    if len(set(gammas)) != len(gammas):
-        raise UnsupportedInputError(
-            "repeated ladder exponents; the flat form needs them distinct")
-    index = {g: i for i, g in enumerate(gammas)}
-    rows = []
-    for g in spec.at_zero:
-        row = [Fraction(0)] * len(gammas)
-        b0 = beta.beta[g.base_index]
-        for k, brow in enumerate(g.b):
-            if brow[0]:
-                row[index[b0 + k * beta.N]] = brow[0]
-        rows.append(row)
-    return d, gammas, rows
 
 
 def banded_rows(bi: BesselIndex, d: int, tparams):

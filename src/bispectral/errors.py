@@ -47,7 +47,3 @@ class VerificationError(BispectralError):
 
 class ShapeError(BispectralError):
     """Operator does not reduce to the required structural form."""
-
-
-class AssociationError(BispectralError):
-    """Kernel element cannot be attached to any admissible base exponent."""

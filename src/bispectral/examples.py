@@ -92,7 +92,7 @@ def _example_dg_even(bi, d, flat):
                  and cf["P_b"] == pair.P_b and cf["Q_b"] == pair.Q_b
                  and cf["f_b"] == pair.f_b and cf["g_b"] == pair.g_b)
     generator, rem = (cert.P * bessel_op(bi)).left_divide(cert.P)
-    prime, info = beta_prime(bi, gammas, rows)
+    prime, info = beta_prime(spec)
     return {**payload,
             "closed_form_agrees": agreement,
             "order_N_generator": generator.to_json(),

@@ -64,11 +64,12 @@ from fractions import Fraction
 from . import linalg
 from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
                      power_ladders, power_sum_parts)
-from .darboux import (DarbouxCertificate, certify, cleared_coefficients,
-                      default_depth, operator_from_json, poly_from_json,
-                      validate_spec)
-from .errors import (AssociationError, CertificationError,
-                     RankDeficiencyError, UsageError, VerificationError)
+from .darboux import (DarbouxCertificate, KernelSpec, certify,
+                      cleared_coefficients, default_depth, operator_from_json,
+                      poly_from_json, validate_spec)
+from .errors import (CertificationError, RankDeficiencyError,
+                     SpecInvalidError, UnsupportedInputError, UsageError,
+                     VerificationError)
 from .poly import Poly
 from .weyl import DEL, DFORM, DiffOp, _leibniz, graded_op
 
@@ -204,6 +205,9 @@ class BispectralPair:
         if h != cert.h:
             raise CertificationError("the pair's h differs from the h of "
                                      "its provenance")
+        if BesselIndex.from_json(data["beta"]) != cert.beta:
+            raise CertificationError("the pair's beta differs from the beta "
+                                     "of its provenance")
         return cls(beta=cert.beta,
                    L=operator_from_json(data["L"], "x"),
                    Lambda=operator_from_json(data["Lambda"], "z"),
@@ -526,31 +530,31 @@ def _plane_commutes(beta: BesselIndex, roots, deg: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def beta_prime(beta: BesselIndex, gammas, rows):
+def beta_prime(spec: KernelSpec):
     """The shifted weight vector attached to a log-free monomial kernel.
 
-    Each kernel row is associated to the unique admissible base weight of
-    its residue class (smallest value, then smallest index, when the class
-    offers several; the relabeling freedom is reported).  The entry counts
-    shift the weights by n_s N - n.
+    Each group of the spec is associated to the unique admissible base
+    weight of the residue class of its exponents (smallest value, then
+    smallest index, when the class offers several; the relabeling freedom
+    is reported).  The group counts shift the weights by n_s N - n.
     """
-    gammas = tuple(Fraction(g) for g in gammas)
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
+    if not (spec.is_monomial and spec.is_log_free):
+        raise UnsupportedInputError(
+            "shifted weights need a log-free monomial spec")
+    if not spec.at_zero:
+        raise SpecInvalidError("empty kernel specification")
+    beta = spec.beta
     counts = [0] * beta.N
     ambiguous = False
-    for row in rows:
-        support = [gammas[i] for i, c in enumerate(row) if c]
-        if not support:
-            raise AssociationError("empty kernel row")
-        rungs = [beta.rungs(g) for g in support]
+    for group in spec.at_zero:
+        b0 = beta.beta[group.base_index]
+        rungs = [beta.rungs(b0 + k * beta.N)
+                 for k, row in enumerate(group.b) if any(row)]
         candidates = sorted((beta.beta[s], s) for s in
                             set(rungs[0]).intersection(*rungs[1:]))
-        if not candidates:
-            raise AssociationError(
-                f"row with exponents {support} matches no base weight")
         if len(candidates) > 1:
             ambiguous = True
         counts[candidates[0][1]] += 1
+    n = len(spec.at_zero)
     prime = tuple(b + counts[s] * beta.N - n for s, b in enumerate(beta.beta))
     return prime, {"counts": counts, "ambiguous": ambiguous}

@@ -118,10 +118,6 @@ class Poly:
     def monomial(cls, var, power, c=1):
         return cls(var, (0,) * power + (c,))
 
-    @classmethod
-    def variable(cls, var):
-        return _raw(var, (0, 1), 1)
-
     @property
     def coeffs(self):
         """The coefficients nums[k] / den as Fractions, built once."""

@@ -323,9 +323,6 @@ class WaveSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return self.shift(0, 0, c)
-
     def shift(self, dx, dz, c=1):
         """Multiply by c * x^dx * z^dz."""
         c = Fraction(c)

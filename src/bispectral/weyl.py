@@ -207,18 +207,6 @@ class DiffOp:
                                    [p.scale(c) for p in self.nums],
                                    Poly.const(self.var, 1))
 
-    def lmul_fn(self, f):
-        """Left-multiply by a function: f(x) . A."""
-        f = _coerce_rf(self.var, f)
-        if f.is_zero or self.is_zero:
-            return DiffOp.zero(self.var, self.form)
-        # cancel f's numerator against den; only f's denominator can then
-        # share a factor with the numerators
-        g = Poly.gcd(f.num, self.den)
-        c, den = f.num // g, self.den // g
-        return DiffOp.from_cleared(self.var, self.form, den * f.den,
-                                   [c * p for p in self.nums], f.den)
-
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other):

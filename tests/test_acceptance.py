@@ -17,7 +17,8 @@ from bispectral import (AtPointGroup, BesselIndex, CertificationError,
                         certify, cleared_coefficients, closed_form_monomial,
                         make_pair, monomial_kernel, spectral_algebra,
                         verify_pair)
-from tests_support import adjoint, ladder_op, mult, op_power
+from tests_support import (adjoint, brute_force_beta_primes,
+                           closed_order2_factor, ladder_op, op_power)
 
 F = Fraction
 
@@ -54,20 +55,6 @@ def test_criterion_1_rank_one_golden_pair():
 
 # -- criterion 2: the order-two point kernel reproduction --------------------
 
-def _closed_order2(a, lam2, mu2):
-    var = "x"
-    p2 = Poly(var, [-mu2, 0, 1])
-    p1 = Poly(var, [mu2, 0, -3])
-    c0 = 2 * lam2 * mu2 + (a + 1) * (2 * a - 1) / a ** 2
-    d0 = ((a + 1) / a ** 2 - lam2 * mu2) * mu2
-    p0 = Poly(var, [d0, 0, c0, 0, -lam2])
-    den = Poly(var, [0, 0, 1]) * p2
-    dee = DiffOp(var, "D", (0, 1))
-    op = (mult(var, p2, "D") * dee * dee
-          + mult(var, p1, "D") * dee + mult(var, p0, "D"))
-    return op.lmul_fn(RationalFunction(Poly.const(var, 1), den))
-
-
 def test_criterion_2_order_two_point_kernel():
     t0 = time.monotonic()
     nu, a, lam = F(1, 3), F(1), F(1)
@@ -83,11 +70,11 @@ def test_criterion_2_order_two_point_kernel():
         pks[1] == Poly("y", [F(20, 9), -3]),
         pks[0] == Poly("y", [F(-40, 81), F(58, 9), -1]),
         b == F(-1, 2),
-        cert.Q == adjoint(_closed_order2(b, lam ** 2, mu2)),
+        cert.Q == adjoint(closed_order2_factor(b, lam ** 2, mu2)),
         pair.g_b == Poly("z", [-mu2, 0, 1]),
         pair.f_b == Poly("z", [-mu2, 0, 1]),
-        pair.P_b == _closed_order2(a, mu2, lam ** 2),
-        pair.Q_b == adjoint(_closed_order2(b, mu2, lam ** 2)),
+        pair.P_b == closed_order2_factor(a, mu2, lam ** 2),
+        pair.Q_b == adjoint(closed_order2_factor(b, mu2, lam ** 2)),
     ]
 
     rng = random.Random(777)
@@ -221,40 +208,14 @@ def test_criterion_5_spectral_algebras():
 
 # -- criterion 6: shifted weights --------------------------------------------
 
-def _brute_force_primes(bi, gammas, rows):
-    n = len(rows)
-    per_row = []
-    for row in rows:
-        support = [gammas[i] for i, c in enumerate(row) if c]
-        cands = [s for s, b in enumerate(bi.beta)
-                 if all(((g - b) / bi.N).denominator == 1 and g >= b
-                        for g in support)]
-        per_row.append(cands)
-    out = set()
-    for choice in itertools.product(*per_row):
-        valid = True
-        for s, t in itertools.combinations(set(choice), 2):
-            diff = bi.beta[s] - bi.beta[t]
-            if diff != 0 and (diff / bi.N).denominator == 1:
-                valid = False
-        if not valid:
-            continue
-        counts = [0] * bi.N
-        for s in choice:
-            counts[s] += 1
-        out.add(tuple(b + counts[s] * bi.N - n
-                      for s, b in enumerate(bi.beta)))
-    return out
-
-
 def test_criterion_6_shifted_weights():
     rng = random.Random(666)
     ok = True
     for _ in range(50):
         bi, gammas, rows, spec = _random_monomial(rng)
-        prime, info = beta_prime(bi, gammas, rows)
+        prime, info = beta_prime(spec)
         ok = ok and sum(prime) == F(bi.N * (bi.N - 1), 2)
-        ok = ok and prime in _brute_force_primes(bi, gammas, rows)
+        ok = ok and prime in brute_force_beta_primes(bi, gammas, rows)
         if not ok:
             break
     _line(6, ok, "50 random kernels: weight sum preserved and the shift "

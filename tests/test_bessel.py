@@ -5,11 +5,11 @@ import pytest
 
 from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
                         bessel_op, bessel_poly, bessel_wave, indicial_poly,
-                        wave_coeffs, zero_exponent_basis)
+                        wave_coeffs, wave_jet_at, zero_exponent_basis)
 from bispectral.bessel import poly_at_bessel, power_ladders, power_sum_parts
 from bispectral.weyl import graded_op
-from tests_support import (exp_wave, horner, ladder_op, op_of_parts,
-                           op_power, poly_at_operator, rand_index)
+from tests_support import (horner, ladder_op, op_of_parts, op_power,
+                           poly_at_operator, rand_index)
 
 
 def test_normalization_enforced():
@@ -144,7 +144,7 @@ def test_wave_coefficients_against_substitution_oracle():
         n = rng.randint(1, 3)
         bi = rand_index(rng, n)
         depth = 10
-        prof = exp_wave(bi, depth)
+        prof = wave_jet_at(bi, 1, depth)
         img = prof.apply(bessel_poly(bi).convert("del"))
         rhs = prof.shift(n, 0)
         assert not (img - rhs).coeffs, bi

@@ -205,7 +205,8 @@ def test_a_spec_may_leave_out_its_kind(tmp_path):
 
 
 def test_betaprime_on_an_empty_spec_exits_two(tmp_path, capsys):
-    from bispectral import BesselIndex, KernelSpec, SpecInvalidError
+    from bispectral import (BesselIndex, KernelSpec, SpecInvalidError,
+                            beta_prime)
     empty = write(tmp_path, "empty.json",
                   {"beta": {"N": 2, "beta": ["2/3", "1/3"]}})
     assert main(["betaprime", empty]) == 2
@@ -213,7 +214,7 @@ def test_betaprime_on_an_empty_spec_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert "empty kernel specification" in captured.err
     with pytest.raises(SpecInvalidError, match="empty kernel specification"):
-        darboux.kernel_matrix(KernelSpec(BesselIndex.parse("2/3,1/3"), (), ()))
+        beta_prime(KernelSpec(BesselIndex.parse("2/3,1/3"), (), ()))
 
 
 def test_rank_takes_a_certificate_or_beta_not_both(tmp_path, capsys):
@@ -465,6 +466,74 @@ def test_a_pair_whose_h_is_not_its_provenance_h_exits_three(tmp_path,
     assert main(["verify", write(tmp_path, "pair.json", pair)]) == 3
     assert "the pair's h differs from the h of its provenance" \
         in capsys.readouterr().err
+
+
+def test_a_pair_whose_beta_is_not_its_provenance_beta_exits_three(tmp_path,
+                                                                  capsys):
+    # the top-level beta was never read: verify -K 20 printed residuals
+    # [0, 0] and exited 0
+    pair = dict(_stored_dg_even(), beta={"N": 2, "beta": ["3/2", "-1/2"]})
+    capsys.readouterr()
+    assert main(["verify", write(tmp_path, "pair.json", pair),
+                 "-K", "20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the pair's beta differs from the beta of its provenance" \
+        in captured.err
+
+
+def test_a_certificate_whose_spec_has_other_weights_exits_three(tmp_path,
+                                                                 capsys):
+    # the f, g and h of an orbit spec do not depend on its weights, so the
+    # counts witness passed and pair, rank and involute exited 0
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["build", write(tmp_path, "spec.json", ORDER2_SPEC),
+                 "--out", cert_path]) == 0
+    cert = json.loads(Path(cert_path).read_text())
+    cert["spec"]["beta"]["beta"] = ["3/2", "-1/2"]
+    path = write(tmp_path, "cert.json", cert)
+    capsys.readouterr()
+    for command in ("pair", "involute", "rank"):
+        assert main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("the certificate's weights differ from the "
+                              "weights of its spec") == 3
+
+
+def test_a_spec_less_certificate_is_held_to_max_n(tmp_path, capsys,
+                                                  monkeypatch):
+    # only a spec's N was capped: with trivial factors and N = 150, pair
+    # exited 0 after certify built psi for 150 weights; bessel_wave,
+    # patched out here, is never reached
+    n = 150
+    one = {"var": "x", "form": "del", "coeffs": [{"num": ["1"], "den": ["1"]}]}
+    cert = {"kind": "darboux-certificate",
+            "beta": {"N": n, "beta": [str(b) for b in range(n)]},
+            "P": one, "Q": one, "f": ["1"], "g": ["1"], "h": ["1"],
+            "witnesses": {}, "depth": 8}
+    monkeypatch.setattr(darboux, "bessel_wave", None)
+    path = write(tmp_path, "cert.json", cert)
+    capsys.readouterr()
+    for command in ("pair", "involute", "rank"):
+        assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"certificate too large: N {n} is above the "
+                              f"cap darboux.MAX_N = {darboux.MAX_N}") == 3
+
+
+def test_betaprime_reads_the_dg_even_golden_spec(tmp_path, capsys):
+    # its groups run four rungs up the ladder of -3/2, which meets the
+    # ladder of 5/2 at 5/2 and 9/2; the flat exponent matrix that betaprime
+    # went through needed distinct exponents, and it exited 2
+    golden = json.loads((Path(examples.__file__).parent / "golden" /
+                         "dg_even.json").read_text())
+    spec = write(tmp_path, "spec.json", golden["pair"]["provenance"]["spec"])
+    assert main(["betaprime", spec]) == 0
+    want = "(" + ", ".join(golden["beta_prime"]) + ")"
+    assert want == "(1/2, 1/2)"
+    assert capsys.readouterr().out == f"beta' = {want}\n"
 
 
 @pytest.mark.parametrize("f, g, message", [

@@ -9,14 +9,15 @@ from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         RankDeficiencyError, RationalFunction, ShapeError,
                         SpecInvalidError, UnsupportedInputError, UsageError,
                         banded_rows, bessel_op, build_certificate, certify,
-                        cleared_coefficients, kernel_matrix, linalg,
-                        monomial_kernel, validate_spec, wave_jet_at)
+                        cleared_coefficients, linalg, monomial_kernel,
+                        validate_spec, wave_jet_at)
 from bispectral import DEL, DFORM, darboux, weyl
 from bispectral.darboux import (THETA, _assemble, _condition_rows,
                                 _orbit_rows, default_depth)
 from bispectral.involution import involute_P, involute_Q
 from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
-                           compute_Q, mult, poly_at_operator, x_power)
+                           closed_order2_factor, compute_Q, mult,
+                           poly_at_operator, x_power)
 
 F = Fraction
 
@@ -28,21 +29,6 @@ def rank1_spec():
 def order2_point_spec(nu=F(1, 3), a=F(1), lam=F(1)):
     bi = BesselIndex(2, (1 - nu, nu))
     return KernelSpec(bi, (), (AtPointGroup(lam, (F(1), a)),))
-
-
-def closed_order2_factor(a, lam2, mu2):
-    """The printed closed-form order-2 factor, used as an oracle."""
-    var = "x"
-    p2 = Poly(var, [-mu2, 0, 1])
-    p1 = Poly(var, [mu2, 0, -3])
-    c0 = 2 * lam2 * mu2 + (a + 1) * (2 * a - 1) / a ** 2
-    d0 = ((a + 1) / a ** 2 - lam2 * mu2) * mu2
-    p0 = Poly(var, [d0, 0, c0, 0, -lam2])
-    den = Poly(var, [0, 0, 1]) * p2
-    dee = DiffOp(var, "D", (0, 1))
-    op = (mult(var, p2, "D") * dee * dee
-          + mult(var, p1, "D") * dee + mult(var, p0, "D"))
-    return op.lmul_fn(RationalFunction(Poly.const(var, 1), den))
 
 
 def test_validate_counts_and_polynomials():
@@ -460,14 +446,6 @@ def test_certificate_json_round_trip():
     assert back.P == cert.P and back.Q == cert.Q
     assert back.f == cert.f and back.g == cert.g and back.h == cert.h
     assert back.spec.to_json() == cert.spec.to_json()
-
-
-def test_kernel_matrix_round_trip():
-    bi = BesselIndex.parse("0,1")
-    spec = monomial_kernel(bi, [[(F(0), F(1)), (F(2), F(3))]])
-    d, gammas, rows = kernel_matrix(spec)
-    assert d == 2 and gammas == (0, 2, 1, 3)
-    assert rows == [[F(1), F(3), F(0), F(0)]]
 
 
 def test_banded_rows_reference_values_and_collision():

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,20 +7,21 @@ import pytest
 
 from bispectral import (AtPointGroup, AtZeroGroup, BesselIndex,
                         BispectralError, CertificationError, DiffOp,
-                        KernelSpec, Poly, RationalFunction, UsageError,
-                        VerificationError, WaveSeries, banded_rows,
-                        bessel_op, bessel_plane_report, beta_prime,
-                        build_certificate, certify, closed_form_monomial,
-                        involute_P, involute_Q, jsonio, kernel_matrix, linalg,
-                        make_pair, monomial_kernel, spectral_algebra,
-                        validate_spec, verify_pair)
+                        KernelSpec, Poly, RationalFunction, SpecInvalidError,
+                        UnsupportedInputError, UsageError, VerificationError,
+                        WaveSeries, banded_rows, bessel_op,
+                        bessel_plane_report, beta_prime, build_certificate,
+                        certify, closed_form_monomial, involute_P, involute_Q,
+                        jsonio, linalg, make_pair, monomial_kernel,
+                        spectral_algebra, validate_spec, verify_pair)
 from bispectral import involution
 from bispectral.bessel import graded_op
 from bispectral.involution import (_condition_degrees, _plane_commutes,
                                    _plane_roots)
 from bispectral.weyl import DEL, DFORM
-from tests_support import (basis_off_rref, ladder_op, mult, op_of_parts,
-                           op_power, poly_at_operator, profile_plane_degrees,
+from tests_support import (basis_off_rref, brute_force_beta_primes,
+                           ladder_op, mult, op_of_parts, op_power,
+                           poly_at_operator, profile_plane_degrees,
                            rand_index, rand_op, x_power)
 
 F = Fraction
@@ -639,33 +639,6 @@ def test_plane_witness_rejects_a_tampered_root_multiset():
     assert _plane_roots(BesselIndex.parse("2/3,1/3"), 3) is None
 
 
-def brute_force_beta_primes(bi, gammas, rows):
-    """All shifted weight vectors over valid association assignments."""
-    n = len(rows)
-    candidates_per_row = []
-    for row in rows:
-        support = [gammas[i] for i, c in enumerate(row) if c]
-        cands = [s for s, b in enumerate(bi.beta)
-                 if all(((g - b) / bi.N).denominator == 1 and g >= b
-                        for g in support)]
-        candidates_per_row.append(cands)
-    out = set()
-    for choice in itertools.product(*candidates_per_row):
-        ok = True
-        for s, t in itertools.combinations(set(choice), 2):
-            diff = bi.beta[s] - bi.beta[t]
-            if diff != 0 and (diff / bi.N).denominator == 1:
-                ok = False
-        if not ok:
-            continue
-        counts = [0] * bi.N
-        for s in choice:
-            counts[s] += 1
-        out.add(tuple(b + counts[s] * bi.N - n
-                      for s, b in enumerate(bi.beta)))
-    return out
-
-
 def test_closed_form_single_condition():
     # one monomial condition degenerates to a first-order ladder factor
     bi = BesselIndex.parse("0,1")
@@ -677,30 +650,66 @@ def test_closed_form_single_condition():
     assert cf["P"] == cert.P and cf["Q"] == cert.Q
 
 
-def test_beta_prime_empty_kernel_is_identity():
+def test_beta_prime_refuses_an_empty_spec_and_points():
     bi = BesselIndex.parse("2/3,1/3")
-    prime, info = beta_prime(bi, bi.power(1), [])
-    assert prime == bi.beta and info["counts"] == [0, 0]
+    with pytest.raises(SpecInvalidError, match="empty kernel specification"):
+        beta_prime(KernelSpec(bi, (), ()))
+    with pytest.raises(UnsupportedInputError, match="log-free monomial"):
+        beta_prime(KernelSpec(bi, (), (AtPointGroup(F(1), (F(1),)),)))
+    with pytest.raises(UnsupportedInputError, match="log-free monomial"):
+        beta_prime(KernelSpec(BesselIndex.parse("0,1"),
+                              (AtZeroGroup(0, ((F(0), F(1)),)),)))
 
 
 def test_beta_prime_reference_values():
     bi = BesselIndex.parse("0,1")
-    spec = monomial_kernel(bi, [[(F(0), F(1))]])
-    d, gammas, rows = kernel_matrix(spec)
-    prime, info = beta_prime(bi, gammas, rows)
+    prime, info = beta_prime(monomial_kernel(bi, [[(F(0), F(1))]]))
     assert prime == (1, 0)
     single = BesselIndex.parse("0")
-    prime2, _ = beta_prime(single, (F(0), F(1)), [[F(0), F(1)]])
+    prime2, _ = beta_prime(monomial_kernel(single, [[(F(1), F(1))]]))
     assert prime2 == (0,)
+
+
+def _shared_ladder_spec(rng):
+    """A monomial spec on weights of one residue class, whose ladders of
+    depth up to 3 may share exponents, and (gammas, rows) for
+    ``brute_force_beta_primes``: each group's exponents appended to gammas,
+    its row a 1 at each of them."""
+    N = rng.randint(2, 3)
+    steps = [rng.randint(0, 2) for _ in range(N)]
+    r = F(N - 1, 2) - sum(steps)
+    bi = BesselIndex(N, tuple(r + N * m for m in steps))
+    d = rng.randint(1, 3)
+    spec = monomial_kernel(bi, [
+        [(bi.beta[s] + k * N, F(rng.choice([-2, -1, 1, 3])))
+         for k in sorted(rng.sample(range(d), rng.randint(1, d)))]
+        for s in (rng.randrange(N) for _ in range(rng.randint(1, 3)))])
+    gammas, rows = [], []
+    for group in spec.at_zero:
+        b0 = bi.beta[group.base_index]
+        exps = [b0 + k * N for k, row in enumerate(group.b) if any(row)]
+        rows.append([0] * len(gammas) + [1] * len(exps))
+        gammas.extend(exps)
+    return bi, d, spec, gammas, rows
 
 
 def test_beta_prime_against_brute_force():
     rng = random.Random(63)
     for _ in range(12):
         bi, d, gammas, rows, spec = rand_monomial_data(rng)
-        prime, info = beta_prime(bi, gammas, rows)
+        prime, info = beta_prime(spec)
         assert sum(prime) == sum(bi.beta)
         universe = brute_force_beta_primes(bi, gammas, rows)
         assert prime in universe
         if len(universe) == 1:
             assert not info["ambiguous"] or len(set(bi.beta)) < bi.N
+    # weights of one residue class: ladders that share exponents, which
+    # no flat (gammas, rows) matrix of distinct exponents can hold
+    shared = 0
+    for _ in range(40):
+        bi, d, spec, gammas, rows = _shared_ladder_spec(rng)
+        shared += len(set(bi.power(d))) < bi.N * d
+        prime, _ = beta_prime(spec)
+        assert sum(prime) == sum(bi.beta)
+        assert prime in brute_force_beta_primes(bi, gammas, rows), spec
+    assert shared

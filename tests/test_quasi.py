@@ -9,8 +9,8 @@ from bispectral import (BesselIndex, DiffOp, ExpSeries, Poly,
                         QuasiPolynomial, RationalFunction, TruncationError,
                         UnsupportedInputError, UsageError, WaveSeries,
                         bessel_op, bessel_wave, jsonio, wave_jet_at)
-from tests_support import (del_image, del_step, exp_wave, mult,
-                           rand_laurent_op, theta_chain, x_power)
+from tests_support import (del_image, del_step, mult, rand_laurent_op,
+                           theta_chain, x_power)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -281,7 +281,7 @@ def test_exp_series_laurent_product_matches_inverse_expansion():
 
 def test_exp_series_profile_identity():
     bi = BesselIndex.parse("2/3,1/3")
-    prof = exp_wave(bi, 10)
+    prof = wave_jet_at(bi, 1, 10)
     img = prof.apply(DiffOp("x", "D", [Fraction(-2, 3), 1]).convert("del") *
                      DiffOp("x", "D", [Fraction(-1, 3), 1]).convert("del"))
     rhs = prof.shift(2, 0)
@@ -295,8 +295,8 @@ def test_exp_series_refuses_mixed_points():
     assert series != other
     with pytest.raises(UsageError):
         series + other
-    assert series == ExpSeries(Fraction(2, 4), {0: 2}, (-2, 0)).scale(
-        Fraction(1, 2))
+    assert series == ExpSeries(Fraction(2, 4), {0: 2}, (-2, 0)).shift(
+        0, 0, Fraction(1, 2))
     with pytest.raises(AttributeError):
         series.rate = 2
     with pytest.raises(UsageError):
@@ -429,8 +429,8 @@ def _reference_exp_division(series, den):
 def _divided(series, den):
     """series times 1/den(x) for any nonzero den: the library's one
     division, ``_image`` on the monic den, after scaling by 1/lead."""
-    return series.scale(1 / den.leading)._image(den.monic(),
-                                                [Poly.const("x", 1)])
+    return series.shift(0, 0, 1 / den.leading)._image(
+        den.monic(), [Poly.const("x", 1)])
 
 
 def _denominators_away_from_zero(rng, var, scalar):
@@ -563,7 +563,7 @@ def test_exp_apply_is_the_pairwise_sum_of_its_pieces():
                 deriv = ExpSeries(rate, {d - 1: d * v for (d, _), v
                                          in power.coeffs.items() if d},
                                   (lo - 1, hi - 1))
-                power = power.scale(rate) + deriv
+                power = power.shift(0, 0, rate) + deriv
             piece = power.apply(mult("x", c))
             boxes.add(piece.box)
             want = piece if want is None else want + piece
@@ -656,8 +656,8 @@ def test_wave_series_integer_form_randomized():
             assert got.box == box and got.coeffs == want
             # equal values over different denominators compare equal
             assert got == WaveSeries(want, box)
-            assert got.scale(3).scale(Fraction(1, 3)) == got
-            assert got + got == got.scale(2) == got.shift(0, 0, 2)
+            assert got.shift(0, 0, 3).shift(0, 0, Fraction(1, 3)) == got
+            assert got + got == got.shift(0, 0, 2)
             corner = WaveSeries({(box[0], box[2]): 1}, box)
             assert got + corner != got and (got - got).is_zero
             # E clears the monic denominators with a root away from 0

@@ -1,11 +1,12 @@
 """Shared random generators for the property suites."""
 
+import itertools
 from fractions import Fraction
 
-from bispectral import (BesselIndex, CertificationError, DiffOp, ExpSeries,
-                        Poly, QuasiPolynomial, RationalFunction, bessel_op,
+from bispectral import (BesselIndex, CertificationError, DiffOp, Poly,
+                        QuasiPolynomial, RationalFunction, bessel_op,
                         cleared_coefficients, euler_phi, indicial_poly,
-                        linalg, wave_coeffs)
+                        linalg, wave_jet_at)
 from bispectral.scalars import primitive_root
 from bispectral.weyl import DEL, DFORM, graded_op
 
@@ -92,6 +93,51 @@ def adjoint(a):
     return (out * inv_den).convert(a.form)
 
 
+def closed_order2_factor(a, lam2, mu2):
+    """The printed closed-form order-2 factor of a point kernel, used as an
+    oracle."""
+    var = "x"
+    p2 = Poly(var, [-mu2, 0, 1])
+    p1 = Poly(var, [mu2, 0, -3])
+    c0 = 2 * lam2 * mu2 + (a + 1) * (2 * a - 1) / a ** 2
+    d0 = ((a + 1) / a ** 2 - lam2 * mu2) * mu2
+    p0 = Poly(var, [d0, 0, c0, 0, -lam2])
+    den = Poly(var, [0, 0, 1]) * p2
+    dee = DiffOp(var, "D", (0, 1))
+    op = (mult(var, p2, "D") * dee * dee
+          + mult(var, p1, "D") * dee + mult(var, p0, "D"))
+    return mult(var, RationalFunction(Poly.const(var, 1), den), "D") * op
+
+
+def brute_force_beta_primes(bi, gammas, rows):
+    """All shifted weight vectors over valid association assignments: the
+    oracle of ``beta_prime``, row i holding the exponents gammas[j] with
+    rows[i][j] != 0."""
+    n = len(rows)
+    candidates_per_row = []
+    for row in rows:
+        support = [gammas[i] for i, c in enumerate(row) if c]
+        cands = [s for s, b in enumerate(bi.beta)
+                 if all(((g - b) / bi.N).denominator == 1 and g >= b
+                        for g in support)]
+        candidates_per_row.append(cands)
+    out = set()
+    for choice in itertools.product(*candidates_per_row):
+        ok = True
+        for s, t in itertools.combinations(set(choice), 2):
+            diff = bi.beta[s] - bi.beta[t]
+            if diff != 0 and (diff / bi.N).denominator == 1:
+                ok = False
+        if not ok:
+            continue
+        counts = [0] * bi.N
+        for s in choice:
+            counts[s] += 1
+        out.add(tuple(b + counts[s] * bi.N - n
+                      for s, b in enumerate(bi.beta)))
+    return out
+
+
 def compute_Q(P, h, beta):
     """The exact left quotient of h(L) by P, by Euclidean division."""
     quot, rem = poly_at_operator(h, bessel_op(beta)).left_divide(P)
@@ -155,17 +201,9 @@ def theta_chain(profile, a):
     out = None
     for jet, c in zip(jets, a):
         if c:
-            out = jet.scale(c) if out is None else out + jet.scale(c)
+            piece = jet.shift(0, 0, c)
+            out = piece if out is None else out + piece
     return out
-
-
-def exp_wave(bi, depth):
-    """The one-variable profile e^x (1 + sum a_k x^{-k}) of the wave
-    function, psi at z = 1."""
-    coeffs = {0: Fraction(1)}
-    coeffs.update({-m: am for m, am in enumerate(wave_coeffs(bi, depth), 1)
-                   if am})
-    return ExpSeries(1, coeffs, (-depth, 0))
 
 
 def _profile_eigen_poly(profile, deg):
@@ -201,7 +239,7 @@ def profile_plane_degrees(bi, degree_bound, depth):
     """Bare-plane degrees by the profile route, an oracle independent of
     the commutator identity: each degree's candidate p is solved from the
     truncated profile and kept when [x^{-deg} p(D), L] = 0 as operators."""
-    profile = exp_wave(bi, depth)
+    profile = wave_jet_at(bi, 1, depth)
     lbeta = bessel_op(bi)
     found = []
     for deg in range(1, degree_bound + 1):
@@ -226,11 +264,11 @@ def branch_rows(beta, lam, avec, n, bound, depth, branch):
     """
     N = beta.N
     theta = DiffOp("x", DFORM, (0, 1))
-    jets = [exp_wave(beta, depth)]
+    jets = [wave_jet_at(beta, 1, depth)]
     for _ in avec[1:]:
         jets.append(jets[-1].apply(theta))
-    powers = [sum((j.scale(a) for j, a in zip(jets[1:], avec[1:])),
-                  jets[0].scale(avec[0]))]
+    powers = [sum((j.shift(0, 0, a) for j, a in zip(jets[1:], avec[1:])),
+                  jets[0].shift(0, 0, avec[0]))]
     for _ in range(n):
         powers.append(powers[-1].apply(theta))
     rate = primitive_root(N) ** branch * lam
