@@ -26,6 +26,15 @@ expanding the conjugated operator with exact product arithmetic rather
 than trusting a per-order formula.  It depends on xz alone, so D_z = D_x
 on it, and a jet condition sum_k a_k D_z^k psi at z = lam is a(D) applied
 to the one profile psi(x, lam) (``wave_jet_at``).
+
+The a_k depend on the weights alone, and a_k needs only a_0..a_{k-1}, so
+the coefficients to a shallower depth are a prefix of those to a deeper
+one.  ``wave_coeffs`` therefore keeps the list it has computed on the
+``BesselIndex`` instance and extends it when a deeper depth is asked for.
+The list is kept per instance, not in a process-wide cache: one pipeline
+shares one instance (a spec's weights are its certificate's and its
+pair's), every loaded document makes a fresh one, and a long-lived process
+keeps no coefficients of weights it no longer holds.
 """
 
 from __future__ import annotations
@@ -44,7 +53,12 @@ from .weyl import DFORM, DiffOp, graded_op
 
 @dataclass(frozen=True)
 class BesselIndex:
-    """A weight vector of length N whose entries sum to N(N-1)/2."""
+    """A weight vector of length N whose entries sum to N(N-1)/2.
+
+    ``wave_coeffs`` keeps its coefficients in the instance's ``__dict__``,
+    outside the fields, so equality, hashing, ``repr`` and ``to_json`` do
+    not see them.
+    """
 
     N: int
     beta: tuple
@@ -140,11 +154,11 @@ def poly_at_bessel(bi: BesselIndex, p: Poly) -> DiffOp:
                                           for c in p.coeffs]))
 
 
-def _conjugated_images(bi: BesselIndex, depth: int):
+def _conjugated_images(bi: BesselIndex, depth: int, start: int = 0):
     """Laurent images b_m(z) of z^{-m} under prod(D + z - b_i) - z^N.
 
     Returned as (E, images): images[m] is a dict {absolute power: integer}
-    holding E * b_m, m = 0..depth, E a positive integer.
+    holding E * b_m, m = start..depth, E a positive integer.
     """
     # polys[j] is the coefficient of D^j in the product, expanded one
     # factor at a time; the factors commute, and on the left
@@ -158,8 +172,8 @@ def _conjugated_images(bi: BesselIndex, depth: int):
     E = math.lcm(*(p.den for p in polys))
     terms = [[(t, n * (E // p.den)) for t, n in enumerate(p.nums) if n]
              for p in polys]
-    images = []
-    for m in range(depth + 1):
+    images = {}
+    for m in range(start, depth + 1):
         img = {}
         for j, ts in enumerate(terms):
             w = (-m) ** j
@@ -168,30 +182,47 @@ def _conjugated_images(bi: BesselIndex, depth: int):
             for t, n in ts:
                 img[t - m] = img.get(t - m, 0) + w * n
         img[bi.N - m] = img.get(bi.N - m, 0) - E
-        images.append({k: v for k, v in img.items() if v})
+        images[m] = {k: v for k, v in img.items() if v}
     return E, images
 
 
+def _next_wave_coeff(a, images, N: int) -> Fraction:
+    """a_k for k = len(a), given a = [a_0, ..., a_{k-1}]: the z^{N-1-k}
+    coefficient of sum_m a_m b_m vanishes, and only the images b_m with
+    m >= k + 1 - N reach that power."""
+    k = len(a)
+    power = N - 1 - k
+    acc = 0
+    for m in range(max(0, k + 1 - N), k):
+        v = images[m].get(power)
+        if v:
+            acc += a[m] * v
+    pivot = images[k].get(power, 0)
+    if not pivot:
+        raise UsageError("degenerate recursion pivot")  # cannot happen
+    return Fraction(-acc) / pivot
+
+
 def wave_coeffs(bi: BesselIndex, depth: int):
-    """The asymptotic coefficients a_1..a_depth of the formal eigenfunction."""
+    """The asymptotic coefficients a_1..a_depth of the formal eigenfunction.
+
+    The list a_0 = 1, a_1, ... computed so far is kept on ``bi`` (see the
+    module docstring); a deeper depth extends it from where it stopped and
+    stores the longer list in its place, never changing a stored list.
+    The answer is a fresh list, so a caller may change it.
+    """
     if depth <= 0:
         return []
-    # the recursion is homogeneous in the images, so their common
-    # denominator cancels
-    _, images = _conjugated_images(bi, depth)
-    a = [Fraction(1)]
-    for k in range(1, depth + 1):
-        power = bi.N - 1 - k
-        acc = 0
-        for m in range(max(0, k + 1 - bi.N), k):
-            v = images[m].get(power)
-            if v:
-                acc += a[m] * v
-        pivot = images[k].get(power, 0)
-        if not pivot:
-            raise UsageError("degenerate recursion pivot")  # cannot happen
-        a.append(Fraction(-acc) / pivot)
-    return a[1:]
+    a = vars(bi).get("_wave", [Fraction(1)])
+    if len(a) <= depth:
+        # the recursion is homogeneous in the images, so their common
+        # denominator cancels
+        _, images = _conjugated_images(bi, depth, max(0, len(a) + 1 - bi.N))
+        a = list(a)
+        while len(a) <= depth:
+            a.append(_next_wave_coeff(a, images, bi.N))
+        vars(bi)["_wave"] = a
+    return a[1:depth + 1]
 
 
 def bessel_wave(bi: BesselIndex, depth: int) -> WaveSeries:

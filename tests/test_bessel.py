@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bispectral import (DEL, DFORM, BesselIndex, DiffOp, Poly, UsageError,
-                        bessel_op, bessel_poly, bessel_wave, indicial_poly,
-                        wave_coeffs, wave_jet_at, zero_exponent_basis)
-from bispectral.bessel import poly_at_bessel, power_ladders, power_sum_parts
+                        bessel, bessel_op, bessel_poly, bessel_wave,
+                        build_certificate, certify, indicial_poly, jsonio,
+                        make_pair, verify_pair, wave_coeffs, wave_jet_at,
+                        zero_exponent_basis)
+from bispectral.bessel import (_conjugated_images, poly_at_bessel,
+                               power_ladders, power_sum_parts)
 from bispectral.weyl import graded_op
 from tests_support import (horner, ladder_op, op_of_parts, op_power,
                            poly_at_operator, rand_index)
@@ -151,8 +155,8 @@ def test_wave_coefficients_against_substitution_oracle():
 
 
 def test_conjugated_images_match_the_operator_product():
-    # oracle: prod (D + z - b_i) as a DiffOp product, read off as before
-    from bispectral.bessel import _conjugated_images
+    # oracle: prod (D + z - b_i) as a DiffOp product, read off as before;
+    # an extension of the wave recursion asks for the images from a start
     rng = random.Random(45)
     for n in (1, 2, 3, 5, 8):
         bi = rand_index(rng, n)
@@ -170,8 +174,79 @@ def test_conjugated_images_match_the_operator_product():
             img[n - m] = img.get(n - m, 0) - 1
             want.append({k: v for k, v in img.items() if v})
         E, images = _conjugated_images(bi, depth)
-        assert [{k: Fraction(v, E) for k, v in img.items()}
-                for img in images] == want, bi
+        assert [{k: Fraction(v, E) for k, v in images[m].items()}
+                for m in range(depth + 1)] == want, bi
+        assert _conjugated_images(bi, depth, 4) == \
+            (E, {m: images[m] for m in range(4, depth + 1)}), bi
+
+
+def test_wave_coefficients_are_kept_per_instance():
+    # the coefficients are kept on the instance and extended on demand:
+    # any order of depths gives a fresh instance's answers, an answer is
+    # the caller's own list, and the fields do not see what is kept
+    rng = random.Random(46)
+    for n in range(1, 6):
+        for _ in range(3):
+            bi = rand_index(rng, n)
+            depths = [7, 30, 3, 30, 12, 0, 1]
+            rng.shuffle(depths)
+            for depth in depths:
+                fresh = BesselIndex(bi.N, bi.beta)
+                got = wave_coeffs(bi, depth)
+                assert got == wave_coeffs(fresh, depth), (bi, depth)
+                got[:] = [Fraction(7)] * (len(got) + 1)
+            assert wave_coeffs(bi, 30) == \
+                wave_coeffs(BesselIndex(bi.N, bi.beta), 30)
+            fresh = BesselIndex(bi.N, bi.beta)
+            assert bi == fresh and hash(bi) == hash(fresh)
+            assert repr(bi) == repr(fresh)
+            assert bi.to_json() == fresh.to_json()
+
+
+N3_POINT_SPEC = {"kind": "kernel-spec",
+                 "beta": {"N": 3, "beta": ["1/3", "2/3", "2"]},
+                 "at_zero": [],
+                 "at_points": [{"lambda": "2", "a": ["1", "1/2"]}]}
+
+
+def _spy_wave_steps(monkeypatch):
+    """The k of every a_k the recursion computes, in order."""
+    ks = []
+    step = bessel._next_wave_coeff
+    monkeypatch.setattr(bessel, "_next_wave_coeff",
+                        lambda a, images, N: ks.append(len(a))
+                        or step(a, images, N))
+    return ks
+
+
+def test_each_wave_coefficient_is_computed_once_per_pipeline(monkeypatch):
+    # the ansatz rounds, both certify calls and verify_pair share the
+    # spec's weights, so each a_k is computed once, up to the deepest K;
+    # a second load of the same document starts again, so nothing is
+    # kept past the instance
+    ks = _spy_wave_steps(monkeypatch)
+    runs = []
+    for _ in range(2):
+        ks.clear()
+        pair = make_pair(build_certificate(jsonio.load_spec(N3_POINT_SPEC)))
+        verify_pair(pair, 16)
+        runs.append(list(ks))
+    assert runs[0] == list(range(1, len(runs[0]) + 1))
+    assert len(runs[0]) >= 16   # at least verify_pair's depth
+    assert runs[1] == runs[0]
+
+
+def test_each_wave_coefficient_is_computed_once_on_a_stored_pair(monkeypatch):
+    # the bispectral verify path: load, certify at K, verify_pair at K
+    ks = _spy_wave_steps(monkeypatch)
+    root = Path(__file__).resolve().parents[1]
+    K = 32
+    pair = jsonio.load_pair(jsonio.read(
+        root / "perfbench" / "data" / "pairs" / "dg-even.json"))
+    c = pair.certificate
+    certify(c.beta, c.P, c.Q, c.f, c.g, spec=c.spec, depth=K)
+    verify_pair(pair, K)
+    assert ks == list(range(1, K + 1))
 
 
 def test_wave_coefficients_closed_recursion_order_two():
