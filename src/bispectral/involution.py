@@ -146,7 +146,7 @@ def _right_form(Q: DiffOp) -> DiffOp:
             if k:
                 c = c.theta()
             left[s - k] = left[s - k] + c.scale((-1) ** s * math.comb(s, k))
-    w, nums = _leibniz(Poly.theta, left, d.den, [Poly.const(var, 1)])
+    w, nums = _leibniz(DFORM, left, d.den, [Poly.const(var, 1)])
     return DiffOp.from_cleared(var, DFORM, w,
                                [-c if t % 2 else c for t, c in enumerate(nums)])
 

@@ -5,6 +5,8 @@ zeros stripped) over one positive integer ``den`` with gcd(den, nums...) =
 1, so equal polynomials have equal fields.  Ring operations, derivations
 and argument substitutions work on the integers, and each result goes
 through one normalizer that takes one ``math.gcd(den, *nums)``.
+``_product`` and ``_sum`` are the integer-list product and sum; the
+Leibniz table of ``weyl`` runs on them too and builds no Poly per entry.
 ``divmod`` is fraction-free: it scales the running remainder only when the
 next quotient coefficient would not be integral, and divides by the
 tracked scale once at the end.  ``coeffs``, the tuple of Fractions, is
@@ -188,13 +190,8 @@ class Poly:
         else:
             g = math.gcd(da, db)
             fa, fb = db // g, sign * (da // g)
-        out = list(a) if fa == 1 else [v * fa for v in a]
-        if len(b) > len(out):
-            out += [0] * (len(b) - len(out))
-        for k, v in enumerate(b):
-            if v:
-                out[k] += v * fb
-        return _poly(self.var, out, da * fa)
+        return _poly(self.var, _sum(a if fa == 1 else [v * fa for v in a],
+                                    b, fb), da * fa)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -216,13 +213,7 @@ class Poly:
                 return _poly(self.var, [0] * (len(q) - 1)
                              + (list(p) if c == 1 else [c * v for v in p]),
                              den)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        return _poly(self.var, out, den)
+        return _poly(self.var, _product(a, b), den)
 
     def scale(self, c):
         c = _rational(c)
@@ -401,6 +392,33 @@ def _contracted(a, b):
                 m = math.gcd(m, k)
     m = m or 1
     return i, j, m, _raw(a.var, u[::m], a.den), _raw(a.var, w[::m], b.den)
+
+
+def _product(a, b):
+    """The product of two integer lists, as a list; the nonzero terms of b
+    are listed once, so zero entries cost nothing in the inner loop."""
+    if not a or not b:
+        return []
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _sum(a, b, c=1):
+    """a + c b for integer lists, as a new list without trailing zeros."""
+    out = list(a)
+    if len(b) > len(out):
+        out += [0] * (len(b) - len(out))
+    for k, v in enumerate(b):
+        if v:
+            out[k] += c * v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _pseudo_divide(a, b):

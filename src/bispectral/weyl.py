@@ -31,9 +31,12 @@ uses the Leibniz rule through the form's derivation (a -> a' in DEL,
 a -> x a' in DFORM) on the numerators: each power of the derivation raises
 the denominator v of the right factor by r = v / gcd(v, delta v).
 ``_leibniz`` is the one recurrence of this rule; the involution's right
-coefficient form runs it too.  DEL products stay on the Leibniz rule even
-for Laurent factors, so a product taken in both forms checks one route
-against the other (``certify``).
+coefficient form runs it too.  It keeps its table on integer lists, one
+denominator per row, multiplies them with ``poly._product``, the product
+that ``Poly`` multiplication uses too, and makes Polys of the result
+numerators only.  DEL products stay on the Leibniz rule even for Laurent
+factors, so a product taken in both forms checks one route against the
+other (``certify``).
 Conversion between forms uses the Stirling expansions
 x^k d^k = D(D-1)...(D-k+1) and D^j = sum_k S(j, k) x^k d^k, so round trips
 are identities and the two forms can cross-check each other.
@@ -47,7 +50,8 @@ import weakref
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .poly import Poly, RationalFunction, _poly, power_text, signed_sum
+from .poly import (Poly, RationalFunction, _poly, _product, _sum, power_text,
+                   signed_sum)
 from .scalars import _shown
 
 DEL = "del"
@@ -170,9 +174,6 @@ class DiffOp:
             raise UsageError(
                 f"operators in different variables {self.var!r}, {other.var!r}")
 
-    def _derive(self, p):
-        return p.derivative() if self.form == DEL else p.theta()
-
     # -- linear structure ---------------------------------------------------
 
     def __neg__(self):
@@ -221,7 +222,7 @@ class DiffOp:
                 _is_monomial(o.den):
             return graded_op(_graded_product(graded_parts(self),
                                              graded_parts(o)), self.var)
-        w, nums = _leibniz(self._derive, self.nums, o.den, o.nums)
+        w, nums = _leibniz(self.form, self.nums, o.den, o.nums)
         return DiffOp.from_cleared(self.var, self.form, self.den * w, nums)
 
     # -- form conversion ------------------------------------------------------
@@ -344,34 +345,61 @@ class DiffOp:
     __str__ = to_str
 
 
-def _leibniz(derive, a, v, b):
+def _leibniz(form, a, v, b):
     """(w, nums) with (sum_i a_i del^i) . v^{-1} sum_j b_j del^j equal to
     w^{-1} sum_j nums[j] del^j, for polynomials a_i, v, b_j and del the
-    derivation ``derive``.
+    derivation of ``form``.
 
     del^i . (1/v) sum_j b_j del^j = (1/(v r^i)) sum_j c_ij del^j with
     r = v / gcd(v, delta v), since delta(v r^i) / (v r^(i-1)) = s + i delta r
-    for s = delta v / gcd(v, delta v); so w = v r^m, m = len(a) - 1.
+    for s = delta v / gcd(v, delta v); so w = v r^m, m = len(a) - 1, and
+    c_{i+1,j} = (delta c_ij + c_{i,j-1}) r - c_ij (s + i delta r), one
+    product by r per entry.  The table is kept on integer lists, one
+    denominator per row: with r and s cleared over one integer e, the b_j
+    over bd and the a_i over ad, row i lies over bd e^i and the sums
+    nums[j] = sum_i a_i r^(m-i) c_ij over ad bd e^m.  The numerators become
+    Polys once, at the end.
     """
-    zero = Poly.zero(v.var)
-    dv = derive(v)
+    var = v.var
+    dv = _poly(var, _delta(form, v.nums), v.den)
     g = Poly.gcd(v, dv)
     r, s = v // g, dv // g
-    dr = derive(r)
+    e = math.lcm(r.den, s.den)
+    r_e, s_e = _cleared(r, e), _cleared(s, e)
+    dr_e = _delta(form, r_e)
+    ad = math.lcm(*(p.den for p in a))
+    bd = math.lcm(*(p.den for p in b))
     m = len(a) - 1
-    powers = [list(b)]
-    for i in range(m):
-        prev = powers[-1] + [zero]
-        si = s + dr.scale(i)
-        powers.append([derive(c) * r - c * si
-                       + (prev[j - 1] * r if j else zero)
-                       for j, c in enumerate(prev)])
-    nums = [zero] * (m + len(b))
-    for i, c_i in enumerate(a):
-        f = c_i * r ** (m - i)
-        for j, c in enumerate(powers[i]):
-            nums[j] = nums[j] + f * c
-    return v * r ** m, nums
+    powers = [[1]]  # r^k over e^k
+    for _ in range(m):
+        powers.append(_product(powers[-1], r_e))
+    row = [_cleared(p, bd) for p in b]
+    nums = [[]] * (m + len(b))
+    for i, p in enumerate(a):
+        f = _product(_cleared(p, ad), powers[m - i])
+        for j, c in enumerate(row):
+            nums[j] = _sum(nums[j], _product(f, c))
+        if i < m:
+            si = _sum(s_e, dr_e, i)
+            row = [_sum(_product(_sum(_delta(form, c), prev), r_e),
+                        _product(c, si), -1)
+                   for c, prev in zip(row + [[]], [[]] + row)]
+    den = ad * bd * e ** m
+    return (v * _poly(var, powers[m], e ** m),
+            [_poly(var, n, den) for n in nums])
+
+
+def _delta(form, nums):
+    """The derivation of ``form`` on an integer list: the derivative in
+    DEL, x d/dx in DFORM."""
+    out = [k * c for k, c in enumerate(nums)]
+    return out[1:] if form == DEL else out
+
+
+def _cleared(p, den):
+    """The numerators of the Poly p over den, a multiple of p.den."""
+    f = den // p.den
+    return [c * f for c in p.nums]
 
 
 def _is_monomial(den):
@@ -417,7 +445,7 @@ def graded_parts(op: DiffOp) -> dict:
                           f"of {op.var}")
     m = d.den.degree
     den = math.lcm(*(p.den for p in d.nums))
-    cols = [[v * (den // p.den) for v in p.nums] for p in d.nums]
+    cols = [_cleared(p, den) for p in d.nums]
     width = max((len(c) for c in cols), default=0)
     parts = {}
     for i in range(width):

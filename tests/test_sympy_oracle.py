@@ -3,10 +3,11 @@
 The three golden documents, and seeded pairs that the library builds
 (``build_certificate`` + ``make_pair``), are read as JSON and their
 operators rebuilt as sympy rational functions; the checks use none of the
-library's operator or series code.  Two operators are equal exactly when
-they agree on x^a for a symbolic exponent a: an operator sum_k c_k(x) D^k
-(D = x d/dx) sends x^a to x^a sum_k c_k(x) a^k, a polynomial in a whose
-coefficients are the c_k.
+library's operator or series code.  So are seeded random operator products
+A B in both forms, against sympy's composition of A and B.  Two operators
+are equal exactly when they agree on x^a for a symbolic exponent a: an
+operator sum_k c_k(x) D^k (D = x d/dx) sends x^a to x^a sum_k c_k(x) a^k,
+a polynomial in a whose coefficients are the c_k.
 So every identity is checked on x^a, carried as x^a * R(x, a) with R in
 sympy's rational function field Q(x, a), where d/dx (x^a R) = x^a (a R / x
 + dR/dx).  The at-zero kernel elements x^g (ln x)^j are checked as sympy
@@ -25,9 +26,10 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.fields import field  # noqa: E402
 
-from bispectral import (AtPointGroup, AtZeroGroup,  # noqa: E402
-                        BesselIndex, KernelSpec, banded_rows,
-                        build_certificate, make_pair, monomial_kernel)
+from bispectral import (DEL, DFORM, AtPointGroup,  # noqa: E402
+                        AtZeroGroup, BesselIndex, DiffOp, KernelSpec, Poly,
+                        RationalFunction, banded_rows, build_certificate,
+                        make_pair, monomial_kernel)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "bispectral" / "golden"
 FIELD, X, A = field("x,a", sympy.QQ)
@@ -171,6 +173,37 @@ def test_built_pair_identities(name):
     spec = BUILT[name](random.Random(f"sympy-oracle-{name}"))
     doc = json.loads(json.dumps(make_pair(build_certificate(spec)).to_json()))
     _check_pair(doc)
+
+
+# denominators with repeated, x-power and x^N-pattern factors, so that
+# products in both forms run the Leibniz table, and powers of x, so that
+# DFORM ones run the graded product too
+DENS = ([0, 0, 1], [1, -2, 1], [0, 1, 2], [-2, 0, 0, 1],
+        [0, 4, 0, 0, -4, 0, 0, 1], [1])
+
+
+def _rand_op(rng, form):
+    coeffs = []
+    for _ in range(rng.randint(1, 4)):
+        num = Poly("x", [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))])
+        coeffs.append(RationalFunction(num, Poly("x", rng.choice(DENS))))
+    return DiffOp("x", form, coeffs)
+
+
+@pytest.mark.parametrize("form", [DEL, DFORM])
+def test_random_products(form):
+    # the library's product A B against sympy's composition on x^a; the
+    # operators reach sympy only as documents
+    rng = random.Random(f"sympy-oracle-products-{form}")
+    for _ in range(20):
+        A = _rand_op(rng, form)
+        B = _rand_op(rng, rng.choice([DEL, DFORM]))
+        docs = json.loads(json.dumps([A.to_json(), B.to_json(),
+                                      (A * B).to_json()]))
+        assert docs[2]["form"] == form
+        A_op, B_op, AB = (_operator(doc) for doc in docs)
+        assert _same(_chain(AB), _chain(A_op, B_op))
 
 
 # weights 2, -1: L = x^-2 (D - 2)(D + 1) has the terminating wave function

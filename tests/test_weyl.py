@@ -10,10 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from bispectral import DEL, DFORM, DiffOp, DomainError, Poly, RationalFunction
-from bispectral.weyl import graded_op, graded_parts
-from tests_support import (adjoint, mult, op_power, poly_at_operator,
-                           rand_laurent_op, rand_op, rand_rf, x_power)
+from bispectral import (DEL, DFORM, AtPointGroup, BesselIndex, DiffOp,
+                        DomainError, KernelSpec, Poly, RationalFunction,
+                        build_certificate)
+from bispectral.weyl import _leibniz, graded_op, graded_parts
+from tests_support import (adjoint, leibniz_reference, mult, op_power,
+                           poly_at_operator, rand_laurent_op, rand_op,
+                           rand_rf, x_power)
 
 
 x = "x"
@@ -294,3 +297,71 @@ def test_conversion_is_computed_once_and_links_back():
     assert origin() is None
     c = b.convert(DEL)
     assert (c.den, c.nums) == fields and c.convert(DFORM) is b
+
+
+def _rand_poly(rng, var, degree):
+    """A random polynomial of at most the given degree, with rational
+    coefficients; it may be zero."""
+    return Poly(var, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+                      for _ in range(degree + 1)])
+
+
+def _rand_den(rng, var):
+    """x^k f^e g times a rational constant: f a linear factor repeated up
+    to three times, g a random polynomial, so gcd(v, delta v) is often
+    not 1."""
+    v = Poly.monomial(var, rng.randint(0, 3), Fraction(rng.choice([1, -2, 3]),
+                                                       rng.choice([1, 2, 5])))
+    f = Poly(var, [Fraction(rng.randint(-3, 3), rng.choice([1, 2])), 1])
+    g = Poly.zero(var)
+    while g.is_zero:
+        g = _rand_poly(rng, var, rng.randint(0, 2))
+    return v * f ** rng.randint(0, 3) * g
+
+
+def test_leibniz_matches_the_poly_level_reference():
+    # the integer-list table against the recurrence with one Poly per
+    # entry: equal fields, since a Poly's normal form is canonical
+    rng = random.Random(2012)
+    one = Poly.const(x, 1)
+    cases = [([one, Poly(x, [0, Fraction(-1, 2)]), one],
+              Poly(x, [0, 0, Fraction(1, 4), -1, 1]) * Poly(x, [3, 0, 1]),
+              [Poly(x, [Fraction(2, 3), 1]), Poly.zero(x), one])]
+    for _ in range(60):
+        a = [_rand_poly(rng, x, rng.randint(0, 3))
+             for _ in range(rng.randint(1, 5))]
+        b = [_rand_poly(rng, x, rng.randint(0, 3))
+             for _ in range(rng.randint(1, 4))]
+        cases.append((a, _rand_den(rng, x), b))
+        cases.append((a[:1], _rand_den(rng, x), b))  # order 0
+        cases.append((a, _rand_den(rng, x), [one]))  # as _right_form uses
+    assert any(not p for _, _, b in cases for p in b[:-1])
+    for a, v, b in cases:
+        for form, derive in ((DEL, Poly.derivative), (DFORM, Poly.theta)):
+            w, nums = _leibniz(form, a, v, b)
+            want_w, want_nums = leibniz_reference(derive, a, v, b)
+            assert w == want_w and nums == want_nums
+
+
+def test_leibniz_product_builds_no_poly_per_table_entry(monkeypatch):
+    # Q P of an N=3 point kernel: Q of order m = 3, and P over a
+    # denominator v that is not a power of x, so both forms run _leibniz;
+    # the only Poly products left are those for v r^m and den w
+    group = AtPointGroup(Fraction(2), (Fraction(1), Fraction(1, 2)))
+    cert = build_certificate(KernelSpec(BesselIndex.parse("1/3,2/3,2"), (),
+                                        (group,)))
+    calls = []
+    mul = Poly.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    for form in (DEL, DFORM):
+        q, p = cert.Q.convert(form), cert.P.convert(form)
+        assert q.order == 3 and p.den.valuation() < p.den.degree
+        calls.clear()
+        monkeypatch.setattr(Poly, "__mul__", spy)
+        q * p
+        monkeypatch.undo()
+        assert len(calls) <= q.order + 3

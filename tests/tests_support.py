@@ -93,6 +93,31 @@ def adjoint(a):
     return (out * inv_den).convert(a.form)
 
 
+def leibniz_reference(derive, a, v, b):
+    """The Poly-level Leibniz recurrence, one Poly per table entry: the
+    oracle of ``weyl._leibniz``, with ``derive`` the derivation of its form
+    (``Poly.derivative`` for DEL, ``Poly.theta`` for DFORM)."""
+    zero = Poly.zero(v.var)
+    dv = derive(v)
+    g = Poly.gcd(v, dv)
+    r, s = v // g, dv // g
+    dr = derive(r)
+    m = len(a) - 1
+    powers = [list(b)]
+    for i in range(m):
+        prev = powers[-1] + [zero]
+        si = s + dr.scale(i)
+        powers.append([derive(c) * r - c * si
+                       + (prev[j - 1] * r if j else zero)
+                       for j, c in enumerate(prev)])
+    nums = [zero] * (m + len(b))
+    for i, c_i in enumerate(a):
+        f = c_i * r ** (m - i)
+        for j, c in enumerate(powers[i]):
+            nums[j] = nums[j] + f * c
+    return v * r ** m, nums
+
+
 def closed_order2_factor(a, lam2, mu2):
     """The printed closed-form order-2 factor of a point kernel, used as an
     oracle."""
