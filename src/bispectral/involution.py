@@ -48,9 +48,11 @@ conditions, with no operator product or division:
 
 So a monic u of degree t preserves ker P exactly when one choice of its
 lower coefficients v_0..v_{t-1} puts every condition's image into the
-span of the conditions on its support: one linear system over Q.  The
-result depends only on the spec, so it trusts the certificate to come
-from ``build_certificate``, ``certify`` or ``jsonio.load_certificate``.
+span of the conditions on its support.  All degrees come from one
+elimination over Q: degree t is found when the image of L^t is not a
+pivot column after the spans and the images of L^s, s < t.  The result
+depends only on the spec, so it trusts the certificate to come from
+``build_certificate``, ``certify`` or ``jsonio.load_certificate``.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ from fractions import Fraction
 from . import linalg
 from .bessel import (BesselIndex, bessel_op, bessel_wave, indicial_poly,
                      power_ladders, power_sum_parts)
-from .darboux import (DarbouxCertificate, KernelSpec, certify,
-                      cleared_coefficients, default_depth, operator_from_json,
-                      poly_from_json, validate_spec)
+from .darboux import (DarbouxCertificate, KernelSpec, _eigenvalue_pattern,
+                      certify, cleared_coefficients, default_depth,
+                      operator_from_json, poly_from_json, validate_spec)
 from .errors import (CertificationError, RankDeficiencyError,
                      SpecInvalidError, UnsupportedInputError, UsageError,
                      VerificationError)
@@ -112,17 +114,30 @@ def _reduced(parts, poly: Poly, beta: BesselIndex, right: bool):
     return parts, poly
 
 
+def _involuted(op: DiffOp, beta: BesselIndex, right: bool):
+    """The parts and spectral polynomial of an involuted factor, reduced.
+
+    op = (x^n p_n(x^N))^{-1} sum_k p_k(x^N) D^k is read in its cleared
+    form; its p_k become the power sum sum_j L^j T_j (``bessel``), peeled
+    on the given side by ``_reduced``.  On the right, T_j(y) = sum_k
+    p_k[j] (y - jN)^k, since the sum is sum_k D^k p_k(L) and
+    D^k x^{-jN} = x^{-jN} (D - jN)^k; on the left the sum is
+    sum_k p_k(L) D^k and T_j = sum_k p_k[j] D^k.  The spectral polynomial
+    before peeling is z^n p_n(z^N).
+    """
+    n, pks = cleared_coefficients(op, beta.N)
+    shift = beta.N if right else 0
+    terms = [Poly("y", [p.coeff(j) for p in pks]).translate(-j * shift)
+             for j in range(max(p.degree for p in pks) + 1)]
+    spectral = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
+    return _reduced(power_sum_parts(beta, terms), spectral, beta, right)
+
+
 def involute_P(P: DiffOp, g: Poly, beta: BesselIndex):
     """(P_b, g_b): the involuted left factor and its spectral polynomial."""
-    n, pks = cleared_coefficients(P, beta.N)
-    # D^k x^{-jN} = x^{-jN} (D - jN)^k, so sum_k D^k p_k(L) is the power
-    # sum with T_j(y) = sum_k p_k[j] (y - jN)^k
-    terms = [Poly("y", [p.coeff(j) for p in pks]).translate(-j * beta.N)
-             for j in range(max(p.degree for p in pks) + 1)]
-    g_b = pks[-1].expand_arg_power(beta.N, var="z").shift_mul(n)
     # g^{-1} S = S' L exactly when S = (g S') L: peel before g^{-1} is
     # attached, which only multiplies the denominator
-    parts, g_b = _reduced(power_sum_parts(beta, terms), g_b, beta, right=True)
+    parts, g_b = _involuted(P, beta, right=True)
     out = graded_op(parts, P.var)
     out = DiffOp.from_cleared(P.var, DFORM, out.den * g.relabel(P.var),
                               out.nums)
@@ -155,15 +170,9 @@ def involute_Q(Q: DiffOp, f: Poly, beta: BesselIndex):
     """(Q_b, f_b): the involuted right factor and its spectral polynomial."""
     var = Q.var
     # sum_s e_s D^s carries the right coefficients of Q = sum_s D^s e_s,
-    # so they clear exactly as the left coefficients of P do; then
-    # sum_s q_s(L) D^s is the power sum with T_j = sum_s q_s[j] D^s
-    m, qs = cleared_coefficients(_right_form(Q), beta.N)
-    terms = [Poly("y", [q.coeff(j) for q in qs])
-             for j in range(max(q.degree for q in qs) + 1)]
-    f_b = qs[-1].expand_arg_power(beta.N, var="z").shift_mul(m)
-    # S f^{-1} = L S' exactly when S = L (S' f): peel before the product
-    parts, f_b = _reduced(power_sum_parts(beta, terms), f_b, beta,
-                          right=False)
+    # so they clear exactly as the left coefficients of P do.  S f^{-1} =
+    # L S' exactly when S = L (S' f): peel before the product
+    parts, f_b = _involuted(_right_form(Q), beta, right=False)
     inv_f = DiffOp.from_cleared(var, DFORM, f.relabel(var),
                                 [Poly.const(var, 1)])
     return (graded_op(parts, var) * inv_f).convert(DEL), f_b
@@ -208,7 +217,7 @@ class BispectralPair:
         if BesselIndex.from_json(data["beta"]) != cert.beta:
             raise CertificationError("the pair's beta differs from the beta "
                                      "of its provenance")
-        return cls(beta=cert.beta,
+        pair = cls(beta=cert.beta,
                    L=operator_from_json(data["L"], "x"),
                    Lambda=operator_from_json(data["Lambda"], "z"),
                    h=h, theta=poly_from_json(data["theta"], "y"),
@@ -218,6 +227,10 @@ class BispectralPair:
                    g_b=poly_from_json(data["g_b"], "z"),
                    certificate=cert,
                    b_witnesses=dict(data["b_witnesses"]))
+        if pair.theta != _eigenvalue_pattern(pair.f_b, pair.g_b, cert.beta.N):
+            raise CertificationError("stored theta is not f_b*g_b read in "
+                                     "y = z^N")
+        return pair
 
 
 def make_pair(cert: DarbouxCertificate) -> BispectralPair:
@@ -427,7 +440,11 @@ def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
     Each condition contributes its images, the coordinates of L^s c on its
     support for s = 0..bound // N, and its span, the coordinates of the
     conditions on that support.  Degree t is found when one choice of
-    v_0..v_{t-1} puts images[t] + sum_{s<t} v_s images[s] into every span.
+    v_0..v_{t-1} puts images[t] + sum_{s<t} v_s images[s] into every span,
+    that is, when image column t of one matrix (every span's columns, then
+    the image columns s = 0..top) lies in the span of the columns before
+    it.  So one elimination answers every degree: t is found exactly when
+    image column t is not a pivot column of the reduced echelon form.
     """
     if cert.spec is None:
         raise UsageError("the certificate has no 'spec'; the spectral algebra "
@@ -453,23 +470,19 @@ def _condition_degrees(cert: DarbouxCertificate, degree_bound: int):
                                                for k in range(i, len(a)))
                        for i in range(len(a))} for s in range(top + 1)]
             conditions.append((images, span))
-    found = []
-    for t in range(1, top + 1):
-        ncols = t + sum(len(span) for _, span in conditions)
-        rows, rhs = [], []
-        col = t
-        for images, span in conditions:
-            for key in sorted(set().union(*images[:t + 1], *span)):
-                row = [images[s].get(key, 0) for s in range(t)]
-                row += [Fraction(0)] * (ncols - t)
-                for l, vec in enumerate(span):
-                    row[col + l] = -vec.get(key, 0)
-                rows.append(row)
-                rhs.append(-images[t].get(key, 0))
-            col += len(span)
-        if linalg.solve(rows, rhs) is not None:
-            found.append(t * N)
-    return found
+    # columns: every condition's span, in its own block, then the images
+    # s = 0..top, shared by all conditions
+    nspan = sum(len(span) for _, span in conditions)
+    rows, col = [], 0
+    for images, span in conditions:
+        for key in sorted(set().union(*images, *span)):
+            row = [0] * nspan
+            for l, vec in enumerate(span):
+                row[col + l] = vec.get(key, 0)
+            rows.append(row + [img.get(key, 0) for img in images])
+        col += len(span)
+    pivots = set(linalg.rref(rows)[1])
+    return [t * N for t in range(1, top + 1) if nspan + t not in pivots]
 
 
 def bessel_plane_report(beta: BesselIndex,

@@ -17,15 +17,17 @@ Coefficients are rationals only, ints or Fractions; any other scalar is
 refused with UsageError.  (The series are rational too: no library
 arithmetic runs in Q(eps).)
 
-Gcds run the primitive polynomial remainder sequence over Z (Collins
-1967, Brown 1971): each pseudo-remainder is replaced by its primitive
-part, and the last nonzero one is made monic.  It is exact and
-deterministic, so it needs no modular step.
+Every gcd goes through ``Poly.gcd``, which runs the primitive polynomial
+remainder sequence over Z (Collins 1967, Brown 1971) on the contracted
+parts: each pseudo-remainder is replaced by its primitive part, and the
+last nonzero one is made monic.  It is exact and deterministic, so it
+needs no modular step.
 
 A RationalFunction keeps its denominator monic and coprime to the
 numerator, so equal functions have equal representations.
-``RationalFunction(num, den)`` normalizes whatever it is given; it is the
-reduced per-coefficient view of an operator (see ``weyl``).
+``RationalFunction(num, den)`` normalizes whatever it is given: it divides
+both by ``Poly.gcd(num, den)`` exactly.  It is the reduced
+per-coefficient view of an operator (see ``weyl``).
 """
 
 from __future__ import annotations
@@ -381,8 +383,8 @@ class Poly:
 def _contracted(a, b):
     """(i, j, m, u, w) with a = x^i u(x^m), b = x^j w(x^m), x dividing
     neither u nor w, and m the largest common degree pattern; a and b are
-    nonzero.  Then gcd(a, b) = x^min(i, j) gcd(u, w)(x^m), so gcds and
-    cancellations run on the shorter u and w."""
+    nonzero.  Then gcd(a, b) = x^min(i, j) gcd(u, w)(x^m), so gcds run
+    on the shorter u and w."""
     i, j = a.valuation(), b.valuation()
     u, w = a.nums[i:], b.nums[j:]
     m = 0
@@ -465,19 +467,6 @@ def _euclid(u, w):
     return _raw(u.var, tuple(a), a[-1])
 
 
-def _cancel(num, den):
-    """num and den divided by their monic gcd; both are nonzero."""
-    if num.degree == 0 or den.degree == 0:
-        return num, den
-    i, j, m, u, w = _contracted(num, den)
-    g = _euclid(u, w)
-    if g.degree > 0:
-        u, w = u // g, w // g
-    lo = min(i, j)
-    return (u.expand_arg_power(m).shift_mul(i - lo),
-            w.expand_arg_power(m).shift_mul(j - lo))
-
-
 class RationalFunction:
     """num/den with den monic and gcd(num, den) = 1.
 
@@ -503,7 +492,9 @@ class RationalFunction:
             self.num = num
             self.den = Poly.const(num.var, 1)
             return
-        num, den = _cancel(num, den)
+        g = Poly.gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
         lc, e = den.nums[-1], den.den
         if lc != e:  # the leading coefficient lc / e is not 1
             num = num.scale(Fraction(e, lc))

@@ -233,7 +233,9 @@ def test_perturbed_pair_exits_four(tmp_path):
     main(["build", spec, "--out", cert_path])
     main(["pair", cert_path, "--out", pair_path])
     pair = json.loads(Path(pair_path).read_text())
-    pair["theta"] = ["1", "0", "1"]
+    # Lambda is not compared with P_b Q_b at load, so only the series
+    # check sees it (a perturbed theta exits 3 at load)
+    pair["Lambda"]["coeffs"][0]["num"] = ["-3"]
     bad = write(tmp_path, "badpair.json", pair)
     assert main(["verify", bad, "-K", "10"]) == 4
 
@@ -480,6 +482,31 @@ def test_a_pair_whose_beta_is_not_its_provenance_beta_exits_three(tmp_path,
     assert captured.out == ""
     assert "the pair's beta differs from the beta of its provenance" \
         in captured.err
+
+
+@pytest.mark.parametrize("depth", ["0", "8", "20", "256"])
+def test_a_pair_whose_theta_is_not_f_b_times_g_b_exits_three(tmp_path,
+                                                             capsys, depth):
+    # the y^2 coefficient 9 -> 10: verify -K 8 printed residuals [0, 0]
+    # and exited 0, and -K 20 exited 4
+    pair = _stored_dg_even()
+    assert pair["theta"][2] == "9"
+    pair["theta"] = pair["theta"][:2] + ["10"] + pair["theta"][3:]
+    capsys.readouterr()
+    assert main(["verify", write(tmp_path, "pair.json", pair),
+                 "-K", depth]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stored theta is not f_b*g_b read in y = z^N" in captured.err
+
+
+def test_a_stored_pair_passes_the_theta_check(tmp_path, capsys):
+    pair = _stored_dg_even()
+    capsys.readouterr()
+    assert main(["verify", write(tmp_path, "pair.json", pair),
+                 "-K", "8"]) == 0
+    assert capsys.readouterr().out == \
+        "verified to depth 8: residuals [0, 0]\n"
 
 
 def test_a_certificate_whose_spec_has_other_weights_exits_three(tmp_path,

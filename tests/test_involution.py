@@ -551,6 +551,15 @@ def test_spectral_routes_agree_on_golden_and_demo_specs():
     assert [assert_routes_agree(spec, bound) for spec, bound in cases] == want
 
 
+def test_spectral_routes_agree_at_the_degree_bound_cap():
+    # 32 is cli.MAX_DEGREE_BOUND: eleven image columns L^0..L^10 of one
+    # N = 3 jet, and eleven operator divisions for the oracle; degree 3 is
+    # missed
+    spec = KernelSpec(BesselIndex.parse("1/3,2/3,2"), (),
+                      (AtPointGroup(F(2), (F(1), F(1, 2))),))
+    assert assert_routes_agree(spec, 32) == list(range(6, 31, 3))
+
+
 def test_spectral_algebra_needs_a_spec():
     import dataclasses
     cert = dataclasses.replace(rank1_cert(), spec=None)
@@ -570,6 +579,19 @@ def test_order2_point_algebra_report():
     assert rep.degrees == (4, 6, 8)
     assert rep.generators == (4, 6)
     assert rep.rank == 2
+
+
+def test_spectral_algebra_runs_one_elimination(monkeypatch):
+    # every degree is read off the pivots of one matrix
+    cert = order2_cert()
+    calls = []
+    rref, solve = linalg.rref, linalg.solve
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append("rref") or rref(rows))
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: calls.append("solve") or solve(*args))
+    assert spectral_algebra(cert, 8).degrees == (4, 6, 8)
+    assert calls == ["rref"]
 
 
 def _is_sum_of(d, parts):

@@ -296,6 +296,19 @@ def test_gcd_and_cancel_with_a_shared_factor_of_high_degree():
     assert checked > 40
 
 
+def test_rational_functions_cancel_through_poly_gcd(monkeypatch):
+    # one gcd routine: the reduced view divides by Poly.gcd exactly
+    x1, x2 = Poly("x", [-1, 1]), Poly("x", [-2, 1])
+    num, den = x1 * x1 * Poly("x", [3, 0, 1]), x1 * x2.scale(Fraction(1, 2))
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", staticmethod(
+        lambda a, b: calls.append((a, b)) or gcd(a, b)))
+    rf = RationalFunction(num, den)
+    assert calls == [(num, den)]
+    assert rf.num == (x1 * Poly("x", [3, 0, 1])).scale(2) and rf.den == x2
+
+
 def test_only_rational_coefficients_are_taken():
     from bispectral.scalars import Cyclotomic, primitive_root
     # a rational Cyclotomic is refused too: no Poly holds a Q(eps) scalar
