@@ -459,7 +459,7 @@ def _solve_annihilator(val: ValidatedSpec):
     for q in val.elements_at_zero:
         powers = [q]
         for _ in range(n):
-            powers.append(powers[-1].apply_theta())
+            powers.append(powers[-1].apply(THETA))
         zero_powers.append([p.terms for p in powers])
     top = base_bound << (MAX_ANSATZ_DOUBLINGS - 1)
     for bound in range(top + 1):

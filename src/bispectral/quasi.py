@@ -1,7 +1,23 @@
 """Function spaces the operators act on.
 
 * QuasiPolynomial: finite sums c * x^g * (ln x)^j with rational exponents g.
-  These carry the exact kernel conditions at the origin.
+  These carry the exact kernel conditions at the origin.  They are the
+  generalized weight vectors of D = x d/dx, the grading of the x^a f(D)
+  basis of W_{1+infinity}: with y = ln x,
+
+      D^k x^g y^j = x^g sum_i C(k, i) g^(k-i) j!/(j-i)! y^(j-i),
+
+  so f(D) acts on x^g y^j through f and its derivatives at g, and an
+  operator acts in one closed-form pass.  Its DFORM numerators are cleared
+  to integer columns over one integer den, the lcm of their denominators:
+  column t holds the integers of x^t D^k, k = 0..top; the coefficients
+  are cleared over one integer vden.  For g = p/q, each term v x^g y^j (v
+  now an integer) and each log drop i take one integer sum over k per
+  column, s = sum_k col[k] C(k, i) p^(k-i) q^(top-k+i), and add
+  v s j!/(j-i)! to the integer at x^(g+t-m) y^(j-i), x^m the DFORM
+  denominator.  Every piece there lies over vden den q^top, since g+t-m
+  keeps the denominator q, so each output coefficient is one Fraction,
+  and no quasi-polynomial is built per power of D.
 * WaveSeries: e^{xz} * sum c_ij x^i z^j on a rectangular window.  True
   coefficients vanish above the window top in each variable, and every
   stored coefficient inside the window equals the exact one, so window
@@ -76,11 +92,12 @@ every lower one divides.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import TruncationError, UnsupportedInputError, UsageError
 from .poly import Poly, power_text, signed_sum
-from .scalars import cleared
+from .scalars import _shown, cleared
 from .weyl import DEL, DFORM, DiffOp
 
 
@@ -93,7 +110,10 @@ class QuasiPolynomial:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, c in items:
-            gamma, j = key if len(key) == 2 else (key[0], key[1])
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise UsageError(f"a term key is (exponent, log power), "
+                                 f"not {_shown(key)}")
+            gamma, j = key
             gamma = Fraction(gamma)
             j = int(j)
             if j < 0:
@@ -127,15 +147,6 @@ class QuasiPolynomial:
             out[k] = out.get(k, Fraction(0)) + c
         return QuasiPolynomial(out)
 
-    def apply_theta(self):
-        """Image under D = x d/dx:  D x^g y^j = g x^g y^j + j x^g y^{j-1}."""
-        out = {}
-        for (g, j), c in self.terms.items():
-            out[(g, j)] = out.get((g, j), Fraction(0)) + g * c
-            if j:
-                out[(g, j - 1)] = out.get((g, j - 1), Fraction(0)) + j * c
-        return QuasiPolynomial(out)
-
     def log_derivative(self):
         """Derivative in y = ln x, the seed-to-element map for log groups."""
         out = {}
@@ -147,22 +158,39 @@ class QuasiPolynomial:
     def apply(self, op: DiffOp) -> "QuasiPolynomial":
         """Exact image x^{-m} sum_k nums[k] D^k self under an operator whose
         DFORM denominator is x^m; any other denominator raises
-        UnsupportedInputError."""
+        UnsupportedInputError.  One closed-form pass on integer columns
+        (module docstring)."""
         d = op.convert(DFORM)
         m = d.den.degree
         if d.den.valuation() != m:
             raise UnsupportedInputError(
                 f"denominator {d.den} has a pole away from 0")
-        image = {}
-        power = self
+        top = len(d.nums) - 1
+        den = math.lcm(*(num.den for num in d.nums))
+        cols = {}
         for k, num in enumerate(d.nums):
-            if k:
-                power = power.apply_theta()
-            for t, c in enumerate(num.coeffs):
-                if c:
-                    _add_into(image, (((g + t - m, j), c * v)
-                                      for (g, j), v in power.terms.items()))
-        return QuasiPolynomial(image)
+            for t, n in enumerate(num.nums):
+                cols.setdefault(t, [0] * (top + 1))[k] = n * (den // num.den)
+        # drops[i][t]: column t's entries k >= i times C(k, i), the weights
+        # of the D^k on the log drop i
+        logs = min(top, max((j for _, j in self.terms), default=0))
+        drops = [{t: [c * math.comb(k, i) for k, c in enumerate(col[i:], i)]
+                  for t, col in cols.items()} for i in range(logs + 1)]
+        # every piece at x^(a/q) y^j lies over vden den q^top
+        ints, vden = cleared(list(self.terms.values()))
+        sums = {}
+        for (g, j), v in zip(self.terms, ints):
+            p, q = g.numerator, g.denominator
+            powers = [p ** e * q ** (top - e) for e in range(top + 1)]
+            for i in range(min(j, top) + 1):
+                scale = v * math.perm(j, i)
+                for t, weights in drops[i].items():
+                    key = (p + (t - m) * q, q, j - i)
+                    sums[key] = sums.get(key, 0) + scale * sum(
+                        map(operator.mul, weights, powers))
+        return QuasiPolynomial([((Fraction(a, q), j),
+                                 Fraction(n, vden * den * q ** top))
+                                for (a, q, j), n in sums.items() if n])
 
     def __repr__(self):
         return f"QuasiPolynomial({self.to_str()!r})"

@@ -17,7 +17,7 @@ from bispectral.darboux import (THETA, _assemble, _condition_rows,
 from bispectral.involution import involute_P, involute_Q
 from tests_support import (adjoint, all_branch_residuals, all_branch_rows,
                            closed_order2_factor, compute_Q, mult,
-                           poly_at_operator, x_power)
+                           poly_at_operator, quasi_theta, x_power)
 
 F = Fraction
 
@@ -247,7 +247,7 @@ def _all_branch_build(spec):
         for q in val.elements_at_zero:
             powers = [q]
             for _ in range(n):
-                powers.append(powers[-1].apply_theta())
+                powers.append(quasi_theta(powers[-1]))
             zero += _condition_rows([p.terms for p in powers], n, N, bound)
         rows, rows0 = list(zero), list(zero)
         for group in spec.at_points:
@@ -379,6 +379,17 @@ def test_certify_negative_controls(monkeypatch):
     other = monomial_kernel(bi, [[(F(2, 3), F(1)), (F(8, 3), F(2))]])
     with pytest.raises(CertificationError, match=r"^kernel element .* is not "
                                                  r"annihilated by P"):
+        certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=other)
+    # the same on a log kernel, whose images carry the j!/(j-i)! terms of
+    # D^k x^g (ln x)^j
+    bi = BesselIndex(3, (F(1, 2), F(1, 2), F(2)))
+    cert = build_certificate(KernelSpec(
+        bi, (AtZeroGroup(0, ((F(1),), (F(1), F(2)))),), ()))
+    other = KernelSpec(bi, (AtZeroGroup(0, ((F(1),), (F(1), F(3)))),), ())
+    with pytest.raises(CertificationError, match=r"^kernel element x\^1/2 "
+                                                 r"\+ x\^7/2 \+ 3\*x\^7/2\*"
+                                                 r"ln\(x\) is not annihilated "
+                                                 r"by P$"):
         certify(cert.beta, cert.P, cert.Q, cert.f, cert.g, spec=other)
     cert = build_certificate(order2_point_spec())
     with pytest.raises(CertificationError, match=r"orbit kernel element at 1 "

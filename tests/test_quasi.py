@@ -9,17 +9,26 @@ from bispectral import (BesselIndex, DiffOp, ExpSeries, Poly,
                         QuasiPolynomial, RationalFunction, TruncationError,
                         UnsupportedInputError, UsageError, WaveSeries,
                         bessel_op, bessel_wave, jsonio, wave_jet_at)
-from tests_support import (del_image, del_step, mult, rand_laurent_op,
-                           theta_chain, x_power)
+from tests_support import (del_image, del_step, mult, quasi_theta,
+                           rand_laurent_op, theta_chain, x_power)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_theta_action_on_log_monomial():
     q = QuasiPolynomial.monomial(Fraction(1, 2), 1)
-    img = q.apply_theta()
-    assert img == QuasiPolynomial([((Fraction(1, 2), 1), Fraction(1, 2)),
-                                   ((Fraction(1, 2), 0), 1)])
+    want = QuasiPolynomial([((Fraction(1, 2), 1), Fraction(1, 2)),
+                            ((Fraction(1, 2), 0), 1)])
+    assert quasi_theta(q) == want
+    assert q.apply(DiffOp("x", "D", (0, 1))) == want
+
+
+def test_term_keys_are_exponent_and_log_power():
+    # a third entry was dropped and a single entry raised IndexError
+    for key in [(Fraction(1, 2), 1, 7), (Fraction(1, 2),)]:
+        with pytest.raises(UsageError, match=r"term key is \(exponent, log "
+                                             r"power\)"):
+            QuasiPolynomial([(key, 1)])
 
 
 def test_kernel_elements_annihilated():
@@ -46,7 +55,7 @@ def _laurent_image(q, op):
     power = q
     for k, rf in enumerate(op.convert("D").coeffs):
         if k:
-            power = power.apply_theta()
+            power = quasi_theta(power)
         m = rf.den.degree
         if rf.den != Poly.monomial("x", m):
             raise UnsupportedInputError(f"{rf} has a pole away from 0")
@@ -60,11 +69,11 @@ def _laurent_image(q, op):
 
 def test_quasi_apply_matches_the_per_coefficient_laurent_oracle():
     rng = random.Random(40)
-    forms, spreads = set(), set()
-    for _ in range(60):
+    forms, spreads, logs, dens = set(), set(), set(), set()
+    for _ in range(80):
         form = rng.choice(["del", "D"])
         coeffs = []
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 5)):
             num = Poly("x", [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                              for _ in range(rng.randint(1, 3))])
             coeffs.append(RationalFunction(
@@ -72,11 +81,15 @@ def test_quasi_apply_matches_the_per_coefficient_laurent_oracle():
         op = DiffOp("x", form, coeffs)
         if op.is_zero:
             continue
-        q = QuasiPolynomial([((Fraction(rng.randint(-4, 4), rng.choice([1, 2])),
-                               rng.randint(0, 2)), rng.randint(-5, 5))
+        q = QuasiPolynomial([((Fraction(rng.randint(-4, 4),
+                                        rng.choice([1, 2, 3])),
+                               rng.randint(0, 3)),
+                              Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
                              for _ in range(rng.randint(1, 4))])
         assert q.apply(op) == _laurent_image(q, op)
         forms.add(form)
+        logs.update(j for _, j in q.terms)
+        dens.update(g.denominator for g, _ in q.terms)
         spreads.add(len({c.den.degree for c in op.convert("D").coeffs
                          if not c.is_zero}))
         # one coefficient with a pole away from 0 makes the operator
@@ -89,6 +102,26 @@ def test_quasi_apply_matches_the_per_coefficient_laurent_oracle():
             with pytest.raises(UnsupportedInputError):
                 route(bad)
     assert forms == {"del", "D"} and max(spreads) > 1
+    assert logs == {0, 1, 2, 3} and dens == {1, 2, 3}
+
+
+def test_quasi_apply_builds_one_quasi_polynomial(monkeypatch):
+    q = QuasiPolynomial([((Fraction(-1, 3), 3), 2), ((Fraction(1, 2), 1), -1),
+                         ((Fraction(5), 0), 4)])
+    built = []
+    init = QuasiPolynomial.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuasiPolynomial, "__init__", spy)
+    for order in (0, 1, 3, 6):
+        op = DiffOp("x", "D",
+                    [Poly("x", [k + 1, -k]) for k in range(order + 1)])
+        built.clear()
+        image = q.apply(op)
+        assert built == [image]
 
 
 def test_module_action_randomized():

@@ -215,6 +215,19 @@ def rand_quasi(rng):
     return QuasiPolynomial(terms)
 
 
+def quasi_theta(q):
+    """q's image under D = x d/dx, one power at a time:
+    D x^g y^j = g x^g y^j + j x^g y^{j-1}, y = ln x.  The per-power step
+    that ``QuasiPolynomial.apply``'s closed form replaces, kept as its
+    oracle."""
+    out = {}
+    for (g, j), c in q.terms.items():
+        out[(g, j)] = out.get((g, j), Fraction(0)) + g * c
+        if j:
+            out[(g, j - 1)] = out.get((g, j - 1), Fraction(0)) + j * c
+    return QuasiPolynomial(out)
+
+
 def theta_chain(profile, a):
     """sum_k a_k D^k profile, each D^k the one before it times x DEL: the
     jet chain that ``wave_jet_at(...).apply(a(D))`` replaces, kept as its
